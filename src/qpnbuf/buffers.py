@@ -13,6 +13,7 @@ choice.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .engine import (
@@ -466,16 +467,25 @@ class BufferSpec:
         raise SpecError(f"unknown buffer kind {self.kind!r}")
 
 
-def run_scenario(spec: BufferSpec, scheduler: Scheduler | None = None) -> Trace:
+def run_scenario(
+    spec: BufferSpec, scheduler: Scheduler | Callable[[QPNet], Scheduler] | None = None
+) -> Trace:
     """Build the net, seed the tokens, and run it to a trace.
 
-    Without an explicit scheduler the net is driven by its selector
-    addresses (or plain draining when nothing is guarded).
+    ``scheduler`` may be a function of the built net.  Without one the net
+    is driven by its selector addresses (or plain draining when nothing is
+    guarded).  A domain error during the run is re-raised with the kind
+    named in its message; its type and attributes (``step`` and the like)
+    are kept.
     """
     net, marking = spec.build()
     if scheduler is None:
         scheduler = AddressDriven(program=spec.addresses)
+    elif callable(scheduler):
+        scheduler = scheduler(net)
     try:
         return run(net, marking, scheduler)
     except QpnError as exc:
-        raise type(exc)(f"in {spec.kind} scenario: {exc}") from exc
+        wrapped = type(exc).__new__(type(exc), f"in {spec.kind} scenario: {exc}")
+        wrapped.__dict__.update(vars(exc))
+        raise wrapped from exc

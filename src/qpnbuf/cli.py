@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from .buffers import BufferSpec, build_cnot_example, build_mimo, build_simo
+from .buffers import BufferSpec, build_cnot_example, build_mimo, build_simo, run_scenario
 from .engine import (
     DEFAULT_STEP_BOUND,
     Scripted,
@@ -160,41 +160,23 @@ def _signature_output(signatures: dict, places: tuple[str, ...], fmt: str) -> st
     return "\n".join(lines) + "\n"
 
 
-def _scenario_trace(args) -> Trace:
-    if args.scenario is None:
-        raise ScenarioError("missing --scenario path")
-    doc = parse_scenario(Path(args.scenario).read_text())
-    spec = doc.to_buffer_spec()
-    net, marking = spec.build()
-    scheduler = doc.build_scheduler(net)
-    try:
-        return run(net, marking, scheduler)
-    except QpnError as exc:
-        raise type(exc)(f"in {doc.kind} scenario: {exc}") from exc
-
-
 def _cmd_buffer(args) -> int:
     if args.mode == "demo":
         return _cmd_demo(args)
-    if args.mode == "enumerate":
-        if args.scenario is None:
-            raise ScenarioError("missing --scenario path")
-        doc = parse_scenario(Path(args.scenario).read_text())
-        net, marking = doc.to_buffer_spec().build()
-        signatures = enumerate_final_markings(net, marking, step_bound=_step_bound())
-        _write_output(_signature_output(signatures, marking.place_ids, args.format), args.out)
-        return 0
-    # run
-    doc = parse_scenario(Path(args.scenario).read_text()) if args.scenario else None
-    if doc is None:
+    if args.scenario is None:
         raise ScenarioError("missing --scenario path")
-    if doc.enumerate_outcomes:
+    try:
+        text = Path(args.scenario).read_text()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario: {exc.strerror}") from exc
+    doc = parse_scenario(text)
+    if args.mode == "enumerate" or doc.enumerate_outcomes:
         net, marking = doc.to_buffer_spec().build()
         signatures = enumerate_final_markings(net, marking, step_bound=_step_bound())
         _write_output(_signature_output(signatures, marking.place_ids, args.format), args.out)
-        return 0
-    trace = _scenario_trace(args)
-    _write_output(_trace_output(trace, args.format), args.out)
+    else:
+        trace = run_scenario(doc.to_buffer_spec(), doc.build_scheduler)
+        _write_output(_trace_output(trace, args.format), args.out)
     return 0
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,10 +166,14 @@ class QPNet:
         self._transitions = {t.id: t for t in self.transitions}
         if len(self._transitions) != len(self.transitions):
             raise ModelError("duplicate transition ids")
-        for t in self.transitions:
-            self._validate_transition(t)
+        self._place_ids = self._places.keys()
+        self._selector = {t.id: self._check_transition(t) for t in self.transitions}
+        # enabled_transitions reports ids in this order.
+        self._ordered = tuple(sorted(self.transitions, key=lambda t: _tid_key(t.id)))
+        self._guards: dict[int, str] | None = None
 
-    def _validate_transition(self, t: Transition):
+    def _check_transition(self, t: Transition) -> str | None:
+        """Check a transition's wiring; return its selector place, if any."""
         for arc in t.input_arcs + t.output_arcs + t.inhibitor_arcs:
             if arc.place not in self._places:
                 raise ModelError(f"transition {t.id}: unknown place {arc.place!r}")
@@ -190,10 +195,16 @@ class QPNet:
                         f"transition {t.id}: routing of {label!r} targets {pid!r}, "
                         "which is not an output-arc place"
                     )
-        if t.address_guard is not None and self.selector_place(t) is None:
+        selector = next(
+            (arc.place for arc in t.input_arcs
+             if self._places[arc.place].kind is PlaceKind.ANCILLARY),
+            None,
+        )
+        if t.address_guard is not None and selector is None:
             raise ModelError(
                 f"transition {t.id}: an address guard needs an ancillary input place"
             )
+        return selector
 
     def place(self, pid: str) -> Place:
         try:
@@ -209,12 +220,7 @@ class QPNet:
 
     def selector_place(self, t: Transition) -> str | None:
         """The ancillary-supply input place consulted by an address guard."""
-        supplies = [
-            arc.place
-            for arc in t.input_arcs
-            if self._places[arc.place].kind is PlaceKind.ANCILLARY
-        ]
-        return supplies[0] if supplies else None
+        return self._selector[t.id]
 
     def is_output_side(self, t: Transition) -> bool:
         """True when every input place is a data/ancillary staging place."""
@@ -223,7 +229,12 @@ class QPNet:
         )
 
     def guard_map(self) -> dict[int, str]:
-        """Guard value to transition id; requires guard values to be unique."""
+        """Guard value to transition id; requires guard values to be unique.
+
+        Computed on first use and shared afterwards; callers must not mutate it.
+        """
+        if self._guards is not None:
+            return self._guards
         out: dict[int, str] = {}
         for t in self.transitions:
             if t.address_guard is None:
@@ -234,6 +245,7 @@ class QPNet:
                     f"{out[t.address_guard]} and {t.id}"
                 )
             out[t.address_guard] = t.id
+        self._guards = out
         return out
 
     def initial_marking(self, assignment: dict[str, list[str]]) -> "Marking":
@@ -257,23 +269,55 @@ class QPNet:
 
 
 class Marking:
-    """Immutable snapshot: queue contents, payload table, addresses, time."""
+    """Immutable snapshot: queue contents, payload table, addresses, time.
 
-    __slots__ = ("_queues", "_token_place", "_payloads", "_addresses", "time")
+    A marking derived by ``fire`` or ``unfire`` shares with its parent every
+    queue the firing left alone, and the payload and address tables unless
+    the firing changed them.  Tables are held in token-id order, so the
+    content key needs no sorting; it is built once, on first use, and reuses
+    the parent's key components for tables the two share.
+    """
+
+    __slots__ = (
+        "_queues", "_payloads", "_addresses", "time",
+        "_token_place", "_net", "_key", "_address_key", "_payload_key",
+    )
 
     def __init__(self, queues, payloads, addresses, time):
-        object.__setattr__(self, "_queues", {p: tuple(es) for p, es in queues.items()})
-        object.__setattr__(self, "_payloads", dict(payloads))
-        object.__setattr__(self, "_addresses", dict(addresses))
-        object.__setattr__(self, "time", time)
+        queues = {p: tuple(es) for p, es in queues.items()}
         token_place: dict[str, str] = {}
-        for pid, entries in self._queues.items():
+        for pid, entries in queues.items():
             for entry in entries:
                 for tok in entry:
                     if tok in token_place:
                         raise ModelError(f"token {tok!r} appears in more than one place")
                     token_place[tok] = pid
-        object.__setattr__(self, "_token_place", token_place)
+        self._fill(queues, dict(sorted(payloads.items())), dict(sorted(addresses.items())),
+                   time, token_place, None, None, None)
+
+    def _fill(self, queues, payloads, addresses, time, token_place, net, address_key,
+              payload_key):
+        set_ = object.__setattr__
+        set_(self, "_queues", queues)
+        set_(self, "_payloads", payloads)
+        set_(self, "_addresses", addresses)
+        set_(self, "time", time)
+        set_(self, "_token_place", token_place)
+        set_(self, "_net", net)  # the net this marking was last validated against
+        set_(self, "_key", None)
+        set_(self, "_address_key", address_key)
+        set_(self, "_payload_key", payload_key)
+
+    def _derive(self, net: QPNet, queues, payloads, addresses, time) -> "Marking":
+        """Successor built by a firing step; it conserves the token set."""
+        child = object.__new__(Marking)
+        child._fill(
+            queues, payloads, addresses, time, None,
+            net if self._net is net else None,
+            self._address_key if addresses is self._addresses else None,
+            self._payload_key if payloads is self._payloads else None,
+        )
+        return child
 
     def __setattr__(self, name, value):
         raise AttributeError("Marking is immutable")
@@ -294,9 +338,19 @@ class Marking:
     def tokens_in(self, pid: str) -> tuple[str, ...]:
         return tuple(tok for entry in self._queues[pid] for tok in entry)
 
+    def _token_index(self) -> dict[str, str]:
+        index = self._token_place
+        if index is None:
+            index = {
+                tok: pid for pid, entries in self._queues.items()
+                for entry in entries for tok in entry
+            }
+            object.__setattr__(self, "_token_place", index)
+        return index
+
     def place_of(self, tok: str) -> str:
         try:
-            return self._token_place[tok]
+            return self._token_index()[tok]
         except KeyError:
             raise ModelError(f"token {tok!r} is not in any place") from None
 
@@ -311,11 +365,20 @@ class Marking:
 
     def key(self) -> tuple:
         """Hashable content key (time excluded) for visited-state tracking."""
-        return (
-            tuple((pid, self._queues[pid]) for pid in self._queues),
-            tuple(sorted((t, a if a is not None else -1) for t, a in self._addresses.items())),
-            tuple(sorted((t, p.amplitudes.tobytes()) for t, p in self._payloads.items())),
-        )
+        key = self._key
+        if key is None:
+            if self._address_key is None:
+                object.__setattr__(self, "_address_key", tuple(
+                    (t, -1 if a is None else a) for t, a in self._addresses.items()
+                ))
+            if self._payload_key is None:
+                payloads = self._payloads
+                object.__setattr__(self, "_payload_key", tuple(
+                    zip(payloads, map(StateVector.amplitude_bytes, payloads.values()))
+                ))
+            key = (tuple(self._queues.items()), self._address_key, self._payload_key)
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __eq__(self, other):
         if not isinstance(other, Marking):
@@ -326,10 +389,13 @@ class Marking:
         return hash((self.time, self.key()))
 
     def validate(self, net: QPNet):
-        if set(self._queues) != {p.id for p in net.places}:
+        if self._net is net:
+            return
+        if self._queues.keys() != net._place_ids:
             raise ModelError("marking places disagree with the net")
-        if set(self._token_place) != set(net.tokens):
+        if self._token_index().keys() != net.tokens.keys():
             raise ModelError("marking tokens disagree with the net")
+        object.__setattr__(self, "_net", net)
 
 
 @dataclass(frozen=True)
@@ -395,21 +461,20 @@ class Trace:
 def _guard_ok(net: QPNet, marking: Marking, t: Transition) -> bool:
     if t.address_guard is None:
         return True
-    supply = net.selector_place(t)
-    entries = marking.entries(supply)
+    entries = marking._queues[net._selector[t.id]]
     if not entries:
         return False
-    head = entries[0][0]
-    addr = marking.address(head)
+    addr = marking._addresses[entries[0][0]]
     return addr is None or addr == t.address_guard
 
 
 def _is_enabled(net: QPNet, marking: Marking, t: Transition) -> bool:
+    queues = marking._queues
     for arc in t.input_arcs:
-        if marking.entry_count(arc.place) < arc.multiplicity:
+        if len(queues[arc.place]) < arc.multiplicity:
             return False
     for arc in t.inhibitor_arcs:
-        if marking.entry_count(arc.place) > 0:
+        if queues[arc.place]:
             return False
     return _guard_ok(net, marking, t)
 
@@ -417,8 +482,7 @@ def _is_enabled(net: QPNet, marking: Marking, t: Transition) -> bool:
 def enabled_transitions(net: QPNet, marking: Marking) -> list[str]:
     """Ids of all currently enabled transitions, ordered by id."""
     marking.validate(net)
-    enabled = [t.id for t in net.transitions if _is_enabled(net, marking, t)]
-    return sorted(enabled, key=_tid_key)
+    return [t.id for t in net._ordered if _is_enabled(net, marking, t)]
 
 
 def _split_product(state: StateVector, widths: list[int]) -> list[StateVector]:
@@ -460,6 +524,11 @@ def _split_product(state: StateVector, widths: list[int]) -> list[StateVector]:
     )
 
 
+# States are immutable, so every materialized selector of one width and
+# value can share one payload object (and its cached key bytes).
+_selector_state = lru_cache(maxsize=256)(basis_state_from_index)
+
+
 def _tensor_all(payloads: list[StateVector]) -> StateVector:
     joint = payloads[0]
     for p in payloads[1:]:
@@ -473,29 +542,28 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
     if not _is_enabled(net, marking, t):
         raise NotEnabledError(f"transition {tid} cannot fire")
 
-    queues = {pid: list(marking.entries(pid)) for pid in marking.place_ids}
-    payloads = dict(marking._payloads)
-    addresses = dict(marking._addresses)
+    # Successor state shares every queue and table the firing leaves alone.
+    queues = dict(marking._queues)
+    payloads = marking._payloads
+    addresses = marking._addresses
 
     consumed_moves: list[TokenMove] = []
     consumed_sizes: list[int] = []
-    entries_by_label: dict[str, list[Entry]] = {}
+    entries_by_label: dict[str, tuple[Entry, ...]] = {}
     for arc in t.input_arcs:
-        taken = []
-        for _ in range(arc.multiplicity):
-            entry = queues[arc.place].pop(0)
-            taken.append(entry)
+        queue = queues[arc.place]
+        taken = queue[: arc.multiplicity]
+        queues[arc.place] = queue[arc.multiplicity :]
+        for entry in taken:
             consumed_sizes.append(len(entry))
             for tok in entry:
-                consumed_moves.append(
-                    TokenMove(tok, arc.place, marking.payload(tok), marking.address(tok))
-                )
+                consumed_moves.append(TokenMove(tok, arc.place, payloads[tok], addresses[tok]))
         entries_by_label[arc.label] = taken
 
     # Materialize a free selector: consuming it through a guard assigns the
     # guard's basis value as its address and payload.
     if t.address_guard is not None:
-        supply = net.selector_place(t)
+        supply = net._selector[tid]
         selector = next(m.token for m in consumed_moves if m.place == supply)
         if addresses[selector] is None:
             width = payloads[selector].num_qubits
@@ -504,8 +572,8 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
                     f"guard {t.address_guard} does not fit selector {selector}'s "
                     f"{width}-qubit payload"
                 )
-            addresses[selector] = t.address_guard
-            payloads[selector] = basis_state_from_index(width, t.address_guard)
+            addresses = {**addresses, selector: t.address_guard}
+            payloads = {**payloads, selector: _selector_state(width, t.address_guard)}
 
     data_tokens = [
         m.token for m in consumed_moves if net.tokens[m.token].kind is TokenKind.DATA
@@ -513,8 +581,7 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
     if t.gate and data_tokens:
         widths = [payloads[tok].num_qubits for tok in data_tokens]
         joint = apply_all(_tensor_all([payloads[tok] for tok in data_tokens]), t.gate)
-        for tok, part in zip(data_tokens, _split_product(joint, widths)):
-            payloads[tok] = part
+        payloads = {**payloads, **dict(zip(data_tokens, _split_product(joint, widths)))}
 
     # Deposit: resolve destinations per label, then fuse a data+ancillary
     # pair arriving together at a staging place into one entry.
@@ -544,16 +611,17 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
             and kinds == {TokenKind.DATA, TokenKind.ANCILLARY}
         ):
             ordered = sorted(toks, key=lambda tok: net.tokens[tok].kind is not TokenKind.DATA)
-            queues[pid].append(tuple(ordered))
+            queues[pid] += (tuple(ordered),)
             produced_sizes.append(2)
             produced_moves.extend(
                 TokenMove(tok, pid, payloads[tok], addresses[tok]) for tok in ordered
             )
         else:
-            for tok in toks:
-                queues[pid].append((tok,))
-                produced_sizes.append(1)
-                produced_moves.append(TokenMove(tok, pid, payloads[tok], addresses[tok]))
+            queues[pid] += tuple((tok,) for tok in toks)
+            produced_sizes.extend([1] * len(toks))
+            produced_moves.extend(
+                TokenMove(tok, pid, payloads[tok], addresses[tok]) for tok in toks
+            )
 
     event = FiringEvent(
         time=marking.time,
@@ -563,8 +631,7 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
         consumed_entry_sizes=tuple(consumed_sizes),
         produced_entry_sizes=tuple(produced_sizes),
     )
-    new_marking = Marking(queues, payloads, addresses, time=marking.time + 1)
-    return new_marking, event
+    return marking._derive(net, queues, payloads, addresses, marking.time + 1), event
 
 
 def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
@@ -579,22 +646,28 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
             f"marking time {marking.time} does not follow event time {event.time}"
         )
     t = net.transition(event.transition)
-    queues = {pid: list(marking.entries(pid)) for pid in marking.place_ids}
-    payloads = dict(marking._payloads)
-    addresses = dict(marking._addresses)
+    if sorted(m.token for m in event.consumed) != sorted(m.token for m in event.produced):
+        raise ReversalError("event consumes and produces different tokens")
+    queues = dict(marking._queues)
+    payloads = marking._payloads
+    addresses = marking._addresses
 
     # Produced entries must sit, in order, at the tails of their queues.
     produced = event.produced_entries()
     for entry_moves in reversed(produced):
         pid = entry_moves[0].place
         entry = tuple(m.token for m in entry_moves)
-        if not queues[pid] or queues[pid][-1] != entry:
+        queue = queues[pid]
+        if not queue or queue[-1] != entry:
             raise ReversalError(
                 f"queue tail of {pid} does not match event entry {entry}"
             )
-        queues[pid].pop()
+        queues[pid] = queue[:-1]
         for move in entry_moves:
-            if payloads[move.token] != move.payload or addresses[move.token] != move.address:
+            payload = payloads[move.token]
+            if (
+                payload is not move.payload and payload != move.payload
+            ) or addresses[move.token] != move.address:
                 raise ReversalError(f"token {move.token} state does not match the event")
 
     # Recompute pre-firing data payloads through the inverse gate.
@@ -613,17 +686,20 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
                     f"inverse gate does not reproduce {move.token}'s recorded payload"
                 )
 
-    for move in event.consumed:
-        payloads[move.token] = move.payload
-        addresses[move.token] = move.address
+    restored = {m.token: m.payload for m in event.consumed if payloads[m.token] is not m.payload}
+    if restored:
+        payloads = {**payloads, **restored}
+    restored = {m.token: m.address for m in event.consumed if addresses[m.token] != m.address}
+    if restored:
+        addresses = {**addresses, **restored}
 
     # Re-prepend consumed entries at the heads of their source queues.
     consumed = event.consumed_entries()
     for entry_moves in reversed(consumed):
         pid = entry_moves[0].place
-        queues[pid].insert(0, tuple(m.token for m in entry_moves))
+        queues[pid] = (tuple(m.token for m in entry_moves),) + queues[pid]
 
-    return Marking(queues, payloads, addresses, time=event.time)
+    return marking._derive(net, queues, payloads, addresses, event.time)
 
 
 @dataclass(frozen=True)
@@ -747,35 +823,49 @@ def enumerate_final_markings(
     """All quiescent-state signatures reachable by maximal firing sequences.
 
     Performs an exhaustive depth-first exploration of every enabled choice,
-    deduplicating outcomes by distribution signature; each signature keeps
-    one witness firing sequence.  Identical intermediate markings share
-    their explored suffixes.  Raises once more than ``step_bound`` firings
-    have been explored.
+    in id order, deduplicating outcomes by distribution signature; each
+    signature keeps the first witness firing sequence found.  Identical
+    intermediate markings (same queues, addresses and payloads) share their
+    explored suffixes.  The depth-first stack is an explicit list, so long
+    firing chains need no interpreter recursion.  Raises once more than
+    ``step_bound`` firings have been explored.
     """
     memo: dict[tuple, dict] = {}
+    # One frame per marking being expanded: [key, marking, enabled ids,
+    # index of the next id to fire, signatures found so far].
+    stack: list[list] = []
     fired = 0
 
-    def explore(m: Marking) -> dict:
-        nonlocal fired
+    def visit(m: Marking) -> dict | None:
+        """The outcomes of ``m`` if known now; else push a frame and return None."""
         key = m.key()
         if key in memo:
             return memo[key]
         enabled = enabled_transitions(net, m)
         if not enabled:
-            result = {distribution_signature(m): ()}
-        else:
-            result = {}
-            for tid in enabled:
-                fired += 1
-                if fired > step_bound:
-                    raise ExplosionError(
-                        f"enumeration exceeded the step bound of {step_bound} firings"
-                    )
-                nxt, _ = fire(net, m, tid)
-                for sig, suffix in explore(nxt).items():
-                    result.setdefault(sig, (tid,) + suffix)
-        memo[key] = result
-        return result
+            memo[key] = {distribution_signature(m): ()}
+            return memo[key]
+        stack.append([key, m, enabled, 0, {}])
+        return None
 
-    result = explore(marking)
-    return dict(sorted(result.items()))
+    outcome = visit(marking)
+    while stack:
+        frame = stack[-1]
+        key, m, enabled, index, result = frame
+        if outcome is not None:  # outcomes of the child reached by enabled[index - 1]
+            tid = enabled[index - 1]
+            for sig, suffix in outcome.items():
+                result.setdefault(sig, (tid,) + suffix)
+        if index == len(enabled):
+            stack.pop()
+            memo[key] = outcome = result
+            continue
+        frame[3] = index + 1
+        fired += 1
+        if fired > step_bound:
+            raise ExplosionError(
+                f"enumeration exceeded the step bound of {step_bound} firings"
+            )
+        nxt, _ = fire(net, m, enabled[index])
+        outcome = visit(nxt)
+    return dict(sorted(outcome.items()))

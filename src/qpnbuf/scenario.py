@@ -24,7 +24,6 @@ from .engine import (
     Marking,
     Scheduler,
     Scripted,
-    SkippedSelection,
     TokenMove,
     Trace,
     addresses_to_script,
@@ -137,11 +136,16 @@ def _payload_value(value, name) -> StateVector:
             )
         amps = []
         for i, pair in enumerate(value):
-            if not isinstance(pair, list) or len(pair) != 2:
+            if not isinstance(pair, list) or len(pair) != 2 or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
+            ):
                 raise ScenarioError(
                     f"amplitude {i} must be a [real, imaginary] pair", field=name
                 )
-            amps.append(complex(pair[0], pair[1]))
+            try:
+                amps.append(complex(pair[0], pair[1]))
+            except OverflowError:
+                raise ScenarioError(f"amplitude {i} is out of range", field=name) from None
         try:
             return StateVector(len(value).bit_length() - 1, amps)
         except QpnError as exc:
@@ -482,20 +486,56 @@ def _payload_from_doc(value, name) -> StateVector:
     return _payload_value(value, name)
 
 
-def _marking_from_json(raw: dict, name: str) -> MarkingDoc:
+def _object(value, name) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"expected an object, got {type(value).__name__}", field=name)
+    return value
+
+
+def _marking_from_json(raw, name: str) -> MarkingDoc:
+    raw = _object(raw, name)
     try:
         queues = {
             pid: tuple(tuple(entry) for entry in entries)
-            for pid, entries in raw["queues"].items()
+            for pid, entries in _object(raw["queues"], f"{name}.queues").items()
         }
         payloads = {
             tok: _payload_from_doc(v, f"{name}.payloads.{tok}")
-            for tok, v in raw["payloads"].items()
+            for tok, v in _object(raw["payloads"], f"{name}.payloads").items()
         }
-        addresses = {tok: v for tok, v in raw["addresses"].items()}
+        addresses = dict(_object(raw["addresses"], f"{name}.addresses"))
         return MarkingDoc(raw["time"], queues, payloads, addresses)
     except KeyError as exc:
         raise ScenarioError(f"marking misses key {exc.args[0]!r}", field=name) from exc
+
+
+def _event_from_json(ev, name: str) -> FiringDoc | SkipDoc:
+    ev = _object(ev, name)
+    try:
+        if ev.get("type") == "skipped":
+            return SkipDoc(ev["time"], ev["transition"], ev["reason"])
+        if ev.get("type") != "firing":
+            raise ScenarioError(f"unknown event type {ev.get('type')!r}", field=name)
+        moves = {}
+        for side in ("consumed", "produced"):
+            where = f"{name}.{side}"
+            side_moves = []
+            for m in ev[side]:
+                m = _object(m, where)
+                side_moves.append(MoveDoc(
+                    m["token"], m["place"], _payload_from_doc(m["payload"], where), m["address"]
+                ))
+            moves[side] = tuple(side_moves)
+        return FiringDoc(
+            time=ev["time"],
+            transition=ev["transition"],
+            consumed=moves["consumed"],
+            produced=moves["produced"],
+            consumed_entry_sizes=tuple(ev["consumed_entry_sizes"]),
+            produced_entry_sizes=tuple(ev["produced_entry_sizes"]),
+        )
+    except KeyError as exc:
+        raise ScenarioError(f"event misses key {exc.args[0]!r}", field=name) from exc
 
 
 def parse_trace(text: str) -> TraceDoc:
@@ -506,43 +546,25 @@ def parse_trace(text: str) -> TraceDoc:
         raise ScenarioError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(raw, dict) or raw.get("schema") != TRACE_SCHEMA:
         raise ScenarioError(f"expected schema {TRACE_SCHEMA!r}", field="schema")
-    events: list[FiringDoc | SkipDoc] = []
-    for i, ev in enumerate(raw.get("events", [])):
-        if ev.get("type") == "skipped":
-            events.append(SkipDoc(ev["time"], ev["transition"], ev["reason"]))
-            continue
-        if ev.get("type") != "firing":
-            raise ScenarioError(
-                f"unknown event type {ev.get('type')!r}", field=f"events[{i}]"
-            )
-        moves = {}
-        for side in ("consumed", "produced"):
-            moves[side] = tuple(
-                MoveDoc(
-                    m["token"],
-                    m["place"],
-                    _payload_from_doc(m["payload"], f"events[{i}].{side}"),
-                    m["address"],
-                )
-                for m in ev[side]
-            )
-        events.append(
-            FiringDoc(
-                time=ev["time"],
-                transition=ev["transition"],
-                consumed=moves["consumed"],
-                produced=moves["produced"],
-                consumed_entry_sizes=tuple(ev["consumed_entry_sizes"]),
-                produced_entry_sizes=tuple(ev["produced_entry_sizes"]),
-            )
-        )
+    for name in ("places", "initial", "final"):
+        if name not in raw:
+            raise ScenarioError(f"trace misses key {name!r}", field=name)
+    events = tuple(
+        _event_from_json(ev, f"events[{i}]") for i, ev in enumerate(raw.get("events", []))
+    )
+    table = []
+    for i, row in enumerate(raw.get("table", [])):
+        row = _object(row, f"table[{i}]")
+        if "time" not in row or "counts" not in row:
+            raise ScenarioError("table row needs time and counts", field=f"table[{i}]")
+        table.append((row["time"], tuple(row["counts"])))
     return TraceDoc(
         schema=raw["schema"],
         places=tuple(raw["places"]),
         initial=_marking_from_json(raw["initial"], "initial"),
-        events=tuple(events),
+        events=events,
         final=_marking_from_json(raw["final"], "final"),
-        table=tuple((row["time"], tuple(row["counts"])) for row in raw.get("table", [])),
+        table=tuple(table),
     )
 
 

@@ -76,7 +76,7 @@ def identity(q: int) -> GateOp:
 class StateVector:
     """Normalized complex amplitude vector over ``num_qubits`` qubits."""
 
-    __slots__ = ("num_qubits", "amplitudes")
+    __slots__ = ("num_qubits", "amplitudes", "_bytes")
 
     def __init__(self, num_qubits: int, amplitudes):
         if num_qubits < 1:
@@ -88,7 +88,7 @@ class StateVector:
                 f"got shape {amps.shape}"
             )
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails too
             raise ConstructionError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "num_qubits", num_qubits)
@@ -105,7 +105,15 @@ class StateVector:
         )
 
     def __hash__(self):
-        return hash((self.num_qubits, self.amplitudes.tobytes()))
+        return hash((self.num_qubits, self.amplitude_bytes()))
+
+    def amplitude_bytes(self) -> bytes:
+        """The raw amplitude bytes, computed on first use and kept."""
+        try:
+            return self._bytes
+        except AttributeError:
+            object.__setattr__(self, "_bytes", self.amplitudes.tobytes())
+            return self._bytes
 
     def __repr__(self):
         if self.is_basis_state():

@@ -18,6 +18,7 @@ from qpnbuf.buffers import (
 )
 from qpnbuf.engine import (
     AddressDriven,
+    Marking,
     Scripted,
     enabled_transitions,
     enumerate_final_markings,
@@ -148,8 +149,24 @@ def norm_suite(cases: int = 1000, seed: int = 402) -> int:
     return cases
 
 
+def rebuilt(marking) -> Marking:
+    """The same state built through the public constructor, tables in reverse order."""
+    tokens = [t for p in marking.place_ids for t in marking.tokens_in(p)][::-1]
+    return Marking(
+        {p: marking.entries(p) for p in marking.place_ids},
+        {t: marking.payload(t) for t in tokens},
+        {t: marking.address(t) for t in tokens},
+        time=marking.time,
+    )
+
+
 def unfire_identity_suite(cases: int = 1000, seed: int = 403) -> int:
-    """unfire(fire(m)) restores the exact marking."""
+    """unfire(fire(m)) restores the exact marking.
+
+    Every derived marking also equals, and hashes like, the same state
+    rebuilt through the public constructor, and firing shares (returns the
+    very same tuple objects for) every queue it does not touch.
+    """
     rng = random.Random(seed)
     for case in range(cases):
         if case % 50 == 0:
@@ -158,7 +175,17 @@ def unfire_identity_suite(cases: int = 1000, seed: int = 403) -> int:
             net, marking = _random_firing_state(rng)
         enabled = enabled_transitions(net, marking)
         after, event = fire(net, marking, rng.choice(enabled))
-        assert unfire(net, after, event) == marking
+        touched = {m.place for m in event.consumed + event.produced}
+        for pid in marking.place_ids:
+            if pid not in touched:
+                assert after.entries(pid) is marking.entries(pid)
+        back = unfire(net, after, event)
+        assert back == marking
+        assert hash(back) == hash(marking)
+        for derived in (marking, after, back):
+            copy = rebuilt(derived)
+            assert derived == copy and copy == derived
+            assert hash(derived) == hash(copy)
     return cases
 
 

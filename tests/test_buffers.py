@@ -279,6 +279,14 @@ def test_run_scenario_wraps_errors_with_kind():
     assert "siso" in str(err.value)
 
 
+def test_run_scenario_wrap_keeps_step():
+    spec = BufferSpec(kind="siso", n=2, m=1)
+    with pytest.raises(NotEnabledError) as err:
+        run_scenario(spec, Scripted(("T1", "T1")))
+    assert err.value.step == 1
+    assert str(err.value) == "in siso scenario: step 1: scripted transition T1 is not enabled"
+
+
 def test_buffer_spec_missing_field():
     with pytest.raises(SpecError):
         BufferSpec(kind="simo", n=4, m=3).build()

@@ -199,3 +199,9 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert "4 outcome signatures" in result.stdout
+
+
+def test_buffer_run_unreadable_scenario_exit_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "buffer", "run", "--scenario", str(tmp_path / "none.json"))
+    assert code == 2
+    assert "cannot read scenario" in err

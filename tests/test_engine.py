@@ -295,3 +295,34 @@ def test_total_token_count_constant_in_signature():
     total = sum(m0.token_count(p) for p in m0.place_ids)
     for sig in enumerate_final_markings(net, m0):
         assert sum(c for _, c in sig) == total
+
+
+def test_enumerate_long_chain_needs_no_recursion():
+    import sys
+
+    limit = sys.getrecursionlimit()
+    net, m0 = build_siso(2000, 2000)
+    outcomes = enumerate_final_markings(net, m0)
+    assert sys.getrecursionlimit() == limit
+    assert list(outcomes) == [(("P_I", 0), ("P_A", 0), ("P_A1", 2000), ("P_O", 2000))]
+    assert len(next(iter(outcomes.values()))) == 2000
+
+
+def test_derived_marking_from_other_net_still_rejected():
+    net_a, m_a = build_siso(2, 1)
+    net_b, _ = build_simo(4, 3, 2)
+    enabled_transitions(net_a, m_a)  # validated against net_a
+    m1, _ = fire(net_a, m_a, "T1")
+    with pytest.raises(ModelError):
+        enabled_transitions(net_b, m1)
+
+
+def test_unfire_rejects_event_that_swaps_tokens():
+    from dataclasses import replace
+
+    net, m0 = build_siso(2, 2)
+    m1, event = fire(net, m0, "T1")
+    forged = replace(event, consumed=(replace(event.consumed[0], token="d2"),)
+                     + event.consumed[1:])
+    with pytest.raises(ReversalError):
+        unfire(net, m1, forged)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qpnbuf.buffers import build_siso
 from qpnbuf.engine import AddressDriven, Scripted, run
 from qpnbuf.errors import ScenarioError
 from qpnbuf.scenario import (
@@ -237,3 +238,52 @@ def test_table_counts_pairs_as_two_tokens():
     assert tdoc.table[-1][1][tdoc.places.index("P_DA")] == 2
     totals = {sum(counts) for _, counts in tdoc.table}
     assert len(totals) == 1
+
+
+def _damaged_trace(damage):
+    net, marking = build_siso(2, 1)
+    doc = json.loads(emit_trace(run(net, marking, AddressDriven())))
+    damage(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "damage, field",
+    [
+        (lambda d: d["events"].__setitem__(0, "T1"), "events[0]"),
+        (lambda d: d["events"][0].pop("time"), "events[0]"),
+        (lambda d: d.pop("places"), "places"),
+        (lambda d: d["initial"].__setitem__("queues", [["d1"]]), "initial.queues"),
+    ],
+    ids=["non-object-event", "event-without-time", "no-places", "list-queues"],
+)
+def test_parse_trace_damaged_document_is_scenario_error(damage, field):
+    with pytest.raises(ScenarioError) as err:
+        parse_trace(_damaged_trace(damage))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("pair", [[1, "a"], [None, 0], [True, 0], [1e308 * 10, 0]])
+def test_parse_rejects_non_number_amplitudes(pair):
+    text = json.dumps({"kind": "siso", "n": 1, "m": 1, "payloads": {"d1": [pair, [0, 0]]}})
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.field == "payloads.d1"
+
+
+def test_parse_rejects_huge_integer_amplitude():
+    text = '{"kind": "siso", "n": 1, "m": 1, "payloads": {"d1": [[1%s, 0], [0, 0]]}}' % (
+        "0" * 400
+    )
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.field == "payloads.d1"
+
+
+def test_nan_payload_scenario_exits_2(tmp_path, capsys):
+    from qpnbuf.cli import main
+
+    path = tmp_path / "nan.json"
+    path.write_text('{"kind": "siso", "n": 1, "m": 1, "payloads": {"d1": [[NaN, 0], [0, 0]]}}')
+    assert main(["buffer", "run", "--scenario", str(path)]) == 2
+    assert "payloads.d1" in capsys.readouterr().err

@@ -182,3 +182,9 @@ def test_apply_all_composes_in_order():
     state = basis_state(2, "00")
     out = apply_all(state, (x(1), cx(1, 0)))
     assert out.basis_label() == "11"
+
+
+@pytest.mark.parametrize("amps", [[float("nan"), 0.0], [float("inf"), 0.0], [1.0, float("nan")]])
+def test_state_rejects_nan_and_inf(amps):
+    with pytest.raises(ConstructionError):
+        StateVector(1, amps)
