@@ -1,10 +1,11 @@
 """Quantum Petri net buffer toolkit.
 
-A deterministic simulation package in two halves: a dense statevector core
-for the X/CX/CCX/SWAP/CSWAP gate set (powering a quantum S-R flip-flop and
-its registers, with QASM 2.0 round-tripping), and a quantum Petri net
-engine whose tokens carry statevector payloads (powering five buffer
-topologies: SISO, SIMO, MISO, MIMO, priority).
+A deterministic simulation package in two halves: an exact statevector core
+for the X/CX/CCX/SWAP/CSWAP gate set that holds each state as its support
+(powering a quantum S-R flip-flop and its registers, with QASM 2.0
+round-tripping), and a quantum Petri net engine whose tokens carry
+statevector payloads (powering five buffer topologies: SISO, SIMO, MISO,
+MIMO, priority).
 """
 
 from .buffers import (

@@ -30,9 +30,10 @@ from .engine import (
     Trace,
     Transition,
     run,
+    shared_basis_state,
 )
 from .errors import QpnError, SpecError
-from .statevector import StateVector, basis_state, basis_state_from_index, cx
+from .statevector import StateVector, basis_state, cx
 
 KINDS = ("siso", "simo", "miso", "mimo", "priority")
 
@@ -73,7 +74,7 @@ def _identity_transition(tid, inputs, routing, guard=None, inhibitors=()):
 def _data_tokens(ids, payloads: dict[str, StateVector] | None):
     payloads = payloads or {}
     return [
-        QToken(tid, TokenKind.DATA, payloads.get(tid, basis_state(1, "0"))) for tid in ids
+        QToken(tid, TokenKind.DATA, payloads.get(tid, shared_basis_state(1, 0))) for tid in ids
     ]
 
 
@@ -98,7 +99,7 @@ def _selector_tokens(prefix, count, choices, addresses):
                 QToken(
                     f"{prefix}{i + 1}",
                     TokenKind.ANCILLARY,
-                    basis_state_from_index(width, a),
+                    shared_basis_state(width, a),
                     address=a,
                 )
             )
@@ -107,7 +108,7 @@ def _selector_tokens(prefix, count, choices, addresses):
                 QToken(
                     f"{prefix}{i + 1}",
                     TokenKind.ANCILLARY,
-                    basis_state_from_index(width, 0),
+                    shared_basis_state(width, 0),
                     address=None,
                 )
             )
@@ -116,7 +117,7 @@ def _selector_tokens(prefix, count, choices, addresses):
 
 def _plain_ancillas(prefix, count):
     return [
-        QToken(f"{prefix}{i + 1}", TokenKind.ANCILLARY, basis_state(1, "0"))
+        QToken(f"{prefix}{i + 1}", TokenKind.ANCILLARY, shared_basis_state(1, 0))
         for i in range(count)
     ]
 

@@ -524,9 +524,10 @@ def _split_product(state: StateVector, widths: list[int]) -> list[StateVector]:
     )
 
 
-# States are immutable, so every materialized selector of one width and
-# value can share one payload object (and its cached key bytes).
-_selector_state = lru_cache(maxsize=256)(basis_state_from_index)
+# States are immutable, so every basis payload of one width and value can
+# share one object (and its cached key bytes): materialized selectors here,
+# default |0> payloads and selectors in the buffer builders.
+shared_basis_state = lru_cache(maxsize=256)(basis_state_from_index)
 
 
 def _tensor_all(payloads: list[StateVector]) -> StateVector:
@@ -573,7 +574,7 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
                     f"{width}-qubit payload"
                 )
             addresses = {**addresses, selector: t.address_guard}
-            payloads = {**payloads, selector: _selector_state(width, t.address_guard)}
+            payloads = {**payloads, selector: shared_basis_state(width, t.address_guard)}
 
     data_tokens = [
         m.token for m in consumed_moves if net.tokens[m.token].kind is TokenKind.DATA

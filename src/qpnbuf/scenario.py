@@ -295,7 +295,7 @@ def parse_scenario(text: str) -> ScenarioDoc:
 
 
 def _payload_doc(payload: StateVector) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in payload.amplitudes]
+    return [[a.real, a.imag] for a in payload.amplitudes.tolist()]
 
 
 def emit_scenario(doc: ScenarioDoc) -> str:
@@ -482,8 +482,19 @@ def emit_trace(trace: Trace) -> str:
     return json.dumps(out, sort_keys=True, indent=1) + "\n"
 
 
-def _payload_from_doc(value, name) -> StateVector:
-    return _payload_value(value, name)
+def _payload_from_doc(value, name, seen: dict) -> StateVector:
+    """``_payload_value`` that reuses the states a trace already validated.
+
+    ``seen`` is keyed on the value's type and text: a label as it is, an
+    amplitude list by its ``str``, which keeps apart what tuple equality
+    would merge (``-0.0`` and ``0.0``, ``true`` and ``1``).  Only valid
+    payloads enter, so a bad one raises wherever it occurs first.
+    """
+    key = (type(value), value if isinstance(value, str) else str(value))
+    state = seen.get(key)
+    if state is None:
+        state = seen[key] = _payload_value(value, name)
+    return state
 
 
 def _object(value, name) -> dict:
@@ -492,7 +503,7 @@ def _object(value, name) -> dict:
     return value
 
 
-def _marking_from_json(raw, name: str) -> MarkingDoc:
+def _marking_from_json(raw, name: str, seen: dict) -> MarkingDoc:
     raw = _object(raw, name)
     try:
         queues = {
@@ -500,7 +511,7 @@ def _marking_from_json(raw, name: str) -> MarkingDoc:
             for pid, entries in _object(raw["queues"], f"{name}.queues").items()
         }
         payloads = {
-            tok: _payload_from_doc(v, f"{name}.payloads.{tok}")
+            tok: _payload_from_doc(v, f"{name}.payloads.{tok}", seen)
             for tok, v in _object(raw["payloads"], f"{name}.payloads").items()
         }
         addresses = dict(_object(raw["addresses"], f"{name}.addresses"))
@@ -509,7 +520,7 @@ def _marking_from_json(raw, name: str) -> MarkingDoc:
         raise ScenarioError(f"marking misses key {exc.args[0]!r}", field=name) from exc
 
 
-def _event_from_json(ev, name: str) -> FiringDoc | SkipDoc:
+def _event_from_json(ev, name: str, seen: dict) -> FiringDoc | SkipDoc:
     ev = _object(ev, name)
     try:
         if ev.get("type") == "skipped":
@@ -523,7 +534,8 @@ def _event_from_json(ev, name: str) -> FiringDoc | SkipDoc:
             for m in ev[side]:
                 m = _object(m, where)
                 side_moves.append(MoveDoc(
-                    m["token"], m["place"], _payload_from_doc(m["payload"], where), m["address"]
+                    m["token"], m["place"], _payload_from_doc(m["payload"], where, seen),
+                    m["address"],
                 ))
             moves[side] = tuple(side_moves)
         return FiringDoc(
@@ -549,8 +561,9 @@ def parse_trace(text: str) -> TraceDoc:
     for name in ("places", "initial", "final"):
         if name not in raw:
             raise ScenarioError(f"trace misses key {name!r}", field=name)
+    seen: dict[tuple, StateVector] = {}
     events = tuple(
-        _event_from_json(ev, f"events[{i}]") for i, ev in enumerate(raw.get("events", []))
+        _event_from_json(ev, f"events[{i}]", seen) for i, ev in enumerate(raw.get("events", []))
     )
     table = []
     for i, row in enumerate(raw.get("table", [])):
@@ -561,9 +574,9 @@ def parse_trace(text: str) -> TraceDoc:
     return TraceDoc(
         schema=raw["schema"],
         places=tuple(raw["places"]),
-        initial=_marking_from_json(raw["initial"], "initial"),
+        initial=_marking_from_json(raw["initial"], "initial", seen),
         events=events,
-        final=_marking_from_json(raw["final"], "final"),
+        final=_marking_from_json(raw["final"], "final", seen),
         table=tuple(table),
     )
 

@@ -1,9 +1,15 @@
-"""Dense statevector simulator for the gate set used by the buffer circuits.
+"""Exact simulator for the permutation gate set used by the buffer circuits.
 
 Supports exactly X, CX (CNOT), CCX (Toffoli), SWAP, CSWAP (Fredkin) and the
 identity.  Every one of these gates permutes computational basis states, so
-gate application moves amplitudes around without arithmetic on them; norms
-are preserved bit-exactly.
+a state is stored as its support: the basis indices its amplitudes may be
+nonzero on, and those amplitudes.  A gate maps the indices and leaves the
+amplitudes untouched, so norms are preserved bit-exactly and a gate costs
+time in proportion to the support, not to 2^n.  A state built from a dense
+vector has full support; a basis state has a support of one index, which
+stays one index under every gate.  Indices are int64, so a basis state may
+have up to 63 qubits; the dense views (``amplitudes``, ``amplitude_bytes``,
+equality and hashing) still allocate all 2^n amplitudes.
 
 Conventions: qubit 0 is the least significant bit of the basis index, and
 bitstrings are written most-significant qubit first.  ``tensor(a, b)`` puts
@@ -74,9 +80,16 @@ def identity(q: int) -> GateOp:
 
 
 class StateVector:
-    """Normalized complex amplitude vector over ``num_qubits`` qubits."""
+    """Normalized amplitude vector over ``num_qubits`` qubits, held as its support.
 
-    __slots__ = ("num_qubits", "amplitudes", "_bytes")
+    ``_indices`` are distinct basis indices (int64, in any order) and
+    ``_values`` their amplitudes (read-only complex128); every amplitude off
+    the support is +0.0.  ``_indices`` is None for a full support held in
+    index order, whose ``_values`` is the dense vector; the public
+    constructor, which copies and validates a dense vector, makes one.
+    """
+
+    __slots__ = ("num_qubits", "_indices", "_values", "_dense", "_bytes")
 
     def __init__(self, num_qubits: int, amplitudes):
         if num_qubits < 1:
@@ -92,10 +105,53 @@ class StateVector:
             raise ConstructionError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_indices", None)
+        object.__setattr__(self, "_values", amps)
+        object.__setattr__(self, "_dense", amps)
+
+    @classmethod
+    def _from_support(cls, num_qubits: int, indices: np.ndarray, values: np.ndarray):
+        """Wrap a support that is already normalized: no copy and no norm check."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "num_qubits", num_qubits)
+        object.__setattr__(state, "_indices", indices)
+        object.__setattr__(state, "_values", values)
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense amplitude vector (read-only), built on first use and kept."""
+        try:
+            return self._dense
+        except AttributeError:
+            dense = np.zeros(1 << self.num_qubits, dtype=np.complex128)
+            dense[self._indices] = self._values
+            dense.flags.writeable = False
+            object.__setattr__(self, "_dense", dense)
+            if len(self._indices) == len(dense):
+                # Hold a full support as its dense view alone: one copy of
+                # the amplitudes and no index array.
+                object.__setattr__(self, "_indices", None)
+                object.__setattr__(self, "_values", dense)
+            return dense
+
+    def _support_indices(self) -> np.ndarray:
+        """The support's indices, built for a full support held in index order."""
+        if self._indices is None:
+            return np.arange(len(self._values))
+        return self._indices
+
+    def _index_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support's indices and amplitudes in ascending index order."""
+        if len(self._values) == 1 << self.num_qubits:
+            # Scattering a full support into its dense view beats sorting it.
+            dense = self.amplitudes
+            return np.arange(len(dense)), dense
+        order = np.argsort(self._indices)
+        return self._indices[order], self._values[order]
 
     def __eq__(self, other):
         if not isinstance(other, StateVector):
@@ -126,19 +182,27 @@ class StateVector:
         )
 
     def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        return float(np.sum(np.abs(self._index_order()[1]) ** 2))
 
     def is_basis_state(self, atol: float = NORM_TOL) -> bool:
-        mags = np.abs(self.amplitudes) ** 2
+        mags = np.abs(self._values) ** 2
         return bool(abs(np.max(mags) - 1.0) <= atol)
 
     def basis_index(self) -> int:
         if not self.is_basis_state():
             raise GateError("state is not a computational basis state")
-        return int(np.argmax(np.abs(self.amplitudes)))
+        mags = np.abs(self._values)
+        return int(np.min(self._support_indices()[mags == np.max(mags)]))
 
     def basis_label(self) -> str:
         return format(self.basis_index(), f"0{self.num_qubits}b")
+
+
+# Basis indices are int64: bit 63 is the sign.
+_MAX_BASIS_QUBITS = 63
+
+_ONE = np.ones(1, dtype=np.complex128)
+_ONE.flags.writeable = False
 
 
 def basis_state(num_qubits: int, label: str) -> StateVector:
@@ -149,22 +213,23 @@ def basis_state(num_qubits: int, label: str) -> StateVector:
         )
     if set(label) - {"0", "1"}:
         raise ConstructionError(f"label {label!r} must contain only 0/1")
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[int(label, 2)] = 1.0
-    return StateVector(num_qubits, amps)
+    return basis_state_from_index(num_qubits, int(label, 2))
 
 
 def basis_state_from_index(num_qubits: int, index: int) -> StateVector:
+    if num_qubits < 1:
+        raise ConstructionError("a state needs at least one qubit")
+    if num_qubits > _MAX_BASIS_QUBITS:
+        raise ConstructionError(
+            f"a basis state holds at most {_MAX_BASIS_QUBITS} qubits, got {num_qubits}"
+        )
     if not 0 <= index < (1 << num_qubits):
         raise ConstructionError(f"basis index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
+    return StateVector._from_support(num_qubits, np.array([index], dtype=np.int64), _ONE)
 
 
-def _basis_permutation(op: GateOp, num_qubits: int) -> np.ndarray:
-    """Index map of the gate on basis states: i -> image of |i>."""
-    idx = np.arange(1 << num_qubits, dtype=np.int64)
+def _basis_permutation(op: GateOp, idx: np.ndarray) -> np.ndarray:
+    """Images of the basis indices ``idx`` under the gate."""
     q = op.qubits
     if op.kind == "id":
         return idx
@@ -191,10 +256,11 @@ def apply(state: StateVector, op: GateOp) -> StateVector:
         raise GateError(
             f"gate {op.kind}{op.qubits} exceeds the state's {state.num_qubits} qubits"
         )
-    perm = _basis_permutation(op, state.num_qubits)
-    # All supported gates are involutions as index maps, so perm is its own
-    # inverse and gathering with it realizes new[perm[i]] = old[i].
-    return StateVector(state.num_qubits, state.amplitudes[perm])
+    # The gate moves each amplitude to its index's image and changes none,
+    # so the values array is shared as it is and the norm is unchanged.
+    return StateVector._from_support(
+        state.num_qubits, _basis_permutation(op, state._support_indices()), state._values
+    )
 
 
 def apply_all(state: StateVector, ops) -> StateVector:
@@ -210,10 +276,13 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 def probabilities(state: StateVector, cutoff: float = 1e-12) -> list[tuple[str, float]]:
     """Bitstring/probability pairs above ``cutoff``, in basis-index order."""
-    probs = np.abs(state.amplitudes) ** 2
+    indices, values = state._index_order()
+    probs = np.abs(values) ** 2
+    keep = probs > cutoff
     width = state.num_qubits
     return [
-        (format(i, f"0{width}b"), float(p)) for i, p in enumerate(probs) if p > cutoff
+        (format(i, f"0{width}b"), p)
+        for i, p in zip(indices[keep].tolist(), probs[keep].tolist())
     ]
 
 
@@ -267,16 +336,22 @@ def run_circuit(
         raise CircuitError("shots must be nonnegative")
     final = apply_all(initial, circuit.ops)
 
-    probs = np.abs(final.amplitudes) ** 2
+    # Inverse-CDF sampling never selects a zero probability, so drawing over
+    # the index-ordered support gives the draws of the dense distribution: a
+    # full support is that distribution, and a smaller one is a permuted
+    # basis state whose single probability is 1.0 either way.
+    indices, values = final._index_order()
+    probs = np.abs(values) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.choice(len(probs), size=shots, p=probs)
 
     width = circuit.num_clbits
     counts: Counter[str] = Counter()
-    for basis in draws:
+    positions, hits = np.unique(draws, return_counts=True)
+    for basis, hit in zip(indices[positions].tolist(), hits.tolist()):
         bits = ["0"] * width
         for q, c in circuit.measured_qubits:
-            bits[width - 1 - c] = str((int(basis) >> q) & 1)
-        counts["".join(bits)] += 1
+            bits[width - 1 - c] = str((basis >> q) & 1)
+        counts["".join(bits)] += hit
     return final, dict(sorted(counts.items()))

@@ -8,6 +8,9 @@ count state to validate ancillary consumption on all maximal runs.
 """
 
 import random
+from collections import Counter
+
+import numpy as np
 
 from qpnbuf.buffers import (
     BufferSpec,
@@ -20,6 +23,7 @@ from qpnbuf.engine import (
     AddressDriven,
     Marking,
     Scripted,
+    _split_product,
     enabled_transitions,
     enumerate_final_markings,
     fire,
@@ -34,7 +38,14 @@ from qpnbuf.scenario import (
     parse_trace,
     trace_to_doc,
 )
-from qpnbuf.statevector import StateVector, basis_state_from_index
+from qpnbuf.statevector import (
+    Circuit,
+    GateOp,
+    StateVector,
+    basis_state_from_index,
+    probabilities,
+    run_circuit,
+)
 
 
 def random_payload(rng: random.Random, max_qubits: int = 2) -> StateVector:
@@ -232,6 +243,101 @@ def roundtrip_suite(cases: int = 1000, seed: int = 405) -> int:
         if case % 20 == 0:
             trace = run(spec.build()[0], spec.build()[1], AddressDriven())
             assert parse_trace(emit_trace(trace)) == trace_to_doc(trace)
+    return cases
+
+
+def _reference_image(ops, index: int) -> int:
+    """Where the gate list sends basis index ``index``, one bit at a time."""
+    for op in ops:
+        bits = [(index >> q) & 1 for q in op.qubits]
+        if op.kind == "x":
+            index ^= 1 << op.qubits[0]
+        elif op.kind == "cx" and bits[0]:
+            index ^= 1 << op.qubits[1]
+        elif op.kind == "ccx" and bits[0] and bits[1]:
+            index ^= 1 << op.qubits[2]
+        elif op.kind == "swap" and bits[0] != bits[1]:
+            index ^= (1 << op.qubits[0]) | (1 << op.qubits[1])
+        elif op.kind == "cswap" and bits[0] and bits[1] != bits[2]:
+            index ^= (1 << op.qubits[1]) | (1 << op.qubits[2])
+    return index
+
+
+def _dense_sampler(amps, measured, width: int, shots: int, seed: int) -> dict[str, int]:
+    """The dense sampler: one draw per shot over index-ordered probabilities."""
+    probs = np.abs(amps) ** 2
+    probs = probs / probs.sum()
+    draws = np.random.default_rng(seed).choice(len(probs), size=shots, p=probs)
+    counts = Counter()
+    for basis in draws:
+        bits = ["0"] * width
+        for q, c in measured:
+            bits[width - 1 - c] = str((int(basis) >> q) & 1)
+        counts["".join(bits)] += 1
+    return dict(sorted(counts.items()))
+
+
+def _random_start(rng: random.Random, n: int, kind: str) -> StateVector:
+    if kind == "basis":
+        return basis_state_from_index(n, rng.randrange(1 << n))
+    if kind == "dense":
+        amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << n)]
+        norm = sum(abs(a) ** 2 for a in amps) ** 0.5
+        amps = [a / norm for a in amps]
+        for i in rng.sample(range(len(amps)), len(amps) // 2):
+            amps[i] = complex(rng.choice((-0.0, 0.0)), rng.choice((-0.0, 0.0)))
+        norm = sum(abs(a) ** 2 for a in amps) ** 0.5
+        return StateVector(n, [complex(a.real / norm, a.imag / norm) for a in amps])
+    # A joint basis state with a global phase splits into a basis head and a
+    # tail that carries the phase (and the signed zeros the multiply makes).
+    head = rng.randint(1, 3)
+    phase = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    phase /= abs(phase)
+    joint = np.zeros(1 << (head + n), dtype=np.complex128)
+    joint[rng.randrange(len(joint))] = phase
+    return _split_product(StateVector(head + n, joint), [head, n])[1]
+
+
+def permutation_core_suite(cases: int = 1000, seed: int = 406) -> int:
+    """Gates on the support agree with a dense integer-index reference.
+
+    Random gate lists on 1-10 qubits start from a basis state, a dense state
+    holding signed zeros, or a phase-carrying ``_split_product`` factor.
+    The final state must match ``out[image] = amps`` byte for byte, compare
+    and hash like the same amplitudes given densely, give the same
+    ``probabilities`` and basis index, and ``run_circuit`` must draw the
+    histogram the dense sampler draws with the same seed.
+    """
+    rng = random.Random(seed)
+    arity = {"x": 1, "cx": 2, "ccx": 3, "swap": 2, "cswap": 3, "id": 1}
+    for case in range(cases):
+        n = rng.randint(1, 10)
+        start = _random_start(rng, n, ("basis", "dense", "phase")[case % 3])
+        kinds = [k for k, a in arity.items() if a <= n]
+        ops = []
+        for _ in range(rng.randint(0, 12)):
+            kind = rng.choice(kinds)
+            ops.append(GateOp(kind, tuple(rng.sample(range(n), arity[kind]))))
+        measured = tuple(
+            (q, c) for c, q in enumerate(rng.sample(range(n), rng.randint(0, n)))
+        )
+        shots = rng.randint(0, 64)
+        final, hist = run_circuit(Circuit(n, ops, measured), start, shots, seed=case)
+
+        amps = np.array(start.amplitudes)
+        out = np.zeros(1 << n, dtype=np.complex128)
+        out[[_reference_image(ops, i) for i in range(1 << n)]] = amps
+        assert final.amplitude_bytes() == out.tobytes(), case
+        dense = StateVector(n, out)
+        assert final == dense and dense == final, case
+        assert hash(final) == hash(dense), case
+        want = [(format(i, f"0{n}b"), float(p)) for i, p in enumerate(np.abs(out) ** 2)
+                if p > 1e-12]
+        assert probabilities(final) == want, case
+        assert final.is_basis_state() == dense.is_basis_state(), case
+        if dense.is_basis_state():
+            assert final.basis_index() == int(np.argmax(np.abs(out))), case
+        assert hist == _dense_sampler(out, measured, len(measured), shots, case), case
     return cases
 
 

@@ -103,6 +103,15 @@ def test_simo_selector_widths_cover_k():
     assert trace.final.tokens_in("P_O3") == ("d3",)
 
 
+def test_builders_share_one_basis_payload_per_width_and_value():
+    _, m0 = build_simo(3, 3, 4, addresses=(2,))
+    assert m0.payload("d1") is m0.payload("d3")
+    assert m0.payload("z2") is m0.payload("z3")  # free selectors, |00>
+    assert m0.payload("z2").basis_label() == "00"
+    _, m1 = build_siso(2, 2)
+    assert m1.payload("d1") is m1.payload("z2") is m0.payload("d2")
+
+
 # MISO
 
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qpnbuf.errors import ConstructionError
@@ -14,7 +16,7 @@ from qpnbuf.flipflop import (
     register_lane_qubits,
     simulate_qsr,
 )
-from qpnbuf.statevector import apply_all, basis_state
+from qpnbuf.statevector import apply_all, basis_state, basis_state_from_index, run_circuit
 
 from qsr_oracle import (
     VERBATIM_EXPECTED,
@@ -225,3 +227,32 @@ def test_register_lane_independence():
                     _register_lane_readout(u, CircuitVariant.NORMALIZED, s, r, lanes)[0]
                 )
             assert len(outcomes) == 1
+
+
+def test_wide_register_runs_on_basis_indices():
+    # 12 lanes make 62 qubits, the widest register whose basis indices fit
+    # in int64.  A dense view would need 2^62 amplitudes and fail to
+    # allocate, so this also checks that nothing builds one.
+    circuit = build_register(12)
+    assert circuit.num_qubits == 62
+    for s, r in ((0, 0), (1, 0), (0, 1)):
+        for first_q in (0, 1):
+            qs = [(lane + first_q) % 2 for lane in range(12)]
+            index = s | (r << 1)
+            for lane, q in enumerate(qs):
+                index |= 1 << register_lane_qubits(lane)[4 if q else 3]
+            start = time.perf_counter()
+            final, hist = run_circuit(
+                circuit, basis_state_from_index(62, index), shots=100, seed=5
+            )
+            assert time.perf_counter() - start < 1.0
+            got = final.basis_index()
+            key = ["0"] * 24
+            for lane, q in enumerate(qs):
+                want = reference_next_state(QsrInputs(s, r, q))
+                roles = register_lane_qubits(lane)
+                lane_out = ((got >> roles[4]) & 1, (got >> roles[3]) & 1)
+                assert lane_out == (want.q_next, want.q_prime_next)
+                key[23 - 2 * lane] = str(lane_out[1])
+                key[22 - 2 * lane] = str(lane_out[0])
+            assert hist == {"".join(key): 100}

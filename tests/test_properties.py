@@ -29,6 +29,10 @@ def test_document_roundtrip_suite():
     assert prop_util.roundtrip_suite(1000) == 1000
 
 
+def test_permutation_core_suite():
+    assert prop_util.permutation_core_suite(1000) == 1000
+
+
 def test_generator_covers_all_kinds():
     rng = random.Random(7)
     kinds = {prop_util.random_spec(rng).kind for _ in range(200)}

@@ -263,6 +263,31 @@ def test_parse_trace_damaged_document_is_scenario_error(damage, field):
     assert err.value.field == field
 
 
+def test_parse_trace_reuses_each_distinct_payload():
+    net, marking = build_siso(2, 1)
+    doc = json.loads(emit_trace(run(net, marking, AddressDriven())))
+    doc["initial"]["payloads"]["d2"] = [[1.0, 0.0], [-0.0, 0.0]]
+    parsed = parse_trace(json.dumps(doc))
+    zero = parsed.initial.payloads["d1"]
+    moves = parsed.events[0].consumed + parsed.events[0].produced
+    assert all(m.payload is zero for m in moves)
+    # Equal to |0>, but a state of its own that keeps the sign of its zero.
+    signed = parsed.initial.payloads["d2"]
+    assert signed == zero and signed is not zero
+    assert signed.amplitude_bytes() != zero.amplitude_bytes()
+
+
+def test_parse_trace_rejects_bool_amplitude_equal_to_a_valid_one():
+    net, marking = build_siso(2, 1)
+    doc = json.loads(emit_trace(run(net, marking, AddressDriven())))
+    doc["events"][0]["produced"][1]["payload"] = [[True, 0.0], [0.0, 0.0]]
+    doc["final"]["payloads"]["d1"] = [[True, 0.0], [0.0, 0.0]]
+    with pytest.raises(ScenarioError) as err:
+        parse_trace(json.dumps(doc))
+    assert err.value.field == "events[0].produced"
+    assert "amplitude 0 must be a [real, imaginary] pair" in str(err.value)
+
+
 @pytest.mark.parametrize("pair", [[1, "a"], [None, 0], [True, 0], [1e308 * 10, 0]])
 def test_parse_rejects_non_number_amplitudes(pair):
     text = json.dumps({"kind": "siso", "n": 1, "m": 1, "payloads": {"d1": [pair, [0, 0]]}})

@@ -188,3 +188,19 @@ def test_apply_all_composes_in_order():
 def test_state_rejects_nan_and_inf(amps):
     with pytest.raises(ConstructionError):
         StateVector(1, amps)
+
+
+def test_basis_states_hold_up_to_63_qubits():
+    top = basis_state_from_index(63, (1 << 63) - 1)
+    assert apply(top, x(62)).basis_index() == (1 << 62) - 1
+    with pytest.raises(ConstructionError):
+        basis_state_from_index(64, 0)
+    with pytest.raises(ConstructionError):
+        basis_state_from_index(0, 0)
+
+
+def test_amplitudes_are_cached_and_read_only():
+    out = apply(basis_state(2, "01"), x(1))
+    assert out.amplitudes is out.amplitudes
+    assert not out.amplitudes.flags.writeable
+    assert np.array_equal(out.amplitudes, [0, 0, 0, 1])
