@@ -68,13 +68,11 @@ from .flipflop import (
 from .qasm import export_qasm, parse_qasm
 from .scenario import (
     ScenarioDoc,
-    TraceDoc,
     emit_marking_table,
     emit_scenario,
     emit_trace,
     parse_scenario,
     parse_trace,
-    trace_to_doc,
 )
 from .statevector import (
     Circuit,

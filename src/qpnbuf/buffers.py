@@ -1,5 +1,10 @@
 """Constructors for the five quantum buffer nets and their scenario runner.
 
+``KIND_PARAMS`` declares each kind's required parameters once: ``BufferSpec``
+checks them before it calls the kind's builder, and the scenario parser
+derives its field checks from the same table (``ScenarioDoc`` is a
+``BufferSpec`` with run settings added).
+
 All buffer transitions are identity events: payloads move between places
 untouched, so a data token of any qubit width flows exactly like a
 single-qubit one.  Capacity is provisioned as ancillary supply: once the
@@ -35,7 +40,15 @@ from .engine import (
 from .errors import QpnError, SpecError
 from .statevector import StateVector, basis_state, cx
 
-KINDS = ("siso", "simo", "miso", "mimo", "priority")
+# Required parameters of each buffer kind, in the order its builder takes them.
+KIND_PARAMS = {
+    "siso": ("n", "m"),
+    "simo": ("n", "m", "k"),
+    "miso": ("r", "m"),
+    "mimo": ("r", "outputs", "m"),
+    "priority": ("r_low", "r_high", "m_low", "m_high"),
+}
+KINDS = tuple(KIND_PARAMS)
 
 
 def _selector_width(choices: int) -> int:
@@ -58,7 +71,7 @@ def _identity_transition(tid, inputs, routing, guard=None, inhibitors=()):
         for i, p in enumerate(dict.fromkeys(out_places))
     )
     inhibitor_arcs = tuple(
-        Arc(place=p, transition=tid, direction="in", label=f"inh{i + 1}", inhibitor=True)
+        Arc(place=p, transition=tid, direction="in", label=f"inh{i + 1}")
         for i, p in enumerate(inhibitors)
     )
     return Transition(
@@ -433,39 +446,25 @@ class BufferSpec:
     input_addresses: tuple[int, ...] | None = None
     output_addresses: tuple[int, ...] | None = None
 
-    def _require(self, **fields):
-        for name, value in fields.items():
-            if value is None:
-                raise SpecError(f"{self.kind} spec needs {name}")
-
     def build(self) -> tuple[QPNet, Marking]:
+        if self.kind not in KIND_PARAMS:
+            raise SpecError(f"unknown buffer kind {self.kind!r}")
+        params = []
+        for name in KIND_PARAMS[self.kind]:
+            params.append(getattr(self, name))
+            if params[-1] is None:
+                raise SpecError(f"{self.kind} spec needs {name}")
         if self.kind == "siso":
-            self._require(n=self.n, m=self.m)
-            return build_siso(self.n, self.m, self.payloads)
+            return build_siso(*params, self.payloads)
         if self.kind == "simo":
-            self._require(n=self.n, m=self.m, k=self.k)
-            return build_simo(self.n, self.m, self.k, self.payloads, self.addresses)
+            return build_simo(*params, self.payloads, self.addresses)
         if self.kind == "miso":
-            self._require(r=self.r, m=self.m)
-            return build_miso(self.r, self.m, self.payloads, self.addresses)
+            return build_miso(*params, self.payloads, self.addresses)
         if self.kind == "mimo":
-            self._require(r=self.r, outputs=self.outputs, m=self.m)
             return build_mimo(
-                self.r,
-                self.outputs,
-                self.m,
-                self.payloads,
-                self.input_addresses,
-                self.output_addresses,
+                *params, self.payloads, self.input_addresses, self.output_addresses
             )
-        if self.kind == "priority":
-            self._require(
-                r_low=self.r_low, r_high=self.r_high, m_low=self.m_low, m_high=self.m_high
-            )
-            return build_priority(
-                self.r_low, self.r_high, self.m_low, self.m_high, self.payloads
-            )
-        raise SpecError(f"unknown buffer kind {self.kind!r}")
+        return build_priority(*params, self.payloads)
 
 
 def run_scenario(

@@ -11,14 +11,8 @@ import os
 import sys
 from pathlib import Path
 
-from .buffers import BufferSpec, build_cnot_example, build_mimo, build_simo, run_scenario
-from .engine import (
-    DEFAULT_STEP_BOUND,
-    Scripted,
-    Trace,
-    enumerate_final_markings,
-    run,
-)
+from .buffers import build_cnot_example, run_scenario
+from .engine import DEFAULT_STEP_BOUND, Scripted, Trace, enumerate_final_markings, run
 from .errors import QasmError, QpnError, ScenarioError
 from .flipflop import (
     ALL_INPUT_ROWS,
@@ -31,20 +25,42 @@ from .flipflop import (
 )
 from .qasm import export_qasm
 from .scenario import emit_marking_table, emit_trace, parse_scenario
-from .statevector import basis_state
 
-DEMOS = ("fig2-example", "siso-4b", "simo-4c", "priority-4d", "simo-enum", "mimo-enum")
+# The buffer demos are scenario documents and take the path of ``buffer run``.
+# An enumeration demo also names the places its signatures show.
+_DEMO_SCENARIOS = {
+    "siso-4b": ('{"kind": "siso", "n": 3, "m": 2, "payloads": {"d1": "10", "d2": "1", "d3": "1"}}',
+                None),
+    "simo-4c": ('{"kind": "simo", "n": 4, "m": 3, "k": 2, "addresses": [1, 0, 1],'
+                ' "payloads": {"d1": "1", "d2": "0", "d3": "1", "d4": "1"}}', None),
+    "priority-4d": ('{"kind": "priority", "r_low": 1, "r_high": 2, "m_low": 2, "m_high": 2,'
+                    ' "payloads": {"d1": "0", "d2": "1", "d3": "1"}, "scheduler": "scripted",'
+                    ' "script": ["T2", "T4", "T2", "T4", "T1", "T3"]}', None),
+    "simo-enum": ('{"kind": "simo", "n": 4, "m": 3, "k": 2, "enumerate": true}',
+                  ("P_O1", "P_O2")),
+    "mimo-enum": ('{"kind": "mimo", "r": [2, 1], "outputs": 2, "m": 2, "enumerate": true}',
+                  ("P_I1", "P_I2", "P_O1", "P_O2")),
+}
+# fig2-example carries a gate, which no scenario kind describes: built directly.
+DEMOS = ("fig2-example", *_DEMO_SCENARIOS)
 
 
 def _write_output(text: str, out: Path | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         out.write_text(text)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write output: {exc.strerror}") from exc
 
 
 def _step_bound() -> int:
-    return int(os.environ.get("QPN_STEP_BOUND", DEFAULT_STEP_BOUND))
+    value = os.environ.get("QPN_STEP_BOUND", DEFAULT_STEP_BOUND)
+    try:
+        return int(value)
+    except ValueError:
+        raise ScenarioError(f"QPN_STEP_BOUND must be an integer, got {value!r}") from None
 
 
 def _fmt_bit(value: int | None) -> str:
@@ -160,96 +176,37 @@ def _signature_output(signatures: dict, places: tuple[str, ...], fmt: str) -> st
     return "\n".join(lines) + "\n"
 
 
-def _cmd_buffer(args) -> int:
+def _scenario_text(args) -> tuple[str, tuple[str, ...] | None]:
+    """The scenario document to run, and the places an enumeration shows."""
     if args.mode == "demo":
-        return _cmd_demo(args)
+        if args.demo is None:
+            raise ScenarioError(f"demo needs a name from {DEMOS}")
+        if args.demo not in _DEMO_SCENARIOS:
+            raise ScenarioError(f"unknown demo {args.demo!r}; choose from {DEMOS}")
+        return _DEMO_SCENARIOS[args.demo]
     if args.scenario is None:
         raise ScenarioError("missing --scenario path")
     try:
-        text = Path(args.scenario).read_text()
+        return Path(args.scenario).read_text(), None
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc.strerror}") from exc
+
+
+def _cmd_buffer(args) -> int:
+    if args.mode == "demo" and args.demo == "fig2-example":
+        net, marking = build_cnot_example()
+        _write_output(_trace_output(run(net, marking, Scripted(("T1",))), args.format), args.out)
+        return 0
+    text, shown = _scenario_text(args)
     doc = parse_scenario(text)
     if args.mode == "enumerate" or doc.enumerate_outcomes:
-        net, marking = doc.to_buffer_spec().build()
+        net, marking = doc.build()
         signatures = enumerate_final_markings(net, marking, step_bound=_step_bound())
-        _write_output(_signature_output(signatures, marking.place_ids, args.format), args.out)
+        places = shown or marking.place_ids
+        _write_output(_signature_output(signatures, places, args.format), args.out)
     else:
-        trace = run_scenario(doc.to_buffer_spec(), doc.build_scheduler)
+        trace = run_scenario(doc, doc.build_scheduler)
         _write_output(_trace_output(trace, args.format), args.out)
-    return 0
-
-
-def _demo_spec(name: str) -> tuple[BufferSpec, object]:
-    if name == "siso-4b":
-        spec = BufferSpec(
-            kind="siso",
-            n=3,
-            m=2,
-            payloads={"d1": basis_state(2, "10"), "d2": basis_state(1, "1"),
-                      "d3": basis_state(1, "1")},
-        )
-        return spec, None
-    if name == "simo-4c":
-        spec = BufferSpec(
-            kind="simo",
-            n=4,
-            m=3,
-            k=2,
-            payloads={"d1": basis_state(1, "1"), "d2": basis_state(1, "0"),
-                      "d3": basis_state(1, "1"), "d4": basis_state(1, "1")},
-            addresses=(1, 0, 1),
-        )
-        return spec, None
-    # priority-4d
-    spec = BufferSpec(
-        kind="priority",
-        r_low=1,
-        r_high=2,
-        m_low=2,
-        m_high=2,
-        payloads={"d1": basis_state(1, "0"), "d2": basis_state(1, "1"),
-                  "d3": basis_state(1, "1")},
-    )
-    return spec, Scripted(("T2", "T4", "T2", "T4", "T1", "T3"))
-
-
-def _cmd_demo(args) -> int:
-    name = args.demo
-    if name is None:
-        raise ScenarioError(f"demo needs a name from {DEMOS}")
-    if name not in DEMOS:
-        raise ScenarioError(f"unknown demo {name!r}; choose from {DEMOS}")
-    if name == "fig2-example":
-        net, marking = build_cnot_example()
-        trace = run(net, marking, Scripted(("T1",)))
-        _write_output(_trace_output(trace, args.format), args.out)
-        return 0
-    if name == "simo-enum":
-        net, marking = build_simo(n=4, m=3, k=2)
-        signatures = enumerate_final_markings(net, marking, step_bound=_step_bound())
-        _write_output(
-            _signature_output(signatures, ("P_O1", "P_O2"), args.format), args.out
-        )
-        return 0
-    if name == "mimo-enum":
-        net, marking = build_mimo(r=(2, 1), outputs=2, m=2)
-        signatures = enumerate_final_markings(net, marking, step_bound=_step_bound())
-        _write_output(
-            _signature_output(
-                signatures, ("P_I1", "P_I2", "P_O1", "P_O2"), args.format
-            ),
-            args.out,
-        )
-        return 0
-    spec, scheduler = _demo_spec(name)
-    net, marking = spec.build()
-    if scheduler is None:
-        from .engine import AddressDriven
-
-        scheduler = AddressDriven(program=spec.addresses)
-    trace = run(net, marking, scheduler)
-    _write_output(_trace_output(trace, args.format), args.out)
     return 0
 
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -96,24 +97,19 @@ class Place:
 class Arc:
     """Labeled connection between a place and a transition.
 
-    ``direction`` is "in" (place to transition) or "out"; inhibitor arcs are
-    place-to-transition and demand the place be empty.
+    ``direction`` is "in" (place to transition) or "out"; an input arc
+    takes one entry per firing.  Inhibitor arcs, which demand an empty
+    place, are the "in" arcs a transition lists as ``inhibitor_arcs``.
     """
 
     place: str
     transition: str
     direction: str
     label: str
-    multiplicity: int = 1
-    inhibitor: bool = False
 
     def __post_init__(self):
         if self.direction not in ("in", "out"):
             raise ModelError(f"arc direction must be 'in' or 'out', got {self.direction!r}")
-        if self.multiplicity < 1:
-            raise ModelError("arc multiplicity must be >= 1")
-        if self.inhibitor and self.direction != "in":
-            raise ModelError("inhibitor arcs run from a place to a transition")
 
 
 @dataclass(frozen=True)
@@ -218,10 +214,6 @@ class QPNet:
         except KeyError:
             raise ModelError(f"unknown transition {tid!r}") from None
 
-    def selector_place(self, t: Transition) -> str | None:
-        """The ancillary-supply input place consulted by an address guard."""
-        return self._selector[t.id]
-
     def is_output_side(self, t: Transition) -> bool:
         """True when every input place is a data/ancillary staging place."""
         return all(
@@ -325,6 +317,21 @@ class Marking:
     @property
     def place_ids(self) -> tuple[str, ...]:
         return tuple(self._queues)
+
+    @property
+    def queues(self) -> MappingProxyType:
+        """Read-only view: place id to its tuple of entries, in place order."""
+        return MappingProxyType(self._queues)
+
+    @property
+    def payloads(self) -> MappingProxyType:
+        """Read-only view: token id to payload, in token-id order."""
+        return MappingProxyType(self._payloads)
+
+    @property
+    def addresses(self) -> MappingProxyType:
+        """Read-only view: token id to address (``None`` when free)."""
+        return MappingProxyType(self._addresses)
 
     def entries(self, pid: str) -> tuple[Entry, ...]:
         return self._queues[pid]
@@ -450,12 +457,35 @@ class SkippedSelection:
 
 @dataclass(frozen=True)
 class Trace:
+    """Record of one run: what ``run`` returns and ``parse_trace`` rebuilds."""
+
     initial: Marking
     events: tuple[FiringEvent | SkippedSelection, ...]
     final: Marking
 
     def firings(self) -> tuple[FiringEvent, ...]:
         return tuple(e for e in self.events if isinstance(e, FiringEvent))
+
+    def firing_transitions(self) -> tuple[str, ...]:
+        return tuple(e.transition for e in self.firings())
+
+    @property
+    def places(self) -> tuple[str, ...]:
+        return self.initial.place_ids
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(time, per-place token counts in ``places`` order): t=0, then one row per firing."""
+        places = self.places
+        counts = self.initial.counts()
+        rows = [(0, tuple(counts[p] for p in places))]
+        for event in self.firings():
+            for move in event.consumed:
+                counts[move.place] -= 1
+            for move in event.produced:
+                counts[move.place] += 1
+            rows.append((event.time + 1, tuple(counts[p] for p in places)))
+        return tuple(rows)
 
 
 def _guard_ok(net: QPNet, marking: Marking, t: Transition) -> bool:
@@ -471,7 +501,7 @@ def _guard_ok(net: QPNet, marking: Marking, t: Transition) -> bool:
 def _is_enabled(net: QPNet, marking: Marking, t: Transition) -> bool:
     queues = marking._queues
     for arc in t.input_arcs:
-        if len(queues[arc.place]) < arc.multiplicity:
+        if not queues[arc.place]:
             return False
     for arc in t.inhibitor_arcs:
         if queues[arc.place]:
@@ -550,16 +580,14 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
 
     consumed_moves: list[TokenMove] = []
     consumed_sizes: list[int] = []
-    entries_by_label: dict[str, tuple[Entry, ...]] = {}
+    entry_by_label: dict[str, Entry] = {}
     for arc in t.input_arcs:
         queue = queues[arc.place]
-        taken = queue[: arc.multiplicity]
-        queues[arc.place] = queue[arc.multiplicity :]
-        for entry in taken:
-            consumed_sizes.append(len(entry))
-            for tok in entry:
-                consumed_moves.append(TokenMove(tok, arc.place, payloads[tok], addresses[tok]))
-        entries_by_label[arc.label] = taken
+        entry = entry_by_label[arc.label] = queue[0]
+        queues[arc.place] = queue[1:]
+        consumed_sizes.append(len(entry))
+        for tok in entry:
+            consumed_moves.append(TokenMove(tok, arc.place, payloads[tok], addresses[tok]))
 
     # Materialize a free selector: consuming it through a guard assigns the
     # guard's basis value as its address and payload.
@@ -589,18 +617,18 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
     deposits: dict[str, list[str]] = {}
     for arc in t.input_arcs:
         dest = t.routing[arc.label]
-        for entry in entries_by_label[arc.label]:
-            if isinstance(dest, PairRoute):
-                by_kind = {net.tokens[tok].kind: tok for tok in entry}
-                if len(entry) != 2 or set(by_kind) != {TokenKind.DATA, TokenKind.ANCILLARY}:
-                    raise ModelError(
-                        f"transition {tid}: pair routing needs a (data, ancillary) entry, "
-                        f"got {entry}"
-                    )
-                deposits.setdefault(dest.data_to, []).append(by_kind[TokenKind.DATA])
-                deposits.setdefault(dest.ancillary_to, []).append(by_kind[TokenKind.ANCILLARY])
-            else:
-                deposits.setdefault(dest, []).extend(entry)
+        entry = entry_by_label[arc.label]
+        if isinstance(dest, PairRoute):
+            by_kind = {net.tokens[tok].kind: tok for tok in entry}
+            if len(entry) != 2 or set(by_kind) != {TokenKind.DATA, TokenKind.ANCILLARY}:
+                raise ModelError(
+                    f"transition {tid}: pair routing needs a (data, ancillary) entry, "
+                    f"got {entry}"
+                )
+            deposits.setdefault(dest.data_to, []).append(by_kind[TokenKind.DATA])
+            deposits.setdefault(dest.ancillary_to, []).append(by_kind[TokenKind.ANCILLARY])
+        else:
+            deposits.setdefault(dest, []).extend(entry)
 
     produced_moves: list[TokenMove] = []
     produced_sizes: list[int] = []
@@ -705,10 +733,9 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
 
 @dataclass(frozen=True)
 class Scripted:
-    """Fire a fixed sequence of transitions."""
+    """Fire a fixed sequence of transitions; a step that cannot fire is an error."""
 
     steps: tuple[str, ...]
-    on_blocked: str = "error"
 
 
 @dataclass(frozen=True)
@@ -718,17 +745,19 @@ class AddressDriven:
     With a ``program``, each entry names the guard value to fire next; a
     selection whose transition is not enabled is skipped and recorded.
     Without a program, selections follow the head selector tokens' own
-    addresses until none applies.  Afterwards (``drain``) the lowest-id
-    enabled unguarded transition fires repeatedly until quiescence.
+    addresses until none applies.  Afterwards the lowest-id enabled
+    unguarded transition fires repeatedly until quiescence.
     """
 
     program: tuple[int, ...] | None = None
-    drain: bool = True
 
 
 @dataclass(frozen=True)
 class EagerOutputThenScript:
-    """Like Scripted, but drain enabled output-side transitions between steps."""
+    """Like Scripted, but drain enabled output-side transitions between steps.
+
+    ``on_blocked="skip"`` records a step that cannot fire instead of raising.
+    """
 
     steps: tuple[str, ...]
     on_blocked: str = "error"
@@ -774,7 +803,7 @@ def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
 
     if isinstance(scheduler, Scripted):
         for i, tid in enumerate(scheduler.steps):
-            scripted_step(i, tid, scheduler.on_blocked)
+            scripted_step(i, tid, "error")
     elif isinstance(scheduler, EagerOutputThenScript):
         for i, tid in enumerate(scheduler.steps):
             drain(net.is_output_side)
@@ -805,8 +834,7 @@ def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
                 if pick is None:
                     break
                 fire_one(pick)
-        if scheduler.drain:
-            drain(lambda t: t.address_guard is None)
+        drain(lambda t: t.address_guard is None)
     else:
         raise ModelError(f"unknown scheduler {scheduler!r}")
 

@@ -3,8 +3,13 @@
 A scenario document describes one buffer instance: its kind, sizing
 parameters, data-token payloads (basis labels or explicit amplitude
 pairs), an optional selector address program, and a scheduler choice.
+It parses to a ``ScenarioDoc``, which is a ``BufferSpec`` plus those run
+settings.
+
 A trace document records a run: initial and final markings, every firing
-with per-token payloads, and a per-step place-count table.
+with per-token payloads, and a per-step place-count table.  It is written
+from the engine's ``Trace`` and parses back to one; the parser rejects a
+document that contradicts itself.
 
 Both formats are versioned JSON.  Emission is canonical (sorted keys,
 fixed layout), so identical runs serialize to identical bytes.
@@ -14,9 +19,9 @@ Amplitudes serialize as [real, imaginary] pairs, never decimal strings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
-from .buffers import KINDS, BufferSpec
+from .buffers import KIND_PARAMS, KINDS, BufferSpec
 from .engine import (
     AddressDriven,
     EagerOutputThenScript,
@@ -24,11 +29,12 @@ from .engine import (
     Marking,
     Scheduler,
     Scripted,
+    SkippedSelection,
     TokenMove,
     Trace,
     addresses_to_script,
 )
-from .errors import QpnError, ScenarioError
+from .errors import ModelError, QpnError, ScenarioError
 from .statevector import StateVector, basis_state
 
 SCENARIO_SCHEMA = "qpn-scenario/1"
@@ -37,62 +43,26 @@ TRACE_SCHEMA = "qpn-trace/1"
 SCHEDULERS = ("address-driven", "scripted", "eager-output-then-script")
 
 _COMMON_FIELDS = {"schema", "kind", "payloads", "scheduler", "script", "seed", "enumerate"}
-_KIND_FIELDS = {
-    "siso": {"n", "m"},
-    "simo": {"n", "m", "k", "addresses"},
-    "miso": {"r", "m", "addresses"},
-    "mimo": {"r", "outputs", "m", "input_addresses", "output_addresses"},
-    "priority": {"r_low", "r_high", "m_low", "m_high"},
-}
-_REQUIRED_FIELDS = {
-    "siso": ("n", "m"),
-    "simo": ("n", "m", "k"),
-    "miso": ("r", "m"),
-    "mimo": ("r", "outputs", "m"),
-    "priority": ("r_low", "r_high", "m_low", "m_high"),
+# Optional selector programs of each kind, each with the parameter that
+# counts its choices (``r`` by its length); other kind fields are required.
+_ADDRESS_FIELDS = {
+    "simo": {"addresses": "k"},
+    "miso": {"addresses": "r"},
+    "mimo": {"input_addresses": "r", "output_addresses": "outputs"},
 }
 
 
 @dataclass(frozen=True)
-class ScenarioDoc:
-    """Parsed scenario: buffer parameters plus run configuration."""
+class ScenarioDoc(BufferSpec):
+    """Parsed scenario: the buffer spec plus its run configuration."""
 
-    kind: str
-    n: int | None = None
-    m: int | None = None
-    k: int | None = None
-    r: tuple[int, ...] | None = None
-    outputs: int | None = None
-    r_low: int | None = None
-    r_high: int | None = None
-    m_low: int | None = None
-    m_high: int | None = None
-    payloads: dict[str, StateVector] = field(default_factory=dict)
-    addresses: tuple[int, ...] | None = None
-    input_addresses: tuple[int, ...] | None = None
-    output_addresses: tuple[int, ...] | None = None
     scheduler: str = "address-driven"
     script: tuple[str, ...] | None = None
     seed: int = 0
     enumerate_outcomes: bool = False
 
     def to_buffer_spec(self) -> BufferSpec:
-        return BufferSpec(
-            kind=self.kind,
-            n=self.n,
-            m=self.m,
-            k=self.k,
-            r=self.r,
-            outputs=self.outputs,
-            r_low=self.r_low,
-            r_high=self.r_high,
-            m_low=self.m_low,
-            m_high=self.m_high,
-            payloads=dict(self.payloads),
-            addresses=self.addresses,
-            input_addresses=self.input_addresses,
-            output_addresses=self.output_addresses,
-        )
+        return BufferSpec(**{f.name: getattr(self, f.name) for f in fields(BufferSpec)})
 
     def build_scheduler(self, net) -> Scheduler:
         if self.scheduler == "scripted":
@@ -157,8 +127,6 @@ def _payload_value(value, name) -> StateVector:
 
 
 def _check_addresses(program, choices, count, name):
-    if program is None:
-        return None
     if len(program) > count:
         raise ScenarioError(
             f"{len(program)} addresses for {count} selector tokens", field=name
@@ -187,34 +155,30 @@ def parse_scenario(text: str) -> ScenarioDoc:
     if kind not in KINDS:
         raise ScenarioError(f"kind must be one of {KINDS}, got {kind!r}", field="kind")
 
-    allowed = _COMMON_FIELDS | _KIND_FIELDS[kind]
+    allowed = _COMMON_FIELDS | {*KIND_PARAMS[kind], *_ADDRESS_FIELDS.get(kind, {})}
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ScenarioError(
             f"unknown field(s) for kind {kind!r}: {', '.join(unknown)}", field=unknown[0]
         )
-    for name in _REQUIRED_FIELDS[kind]:
+    for name in KIND_PARAMS[kind]:
         if name not in raw:
             raise ScenarioError(f"kind {kind!r} needs {name!r}", field=name)
 
-    ints = {
-        name: _int_field(raw[name], name)
-        for name in ("n", "m", "k", "outputs", "r_low", "r_high", "m_low", "m_high")
-        if name in raw
+    params = {
+        name: _int_list(raw[name], name) if name == "r" else _int_field(raw[name], name)
+        for name in KIND_PARAMS[kind]
     }
-    r = _int_list(raw["r"], "r") if "r" in raw else None
 
     payloads: dict[str, StateVector] = {}
     if "payloads" in raw:
         if not isinstance(raw["payloads"], dict):
             raise ScenarioError("payloads must be an object", field="payloads")
-        data_count = {
-            "siso": ints.get("n", 0),
-            "simo": ints.get("n", 0),
-            "miso": sum(r or ()),
-            "mimo": sum(r or ()),
-            "priority": ints.get("r_low", 0) + ints.get("r_high", 0),
-        }[kind]
+        data_count = (
+            params["n"] if "n" in params
+            else sum(params["r"]) if "r" in params
+            else params["r_low"] + params["r_high"]
+        )
         valid_ids = {f"d{i + 1}" for i in range(data_count)}
         for tok, value in raw["payloads"].items():
             if tok not in valid_ids:
@@ -223,29 +187,13 @@ def parse_scenario(text: str) -> ScenarioDoc:
                 )
             payloads[tok] = _payload_value(value, f"payloads.{tok}")
 
-    addresses = _int_list(raw["addresses"], "addresses") if "addresses" in raw else None
-    input_addresses = (
-        _int_list(raw["input_addresses"], "input_addresses")
-        if "input_addresses" in raw
-        else None
-    )
-    output_addresses = (
-        _int_list(raw["output_addresses"], "output_addresses")
-        if "output_addresses" in raw
-        else None
-    )
-    m = ints.get("m", 0)
-    if kind == "simo":
-        addresses = _check_addresses(addresses, ints.get("k", 0), m, "addresses")
-    elif kind == "miso":
-        addresses = _check_addresses(addresses, len(r or ()), m, "addresses")
-    elif kind == "mimo":
-        input_addresses = _check_addresses(
-            input_addresses, len(r or ()), m, "input_addresses"
-        )
-        output_addresses = _check_addresses(
-            output_addresses, ints.get("outputs", 0), m, "output_addresses"
-        )
+    programs = {}
+    for name, counted in _ADDRESS_FIELDS.get(kind, {}).items():
+        if name in raw:
+            choices = len(params["r"]) if counted == "r" else params[counted]
+            programs[name] = _check_addresses(
+                _int_list(raw[name], name), choices, params["m"], name
+            )
 
     scheduler = raw.get("scheduler", "address-driven")
     if scheduler not in SCHEDULERS:
@@ -274,19 +222,9 @@ def parse_scenario(text: str) -> ScenarioDoc:
 
     return ScenarioDoc(
         kind=kind,
-        n=ints.get("n"),
-        m=ints.get("m"),
-        k=ints.get("k"),
-        r=r,
-        outputs=ints.get("outputs"),
-        r_low=ints.get("r_low"),
-        r_high=ints.get("r_high"),
-        m_low=ints.get("m_low"),
-        m_high=ints.get("m_high"),
+        **params,
+        **programs,
         payloads=payloads,
-        addresses=addresses,
-        input_addresses=input_addresses,
-        output_addresses=output_addresses,
         scheduler=scheduler,
         script=script,
         seed=seed,
@@ -300,19 +238,14 @@ def _payload_doc(payload: StateVector) -> list[list[float]]:
 
 def emit_scenario(doc: ScenarioDoc) -> str:
     """Serialize a scenario document canonically; parse(emit(doc)) == doc."""
-    out: dict = {"schema": SCENARIO_SCHEMA, "kind": doc.kind}
-    for name in ("n", "m", "k", "outputs", "r_low", "r_high", "m_low", "m_high"):
-        value = getattr(doc, name)
-        if value is not None:
-            out[name] = value
-    if doc.r is not None:
-        out["r"] = list(doc.r)
-    if doc.payloads:
-        out["payloads"] = {tok: _payload_doc(p) for tok, p in doc.payloads.items()}
-    for name in ("addresses", "input_addresses", "output_addresses"):
-        value = getattr(doc, name)
-        if value is not None:
-            out[name] = list(value)
+    out: dict = {"schema": SCENARIO_SCHEMA}
+    for f in fields(BufferSpec):  # kind, sizing parameters, payloads, address programs
+        value = getattr(doc, f.name)
+        if f.name == "payloads":
+            if value:
+                out["payloads"] = {tok: _payload_doc(p) for tok, p in value.items()}
+        elif value is not None:
+            out[f.name] = list(value) if isinstance(value, tuple) else value
     out["scheduler"] = doc.scheduler
     if doc.script is not None:
         out["script"] = list(doc.script)
@@ -321,120 +254,26 @@ def emit_scenario(doc: ScenarioDoc) -> str:
     return json.dumps(out, sort_keys=True, indent=1) + "\n"
 
 
-@dataclass(frozen=True)
-class MarkingDoc:
-    """Serializable marking snapshot."""
-
-    time: int
-    queues: dict[str, tuple[tuple[str, ...], ...]]
-    payloads: dict[str, StateVector]
-    addresses: dict[str, int | None]
-
-    def counts(self) -> dict[str, int]:
-        return {pid: sum(len(e) for e in entries) for pid, entries in self.queues.items()}
-
-
-@dataclass(frozen=True)
-class MoveDoc:
-    token: str
-    place: str
-    payload: StateVector
-    address: int | None
-
-
-@dataclass(frozen=True)
-class FiringDoc:
-    time: int
-    transition: str
-    consumed: tuple[MoveDoc, ...]
-    produced: tuple[MoveDoc, ...]
-    consumed_entry_sizes: tuple[int, ...]
-    produced_entry_sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SkipDoc:
-    time: int
-    transition: str | None
-    reason: str
-
-
-@dataclass(frozen=True)
-class TraceDoc:
-    """Serializable record of one run."""
-
-    schema: str
-    places: tuple[str, ...]
-    initial: MarkingDoc
-    events: tuple[FiringDoc | SkipDoc, ...]
-    final: MarkingDoc
-    table: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def firing_transitions(self) -> tuple[str, ...]:
-        return tuple(e.transition for e in self.events if isinstance(e, FiringDoc))
-
-
-def marking_to_doc(marking: Marking) -> MarkingDoc:
-    return MarkingDoc(
-        time=marking.time,
-        queues={pid: marking.entries(pid) for pid in marking.place_ids},
-        payloads={tok: marking.payload(tok) for pid in marking.place_ids
-                  for tok in marking.tokens_in(pid)},
-        addresses={tok: marking.address(tok) for pid in marking.place_ids
-                   for tok in marking.tokens_in(pid)},
-    )
-
-
-def _move_to_doc(move: TokenMove) -> MoveDoc:
-    return MoveDoc(move.token, move.place, move.payload, move.address)
-
-
-def trace_to_doc(trace: Trace) -> TraceDoc:
-    """Structure a trace for serialization, including the place-count table."""
-    places = trace.initial.place_ids
-    events: list[FiringDoc | SkipDoc] = []
-    counts = dict(trace.initial.counts())
-    table = [(0, tuple(counts[p] for p in places))]
-    for event in trace.events:
-        if not isinstance(event, FiringEvent):
-            events.append(SkipDoc(event.time, event.transition, event.reason))
-            continue
-        events.append(
-            FiringDoc(
-                time=event.time,
-                transition=event.transition,
-                consumed=tuple(_move_to_doc(m) for m in event.consumed),
-                produced=tuple(_move_to_doc(m) for m in event.produced),
-                consumed_entry_sizes=event.consumed_entry_sizes,
-                produced_entry_sizes=event.produced_entry_sizes,
-            )
-        )
-        for move in event.consumed:
-            counts[move.place] -= 1
-        for move in event.produced:
-            counts[move.place] += 1
-        table.append((event.time + 1, tuple(counts[p] for p in places)))
-    return TraceDoc(
-        schema=TRACE_SCHEMA,
-        places=places,
-        initial=marking_to_doc(trace.initial),
-        events=tuple(events),
-        final=marking_to_doc(trace.final),
-        table=tuple(table),
-    )
-
-
-def _marking_json(doc: MarkingDoc) -> dict:
+def _marking_json(marking: Marking) -> dict:
     return {
-        "time": doc.time,
-        "queues": {pid: [list(e) for e in entries] for pid, entries in doc.queues.items()},
-        "payloads": {tok: _payload_doc(p) for tok, p in doc.payloads.items()},
-        "addresses": dict(doc.addresses),
+        "time": marking.time,
+        "queues": {pid: [list(e) for e in entries] for pid, entries in marking.queues.items()},
+        "payloads": {tok: _payload_doc(p) for tok, p in marking.payloads.items()},
+        "addresses": dict(marking.addresses),
     }
 
 
-def _event_json(event: FiringDoc | SkipDoc) -> dict:
-    if isinstance(event, SkipDoc):
+def _move_json(move: TokenMove) -> dict:
+    return {
+        "token": move.token,
+        "place": move.place,
+        "payload": _payload_doc(move.payload),
+        "address": move.address,
+    }
+
+
+def _event_json(event: FiringEvent | SkippedSelection) -> dict:
+    if isinstance(event, SkippedSelection):
         return {
             "type": "skipped",
             "time": event.time,
@@ -445,24 +284,8 @@ def _event_json(event: FiringDoc | SkipDoc) -> dict:
         "type": "firing",
         "time": event.time,
         "transition": event.transition,
-        "consumed": [
-            {
-                "token": m.token,
-                "place": m.place,
-                "payload": _payload_doc(m.payload),
-                "address": m.address,
-            }
-            for m in event.consumed
-        ],
-        "produced": [
-            {
-                "token": m.token,
-                "place": m.place,
-                "payload": _payload_doc(m.payload),
-                "address": m.address,
-            }
-            for m in event.produced
-        ],
+        "consumed": [_move_json(m) for m in event.consumed],
+        "produced": [_move_json(m) for m in event.produced],
         "consumed_entry_sizes": list(event.consumed_entry_sizes),
         "produced_entry_sizes": list(event.produced_entry_sizes),
     }
@@ -470,14 +293,13 @@ def _event_json(event: FiringDoc | SkipDoc) -> dict:
 
 def emit_trace(trace: Trace) -> str:
     """Serialize a run canonically; identical runs give identical bytes."""
-    doc = trace_to_doc(trace)
     out = {
-        "schema": doc.schema,
-        "places": list(doc.places),
-        "initial": _marking_json(doc.initial),
-        "events": [_event_json(e) for e in doc.events],
-        "final": _marking_json(doc.final),
-        "table": [{"time": t, "counts": list(row)} for t, row in doc.table],
+        "schema": TRACE_SCHEMA,
+        "places": list(trace.places),
+        "initial": _marking_json(trace.initial),
+        "events": [_event_json(e) for e in trace.events],
+        "final": _marking_json(trace.final),
+        "table": [{"time": t, "counts": list(row)} for t, row in trace.table],
     }
     return json.dumps(out, sort_keys=True, indent=1) + "\n"
 
@@ -497,95 +319,145 @@ def _payload_from_doc(value, name, seen: dict) -> StateVector:
     return state
 
 
-def _object(value, name) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"expected an object, got {type(value).__name__}", field=name)
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value, kind: type, name: str):
+    if not isinstance(value, kind):
+        raise ScenarioError(
+            f"expected {_TYPE_NAMES[kind]}, got {type(value).__name__}", field=name
+        )
     return value
 
 
-def _marking_from_json(raw, name: str, seen: dict) -> MarkingDoc:
-    raw = _object(raw, name)
+def _strings(value, name) -> tuple[str, ...]:
+    if type(value) is not list or not set(map(type, value)) <= {str}:
+        raise ScenarioError("expected a list of strings", field=name)
+    return tuple(value)
+
+
+def _ints(value, name, minimum=0) -> tuple[int, ...]:
+    # type(v) is int also keeps out bools, which JSON true/false parse to.
+    if (type(value) is not list or not set(map(type, value)) <= {int}
+            or min(value, default=minimum) < minimum):
+        raise ScenarioError(f"expected a list of integers >= {minimum}", field=name)
+    return tuple(value)
+
+
+def _is_address(value) -> bool:
+    return value is None or type(value) is int and value >= 0
+
+
+def _marking_from_json(raw, name: str, places: tuple[str, ...], seen: dict) -> Marking:
+    """A trace marking, its queues in the document's ``places`` order."""
+    raw = _expect(raw, dict, name)
     try:
+        where = f"{name}.queues"
+        queues = _expect(raw["queues"], dict, where)
+        if sorted(queues) != sorted(places):
+            raise ScenarioError("queue places differ from the trace's places", field=where)
         queues = {
-            pid: tuple(tuple(entry) for entry in entries)
-            for pid, entries in _object(raw["queues"], f"{name}.queues").items()
+            pid: tuple(
+                _strings(entry, f"{where}.{pid}")
+                for entry in _expect(queues[pid], list, f"{where}.{pid}")
+            )
+            for pid in places
         }
         payloads = {
             tok: _payload_from_doc(v, f"{name}.payloads.{tok}", seen)
-            for tok, v in _object(raw["payloads"], f"{name}.payloads").items()
+            for tok, v in _expect(raw["payloads"], dict, f"{name}.payloads").items()
         }
-        addresses = dict(_object(raw["addresses"], f"{name}.addresses"))
-        return MarkingDoc(raw["time"], queues, payloads, addresses)
+        addresses = _expect(raw["addresses"], dict, f"{name}.addresses")
+        if not all(map(_is_address, addresses.values())):
+            raise ScenarioError(
+                "addresses must be integers >= 0 or null", field=f"{name}.addresses"
+            )
+        tokens = {tok for entries in queues.values() for entry in entries for tok in entry}
+        if payloads.keys() != tokens or addresses.keys() != tokens:
+            raise ScenarioError("payloads and addresses must cover the queued tokens", field=name)
+        return Marking(queues, payloads, addresses, _int_field(raw["time"], f"{name}.time"))
     except KeyError as exc:
         raise ScenarioError(f"marking misses key {exc.args[0]!r}", field=name) from exc
+    except ModelError as exc:
+        raise ScenarioError(str(exc), field=name) from exc
 
 
-def _event_from_json(ev, name: str, seen: dict) -> FiringDoc | SkipDoc:
-    ev = _object(ev, name)
+def _event_from_json(ev, name: str, places: tuple[str, ...], seen: dict):
+    """A trace event; each move's place must be one of ``places``."""
+    ev = _expect(ev, dict, name)
     try:
+        time = _int_field(ev["time"], f"{name}.time")
         if ev.get("type") == "skipped":
-            return SkipDoc(ev["time"], ev["transition"], ev["reason"])
+            tid = ev["transition"]
+            return SkippedSelection(
+                time, None if tid is None else _expect(tid, str, f"{name}.transition"),
+                _expect(ev["reason"], str, f"{name}.reason"),
+            )
         if ev.get("type") != "firing":
             raise ScenarioError(f"unknown event type {ev.get('type')!r}", field=name)
-        moves = {}
+        moves = []
         for side in ("consumed", "produced"):
-            where = f"{name}.{side}"
-            side_moves = []
-            for m in ev[side]:
-                m = _object(m, where)
-                side_moves.append(MoveDoc(
-                    m["token"], m["place"], _payload_from_doc(m["payload"], where, seen),
-                    m["address"],
-                ))
-            moves[side] = tuple(side_moves)
-        return FiringDoc(
-            time=ev["time"],
-            transition=ev["transition"],
-            consumed=moves["consumed"],
-            produced=moves["produced"],
-            consumed_entry_sizes=tuple(ev["consumed_entry_sizes"]),
-            produced_entry_sizes=tuple(ev["produced_entry_sizes"]),
+            where, side_moves = f"{name}.{side}", []
+            for m in _expect(ev[side], list, where):
+                m = _expect(m, dict, where)
+                token, place, address = m["token"], m["place"], m["address"]
+                if type(token) is not str or place not in places or not _is_address(address):
+                    raise ScenarioError(
+                        "a move needs a token id, one of the trace's places and an address",
+                        field=where,
+                    )
+                payload = _payload_from_doc(m["payload"], where, seen)
+                side_moves.append(TokenMove(token, place, payload, address))
+            moves.append(tuple(side_moves))
+        sizes = [_ints(ev[key], f"{name}.{key}", 1)
+                 for key in ("consumed_entry_sizes", "produced_entry_sizes")]
+        return FiringEvent(
+            time, _expect(ev["transition"], str, f"{name}.transition"), *moves, *sizes
         )
     except KeyError as exc:
         raise ScenarioError(f"event misses key {exc.args[0]!r}", field=name) from exc
 
 
-def parse_trace(text: str) -> TraceDoc:
-    """Parse a trace document back into its structured form."""
+def parse_trace(text: str) -> Trace:
+    """Parse a trace document back into the run's ``Trace``.
+
+    The document must agree with itself: each marking queues exactly the
+    listed places, no token sits in two places, and the count table is the
+    one the events give.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(raw, dict) or raw.get("schema") != TRACE_SCHEMA:
         raise ScenarioError(f"expected schema {TRACE_SCHEMA!r}", field="schema")
-    for name in ("places", "initial", "final"):
+    for name in ("places", "initial", "final", "table"):
         if name not in raw:
             raise ScenarioError(f"trace misses key {name!r}", field=name)
+    places = _strings(raw["places"], "places")
     seen: dict[tuple, StateVector] = {}
+    initial = _marking_from_json(raw["initial"], "initial", places, seen)
     events = tuple(
-        _event_from_json(ev, f"events[{i}]", seen) for i, ev in enumerate(raw.get("events", []))
+        _event_from_json(ev, f"events[{i}]", places, seen)
+        for i, ev in enumerate(_expect(raw.get("events", []), list, "events"))
     )
+    trace = Trace(initial, events, _marking_from_json(raw["final"], "final", places, seen))
     table = []
-    for i, row in enumerate(raw.get("table", [])):
-        row = _object(row, f"table[{i}]")
+    for i, row in enumerate(_expect(raw["table"], list, "table")):
+        row = _expect(row, dict, f"table[{i}]")
         if "time" not in row or "counts" not in row:
             raise ScenarioError("table row needs time and counts", field=f"table[{i}]")
-        table.append((row["time"], tuple(row["counts"])))
-    return TraceDoc(
-        schema=raw["schema"],
-        places=tuple(raw["places"]),
-        initial=_marking_from_json(raw["initial"], "initial", seen),
-        events=events,
-        final=_marking_from_json(raw["final"], "final", seen),
-        table=tuple(table),
-    )
+        table.append((_int_field(row["time"], f"table[{i}].time"),
+                       _ints(row["counts"], f"table[{i}].counts")))
+    if tuple(table) != trace.table:
+        raise ScenarioError("table disagrees with the places and events", field="table")
+    return trace
 
 
 def emit_marking_table(trace: Trace) -> str:
     """Text table: one row per time step, one token-count column per place."""
-    doc = trace_to_doc(trace)
-    headers = ["t"] + list(doc.places)
-    rows = [[str(t)] + [str(c) for c in counts] for t, counts in doc.table]
+    headers = ["t"] + list(trace.places)
+    rows = [[str(t)] + [str(c) for c in counts] for t, counts in trace.table]
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
         for i in range(len(headers))

@@ -36,7 +36,6 @@ from qpnbuf.scenario import (
     emit_trace,
     parse_scenario,
     parse_trace,
-    trace_to_doc,
 )
 from qpnbuf.statevector import (
     Circuit,
@@ -242,7 +241,7 @@ def roundtrip_suite(cases: int = 1000, seed: int = 405) -> int:
         assert parse_scenario(emit_scenario(doc)) == doc
         if case % 20 == 0:
             trace = run(spec.build()[0], spec.build()[1], AddressDriven())
-            assert parse_trace(emit_trace(trace)) == trace_to_doc(trace)
+            assert parse_trace(emit_trace(trace)) == trace
     return cases
 
 

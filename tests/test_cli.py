@@ -189,6 +189,24 @@ def test_buffer_enumerate_step_bound_env(capsys, tmp_path, monkeypatch):
     assert "step bound" in err
 
 
+def test_buffer_enumerate_step_bound_env_not_an_integer(capsys, tmp_path, monkeypatch):
+    scenario = tmp_path / "scn.json"
+    scenario.write_text(json.dumps({"kind": "simo", "n": 4, "m": 3, "k": 2}))
+    monkeypatch.setenv("QPN_STEP_BOUND", "abc")
+    code, _, err = run_cli(capsys, "buffer", "enumerate", "--scenario", str(scenario))
+    assert code == 2
+    assert "QPN_STEP_BOUND" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["qsr", "table"], ["buffer", "demo", "siso-4b"]], ids=["qsr", "buffer"]
+)
+def test_unwritable_out_exit_2(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert "cannot write output: No such file or directory" in err
+
+
 def test_console_script_entry_point():
     import subprocess
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qpnbuf.buffers import build_siso
+from qpnbuf.buffers import build_cnot_example, build_siso, run_scenario
+from qpnbuf.cli import _DEMO_SCENARIOS
 from qpnbuf.engine import AddressDriven, Scripted, run
 from qpnbuf.errors import ScenarioError
 from qpnbuf.scenario import (
@@ -10,10 +11,8 @@ from qpnbuf.scenario import (
     emit_marking_table,
     emit_scenario,
     emit_trace,
-    marking_to_doc,
     parse_scenario,
     parse_trace,
-    trace_to_doc,
 )
 from qpnbuf.statevector import StateVector, basis_state
 
@@ -161,7 +160,7 @@ def test_empty_trace_document():
     doc = parse_scenario('{"kind": "siso", "n": 2, "m": 1}')
     net, marking = doc.to_buffer_spec().build()
     trace = run(net, marking, Scripted(()))
-    tdoc = trace_to_doc(trace)
+    tdoc = trace
     assert tdoc.events == ()
     assert tdoc.initial == tdoc.final
     assert len(tdoc.table) == 1
@@ -170,7 +169,7 @@ def test_empty_trace_document():
 def test_trace_doc_events_and_final_places():
     doc = parse_scenario(SISO_4B)
     trace = run_doc(doc)
-    tdoc = trace_to_doc(trace)
+    tdoc = trace
     assert len(tdoc.events) == 2
     assert tdoc.final.queues["P_O"] == (("d1",), ("d2",))
 
@@ -180,7 +179,7 @@ def test_trace_round_trip():
     trace = run_doc(doc)
     text = emit_trace(trace)
     parsed = parse_trace(text)
-    assert parsed == trace_to_doc(trace)
+    assert parsed == trace
 
 
 def test_trace_replay_reproduces_final_marking():
@@ -190,7 +189,7 @@ def test_trace_replay_reproduces_final_marking():
     # Replay the recorded transitions on a freshly built net.
     net, marking = doc.to_buffer_spec().build()
     replayed = run(net, marking, Scripted(tdoc.firing_transitions()))
-    assert marking_to_doc(replayed.final) == tdoc.final
+    assert replayed.final == tdoc.final
 
 
 def test_marking_table_siso_rows():
@@ -221,7 +220,7 @@ def test_marking_table_zero_events():
 
 def test_marking_table_rows_conserve_total():
     doc = parse_scenario(SIMO_4C)
-    tdoc = trace_to_doc(run_doc(doc))
+    tdoc = run_doc(doc)
     totals = {sum(counts) for _, counts in tdoc.table}
     assert len(totals) == 1
 
@@ -233,7 +232,7 @@ def test_table_counts_pairs_as_two_tokens():
     spec = doc.to_buffer_spec()
     net, marking = spec.build()
     trace = run(net, marking, Scripted(("T1",)))
-    tdoc = trace_to_doc(trace)
+    tdoc = trace
     # After staging one pair, P_DA holds one entry of two tokens.
     assert tdoc.table[-1][1][tdoc.places.index("P_DA")] == 2
     totals = {sum(counts) for _, counts in tdoc.table}
@@ -254,8 +253,39 @@ def _damaged_trace(damage):
         (lambda d: d["events"][0].pop("time"), "events[0]"),
         (lambda d: d.pop("places"), "places"),
         (lambda d: d["initial"].__setitem__("queues", [["d1"]]), "initial.queues"),
+        # Not a list where the document needs one.
+        (lambda d: d.__setitem__("places", "P_I"), "places"),
+        (lambda d: d.__setitem__("table", {}), "table"),
+        (lambda d: d["initial"]["queues"].__setitem__("P_I", "d1"), "initial.queues.P_I"),
+        (lambda d: d["initial"]["queues"]["P_I"].__setitem__(0, "d1"), "initial.queues.P_I"),
+        (lambda d: d["events"][0].__setitem__("consumed", {}), "events[0].consumed"),
+        (lambda d: d["events"][0].__setitem__("consumed_entry_sizes", 1),
+         "events[0].consumed_entry_sizes"),
+        (lambda d: d["table"][0].__setitem__("counts", 2), "table[0].counts"),
+        # Not an integer where the document needs one.
+        (lambda d: d["events"][0].__setitem__("time", "0"), "events[0].time"),
+        (lambda d: d["initial"].__setitem__("time", "0"), "initial.time"),
+        (lambda d: d["table"][1].__setitem__("time", "1"), "table[1].time"),
+        (lambda d: d["events"][0]["produced_entry_sizes"].__setitem__(0, "1"),
+         "events[0].produced_entry_sizes"),
+        (lambda d: d["table"][0]["counts"].__setitem__(0, "2"), "table[0].counts"),
+        # Parts that contradict each other.
+        (lambda d: d["table"][1]["counts"].__setitem__(0, 2), "table"),
+        (lambda d: d["final"]["queues"]["P_I"].append(["d1"]), "final"),
+        (lambda d: d["places"].reverse(), "table"),
+        (lambda d: d["initial"]["queues"].__setitem__("P_X", []), "initial.queues"),
+        (lambda d: d["events"][0]["consumed"][0].__setitem__("place", "P_X"),
+         "events[0].consumed"),
+        (lambda d: d["final"]["payloads"].pop("d1"), "final"),
     ],
-    ids=["non-object-event", "event-without-time", "no-places", "list-queues"],
+    ids=[
+        "non-object-event", "event-without-time", "no-places", "list-queues",
+        "string-places", "object-table", "string-queue", "string-entry", "object-move-side",
+        "int-entry-sizes", "int-counts", "string-event-time", "string-marking-time",
+        "string-row-time", "string-entry-size", "string-count", "table-disagrees",
+        "token-in-two-places", "reordered-places", "extra-queue", "unknown-move-place",
+        "token-without-payload",
+    ],
 )
 def test_parse_trace_damaged_document_is_scenario_error(damage, field):
     with pytest.raises(ScenarioError) as err:
@@ -312,3 +342,22 @@ def test_nan_payload_scenario_exits_2(tmp_path, capsys):
     path.write_text('{"kind": "siso", "n": 1, "m": 1, "payloads": {"d1": [[NaN, 0], [0, 0]]}}')
     assert main(["buffer", "run", "--scenario", str(path)]) == 2
     assert "payloads.d1" in capsys.readouterr().err
+
+
+def _demo_trace(name):
+    if name == "fig2-example":
+        net, marking = build_cnot_example()
+        return run(net, marking, Scripted(("T1",)))
+    doc = parse_scenario(_DEMO_SCENARIOS[name][0])
+    return run_scenario(doc, doc.build_scheduler)
+
+
+@pytest.mark.parametrize("name", ["fig2-example", "siso-4b", "simo-4c", "priority-4d"])
+def test_demo_trace_round_trip(name):
+    trace = _demo_trace(name)
+    text = emit_trace(trace)
+    parsed = parse_trace(text)
+    assert parsed == trace
+    assert emit_trace(parsed) == text
+    assert parsed.table == trace.table
+    assert parsed.firing_transitions() == trace.firing_transitions()
