@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .buffers import build_cnot_example, run_scenario
@@ -24,7 +25,7 @@ from .flipflop import (
     simulate_qsr,
 )
 from .qasm import export_qasm
-from .scenario import emit_marking_table, emit_trace, parse_scenario
+from .scenario import emit_json, emit_marking_table, emit_trace, parse_scenario
 
 # The buffer demos are scenario documents and take the path of ``buffer run``.
 # An enumeration demo also names the places its signatures show.
@@ -158,16 +159,11 @@ def _trace_output(trace: Trace, fmt: str) -> str:
 
 def _signature_output(signatures: dict, places: tuple[str, ...], fmt: str) -> str:
     if fmt == "json":
-        import json
-
         doc = [
-            {
-                "signature": {pid: count for pid, count in sig if pid in places},
-                "witness": list(wit),
-            }
+            {"signature": {pid: count for pid, count in sig if pid in places}, "witness": wit}
             for sig, wit in sorted(signatures.items())
         ]
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        return emit_json(doc) + "\n"
     lines = []
     for sig, wit in sorted(signatures.items()):
         shown = " ".join(f"{pid}={count}" for pid, count in sig if pid in places)
@@ -236,9 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares; ``parse_args`` does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "qsr":
             return _cmd_qsr(args)

@@ -666,9 +666,9 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
 def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
     """Undo the most recent firing, restoring the pre-firing marking exactly.
 
-    Payloads are recomputed by applying the transition's gate sequence in
-    reverse (every supported gate is self-inverse) and cross-checked against
-    the event's recorded pre-firing payloads.
+    The event's recorded pre-firing payloads are restored after a forward
+    check: the transition's gates must take them to the recorded post-firing
+    payloads.
     """
     if marking.time != event.time + 1:
         raise ReversalError(
@@ -699,20 +699,21 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
             ) or addresses[move.token] != move.address:
                 raise ReversalError(f"token {move.token} state does not match the event")
 
-    # Recompute pre-firing data payloads through the inverse gate.
+    # Check the gate forward: the recorded pre-firing payloads, run through
+    # the same tensor, gate and split that ``fire`` ran, must give the
+    # recorded post-firing payloads.  (Run backward, the split's rounding and
+    # phase choice would not reproduce a superposed payload exactly.)
     data_moves = [
         m for m in event.consumed if net.tokens[m.token].kind is TokenKind.DATA
     ]
     if t.gate and data_moves:
         post = {m.token: m.payload for m in event.produced}
-        widths = [post[m.token].num_qubits for m in data_moves]
-        joint = apply_all(
-            _tensor_all([post[m.token] for m in data_moves]), tuple(reversed(t.gate))
-        )
+        widths = [m.payload.num_qubits for m in data_moves]
+        joint = apply_all(_tensor_all([m.payload for m in data_moves]), t.gate)
         for move, part in zip(data_moves, _split_product(joint, widths)):
-            if part != move.payload:
+            if part != post[move.token]:
                 raise ReversalError(
-                    f"inverse gate does not reproduce {move.token}'s recorded payload"
+                    f"gate does not take {move.token}'s recorded payload to its produced one"
                 )
 
     restored = {m.token: m.payload for m in event.consumed if payloads[m.token] is not m.payload}

@@ -8,17 +8,22 @@ settings.
 
 A trace document records a run: initial and final markings, every firing
 with per-token payloads, and a per-step place-count table.  It is written
-from the engine's ``Trace`` and parses back to one; the parser rejects a
-document that contradicts itself.
+from the engine's ``Trace`` and parses back to one; the parser replays the
+events on the initial queues and rejects a document that contradicts
+itself.
 
 Both formats are versioned JSON.  Emission is canonical (sorted keys,
-fixed layout), so identical runs serialize to identical bytes.
-Amplitudes serialize as [real, imaginary] pairs, never decimal strings.
+fixed layout), so identical runs serialize to identical bytes; ``emit_json``
+writes that layout directly, in the bytes ``json.dumps(..., sort_keys=True,
+indent=1)`` gives.  Amplitudes serialize as [real, imaginary] pairs, never
+decimal strings.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
+from collections import deque
 from dataclasses import dataclass, fields
 
 from .buffers import KIND_PARAMS, KINDS, BufferSpec
@@ -232,8 +237,116 @@ def parse_scenario(text: str) -> ScenarioDoc:
     )
 
 
-def _payload_doc(payload: StateVector) -> list[list[float]]:
-    return [[a.real, a.imag] for a in payload.amplitudes.tolist()]
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+_SCALARS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# The text of each JSON scalar type, as the standard library's encoder writes it.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: _SCALARS.__getitem__,
+    type(None): _SCALARS.__getitem__,
+}
+
+
+def _payload_text(payload: StateVector, level: int) -> str:
+    """A payload's [real, imaginary] pair list as it sits at nesting ``level``."""
+    pair = "\n" + " " * (level + 1)
+    num = "\n" + " " * (level + 2)
+    pairs = [
+        f"[{num}{_float_text(a.real)},{num}{_float_text(a.imag)}{pair}]"
+        for a in payload.amplitudes.tolist()
+    ]
+    return f"[{pair}{f',{pair}'.join(pairs)}\n{' ' * level}]"
+
+
+def emit_json(doc) -> str:
+    """The text of ``json.dumps(doc, sort_keys=True, indent=1)``, written directly.
+
+    With an indent the standard library encodes in pure Python; this writes
+    the same layout (sorted keys, one more space per level, ``[]``/``{}`` when
+    empty) with the same string, int and float text.  ``doc`` is built of
+    dicts with string keys, lists, tuples, str, int, float, bool and None, as
+    every document here is; anything else raises ``TypeError``.  A
+    ``StateVector`` stands for its [real, imaginary] pair list; payloads are
+    shared objects, so each one's text is made once per nesting level and
+    kept for this document.  So is each key set's sorted order with its key
+    texts (a trace has a few key sets, each repeated thousands of times).
+    """
+    parts: list[str] = []
+    write = parts.append
+    payloads: dict[tuple[int, int], str] = {}
+    orders: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+    levels: list[tuple[str, str, str, str]] = []  # inner, sep, "]" and "}" closings
+    scalar = _SCALAR_TEXT.get
+
+    def payload(value: StateVector, level: int) -> str:
+        text = payloads[id(value), level] = _payload_text(value, level)
+        return text
+
+    def emit(value, level, prefix):
+        """Write ``prefix`` and a container or payload; scalars inside are written in place."""
+        cls = type(value)
+        if cls is StateVector:
+            write(prefix + (payloads.get((id(value), level)) or payload(value, level)))
+            return
+        if cls is not dict and cls is not list and cls is not tuple:
+            text = scalar(cls)
+            if text is None:
+                raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+            write(prefix + text(value))
+            return
+        if not value:
+            write(prefix + ("{}" if cls is dict else "[]"))
+            return
+        while len(levels) <= level:
+            indent = "\n" + " " * len(levels)
+            levels.append((indent + " ", "," + indent + " ", indent + "]", indent + "}"))
+        inner, sep, close_list, close_dict = levels[level]
+        if cls is dict:
+            inner = prefix + "{" + inner
+            keys = tuple(value)
+            order = orders.get(keys)
+            if order is None:  # _encode_str raises TypeError for a key that is not a str
+                order = orders[keys] = [(key, _encode_str(key)) for key in sorted(keys)]
+            for key, key_text in order:
+                item = value[key]
+                text = scalar(type(item))
+                if text is not None:
+                    write(f"{inner}{key_text}: {text(item)}")
+                elif type(item) is StateVector:
+                    text = payloads.get((id(item), level + 1)) or payload(item, level + 1)
+                    write(f"{inner}{key_text}: {text}")
+                else:
+                    emit(item, level + 1, f"{inner}{key_text}: ")
+                inner = sep
+            write(close_dict)
+        else:
+            inner = prefix + "[" + inner
+            for item in value:
+                text = scalar(type(item))
+                if text is None:
+                    emit(item, level + 1, inner)
+                else:
+                    write(inner + text(item))
+                inner = sep
+            write(close_list)
+
+    emit(doc, 0, "")
+    return "".join(parts)
 
 
 def emit_scenario(doc: ScenarioDoc) -> str:
@@ -243,22 +356,22 @@ def emit_scenario(doc: ScenarioDoc) -> str:
         value = getattr(doc, f.name)
         if f.name == "payloads":
             if value:
-                out["payloads"] = {tok: _payload_doc(p) for tok, p in value.items()}
+                out["payloads"] = dict(value)
         elif value is not None:
-            out[f.name] = list(value) if isinstance(value, tuple) else value
+            out[f.name] = value
     out["scheduler"] = doc.scheduler
     if doc.script is not None:
-        out["script"] = list(doc.script)
+        out["script"] = doc.script
     out["seed"] = doc.seed
     out["enumerate"] = doc.enumerate_outcomes
-    return json.dumps(out, sort_keys=True, indent=1) + "\n"
+    return emit_json(out) + "\n"
 
 
 def _marking_json(marking: Marking) -> dict:
     return {
         "time": marking.time,
-        "queues": {pid: [list(e) for e in entries] for pid, entries in marking.queues.items()},
-        "payloads": {tok: _payload_doc(p) for tok, p in marking.payloads.items()},
+        "queues": dict(marking.queues),
+        "payloads": dict(marking.payloads),
         "addresses": dict(marking.addresses),
     }
 
@@ -267,7 +380,7 @@ def _move_json(move: TokenMove) -> dict:
     return {
         "token": move.token,
         "place": move.place,
-        "payload": _payload_doc(move.payload),
+        "payload": move.payload,
         "address": move.address,
     }
 
@@ -286,8 +399,8 @@ def _event_json(event: FiringEvent | SkippedSelection) -> dict:
         "transition": event.transition,
         "consumed": [_move_json(m) for m in event.consumed],
         "produced": [_move_json(m) for m in event.produced],
-        "consumed_entry_sizes": list(event.consumed_entry_sizes),
-        "produced_entry_sizes": list(event.produced_entry_sizes),
+        "consumed_entry_sizes": event.consumed_entry_sizes,
+        "produced_entry_sizes": event.produced_entry_sizes,
     }
 
 
@@ -295,27 +408,30 @@ def emit_trace(trace: Trace) -> str:
     """Serialize a run canonically; identical runs give identical bytes."""
     out = {
         "schema": TRACE_SCHEMA,
-        "places": list(trace.places),
+        "places": trace.places,
         "initial": _marking_json(trace.initial),
         "events": [_event_json(e) for e in trace.events],
         "final": _marking_json(trace.final),
-        "table": [{"time": t, "counts": list(row)} for t, row in trace.table],
+        "table": [{"time": t, "counts": row} for t, row in trace.table],
     }
-    return json.dumps(out, sort_keys=True, indent=1) + "\n"
+    return emit_json(out) + "\n"
 
 
-def _payload_from_doc(value, name, seen: dict) -> StateVector:
+def _payload_from_doc(value, seen: dict, where: str, tok: str | None = None) -> StateVector:
     """``_payload_value`` that reuses the states a trace already validated.
 
-    ``seen`` is keyed on the value's type and text: a label as it is, an
-    amplitude list by its ``str``, which keeps apart what tuple equality
-    would merge (``-0.0`` and ``0.0``, ``true`` and ``1``).  Only valid
-    payloads enter, so a bad one raises wherever it occurs first.
+    An invalid payload is reported at field ``where``, or ``where.tok``.
+
+    ``seen`` is keyed on a label as it is and on anything else by its
+    ``marshal`` bytes, which hold each number's type and binary value and
+    so keep apart what equality would merge (``-0.0`` and ``0.0``, ``true``
+    and ``1``).  Only valid payloads enter, so a bad one raises wherever it
+    occurs first.
     """
-    key = (type(value), value if isinstance(value, str) else str(value))
+    key = value if type(value) is str else marshal.dumps(value, 2)
     state = seen.get(key)
     if state is None:
-        state = seen[key] = _payload_value(value, name)
+        state = seen[key] = _payload_value(value, where if tok is None else f"{where}.{tok}")
     return state
 
 
@@ -353,19 +469,19 @@ def _marking_from_json(raw, name: str, places: tuple[str, ...], seen: dict) -> M
     raw = _expect(raw, dict, name)
     try:
         where = f"{name}.queues"
-        queues = _expect(raw["queues"], dict, where)
-        if sorted(queues) != sorted(places):
+        raw_queues = _expect(raw["queues"], dict, where)
+        if sorted(raw_queues) != sorted(places):
             raise ScenarioError("queue places differ from the trace's places", field=where)
-        queues = {
-            pid: tuple(
-                _strings(entry, f"{where}.{pid}")
-                for entry in _expect(queues[pid], list, f"{where}.{pid}")
+        queues = {}
+        for pid in places:
+            field = f"{where}.{pid}"
+            queues[pid] = tuple(
+                _strings(entry, field) for entry in _expect(raw_queues[pid], list, field)
             )
-            for pid in places
-        }
+        where = f"{name}.payloads"
         payloads = {
-            tok: _payload_from_doc(v, f"{name}.payloads.{tok}", seen)
-            for tok, v in _expect(raw["payloads"], dict, f"{name}.payloads").items()
+            tok: _payload_from_doc(v, seen, where, tok)
+            for tok, v in _expect(raw["payloads"], dict, where).items()
         }
         addresses = _expect(raw["addresses"], dict, f"{name}.addresses")
         if not all(map(_is_address, addresses.values())):
@@ -382,8 +498,8 @@ def _marking_from_json(raw, name: str, places: tuple[str, ...], seen: dict) -> M
         raise ScenarioError(str(exc), field=name) from exc
 
 
-def _event_from_json(ev, name: str, places: tuple[str, ...], seen: dict):
-    """A trace event; each move's place must be one of ``places``."""
+def _event_from_json(ev, name: str, seen: dict):
+    """A trace event, read field by field; ``_replay`` checks its moves."""
     ev = _expect(ev, dict, name)
     try:
         time = _int_field(ev["time"], f"{name}.time")
@@ -401,12 +517,11 @@ def _event_from_json(ev, name: str, places: tuple[str, ...], seen: dict):
             for m in _expect(ev[side], list, where):
                 m = _expect(m, dict, where)
                 token, place, address = m["token"], m["place"], m["address"]
-                if type(token) is not str or place not in places or not _is_address(address):
+                if type(token) is not str or type(place) is not str or not _is_address(address):
                     raise ScenarioError(
-                        "a move needs a token id, one of the trace's places and an address",
-                        field=where,
+                        "a move needs a token id, a place id and an address", field=where
                     )
-                payload = _payload_from_doc(m["payload"], where, seen)
+                payload = _payload_from_doc(m["payload"], seen, where)
                 side_moves.append(TokenMove(token, place, payload, address))
             moves.append(tuple(side_moves))
         sizes = [_ints(ev[key], f"{name}.{key}", 1)
@@ -418,12 +533,57 @@ def _event_from_json(ev, name: str, places: tuple[str, ...], seen: dict):
         raise ScenarioError(f"event misses key {exc.args[0]!r}", field=name) from exc
 
 
+def _replay(trace: Trace):
+    """Move the events' entries through the initial queues; they must end as ``final``'s.
+
+    Each firing must produce the tokens it consumes, take each consumed
+    entry from the head of its queue and put each produced one at the tail
+    of a queue of the trace's places, the tokens of an entry sharing a place.
+    """
+    queues = {pid: deque(entries) for pid, entries in trace.initial.queues.items()}
+    for i, event in enumerate(trace.events):
+        if isinstance(event, SkippedSelection):
+            continue
+        name = f"events[{i}]"
+        for side, moves, sizes in (("consumed", event.consumed, event.consumed_entry_sizes),
+                                   ("produced", event.produced, event.produced_entry_sizes)):
+            if sum(sizes) != len(moves):
+                raise ScenarioError(
+                    f"entry sizes add up to {sum(sizes)}, not {len(moves)} moves",
+                    field=f"{name}.{side}_entry_sizes",
+                )
+        if sorted(m.token for m in event.consumed) != sorted(m.token for m in event.produced):
+            raise ScenarioError("a firing must produce the tokens it consumes", field=name)
+        for side, groups in (("consumed", event.consumed_entries()),
+                             ("produced", event.produced_entries())):
+            for group in groups:
+                place, entry = group[0].place, tuple([m.token for m in group])
+                queue = queues.get(place)
+                if queue is None or len(group) > 1 and any(m.place != place for m in group):
+                    raise ScenarioError(
+                        f"entry {entry} is not in one of the trace's places",
+                        field=f"{name}.{side}",
+                    )
+                if side == "produced":
+                    queue.append(entry)
+                elif queue and queue[0] == entry:
+                    queue.popleft()
+                else:
+                    raise ScenarioError(
+                        f"entry {entry} is not at the head of {place}", field=f"{name}.consumed"
+                    )
+    final = trace.final.queues
+    if any(tuple(queue) != final[pid] for pid, queue in queues.items()):
+        raise ScenarioError("final queues are not the ones the events leave", field="final")
+
+
 def parse_trace(text: str) -> Trace:
     """Parse a trace document back into the run's ``Trace``.
 
     The document must agree with itself: each marking queues exactly the
-    listed places, no token sits in two places, and the count table is the
-    one the events give.
+    listed places, no token sits in two places, the events move entries
+    from ``initial`` to exactly ``final``'s queues, and the count table is
+    the one the events give.
     """
     try:
         raw = json.loads(text)
@@ -435,13 +595,14 @@ def parse_trace(text: str) -> Trace:
         if name not in raw:
             raise ScenarioError(f"trace misses key {name!r}", field=name)
     places = _strings(raw["places"], "places")
-    seen: dict[tuple, StateVector] = {}
+    seen: dict[str | bytes, StateVector] = {}
     initial = _marking_from_json(raw["initial"], "initial", places, seen)
     events = tuple(
-        _event_from_json(ev, f"events[{i}]", places, seen)
+        _event_from_json(ev, f"events[{i}]", seen)
         for i, ev in enumerate(_expect(raw.get("events", []), list, "events"))
     )
     trace = Trace(initial, events, _marking_from_json(raw["final"], "final", places, seen))
+    _replay(trace)
     table = []
     for i, row in enumerate(_expect(raw["table"], list, "table")):
         row = _expect(row, dict, f"table[{i}]")

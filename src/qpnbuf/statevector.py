@@ -271,7 +271,8 @@ def apply_all(state: StateVector, ops) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product with ``a`` occupying the high-order qubits."""
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
+    return StateVector(a.num_qubits + b.num_qubits,
+                       np.outer(a.amplitudes, b.amplitudes).ravel())
 
 
 def probabilities(state: StateVector, cutoff: float = 1e-12) -> list[tuple[str, float]]:

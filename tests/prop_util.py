@@ -7,8 +7,10 @@ oracle re-implements the buffer token dynamics as pure count bookkeeping
 count state to validate ancillary consumption on all maximal runs.
 """
 
+import json
 import random
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 
@@ -19,10 +21,22 @@ from qpnbuf.buffers import (
     build_simo,
     build_siso,
 )
+from qpnbuf.cli import _signature_output
 from qpnbuf.engine import (
     AddressDriven,
+    Arc,
+    FiringEvent,
     Marking,
+    Place,
+    PlaceKind,
+    QPNet,
+    QToken,
     Scripted,
+    SkippedSelection,
+    TokenKind,
+    TokenMove,
+    Trace,
+    Transition,
     _split_product,
     enabled_transitions,
     enumerate_final_markings,
@@ -30,8 +44,12 @@ from qpnbuf.engine import (
     run,
     unfire,
 )
+from qpnbuf.errors import ModelError
 from qpnbuf.scenario import (
+    SCENARIO_SCHEMA,
+    TRACE_SCHEMA,
     ScenarioDoc,
+    emit_json,
     emit_scenario,
     emit_trace,
     parse_scenario,
@@ -337,6 +355,281 @@ def permutation_core_suite(cases: int = 1000, seed: int = 406) -> int:
         if dense.is_basis_state():
             assert final.basis_index() == int(np.argmax(np.abs(out))), case
         assert hist == _dense_sampler(out, measured, len(measured), shots, case), case
+    return cases
+
+
+_GATE_ARITY = {"x": 1, "cx": 2, "ccx": 3, "swap": 2, "cswap": 3, "id": 1}
+
+
+def _reversal_payload(rng: random.Random, width: int) -> StateVector:
+    """A basis, uniform (X-invariant, so a CX target stays a product) or random state."""
+    kind = rng.choice(("basis", "uniform", "random", "random"))
+    if kind == "basis":
+        return basis_state_from_index(width, rng.randrange(1 << width))
+    if kind == "uniform":
+        phase = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        phase /= abs(phase)
+        return StateVector(width, [phase / (1 << width) ** 0.5] * (1 << width))
+    return _random_start(rng, width, "dense")
+
+
+def _gated_reversal_case(rng: random.Random):
+    """A net whose one transition takes 2-3 data tokens of 1-3 qubits through gates."""
+    widths = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+    total = sum(widths)
+    kinds = [k for k, a in _GATE_ARITY.items() if a <= total]
+    gate = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(kinds)
+        gate.append(GateOp(kind, tuple(rng.sample(range(total), _GATE_ARITY[kind]))))
+    inputs = [f"P{i + 1}" for i in range(len(widths))]
+    places = [Place(pid, PlaceKind.INPUT) for pid in inputs] + [Place("P_O", PlaceKind.OUTPUT)]
+    t1 = Transition(
+        id="T1",
+        input_arcs=tuple(Arc(pid, "T1", "in", f"x{i}") for i, pid in enumerate(inputs)),
+        output_arcs=(Arc("P_O", "T1", "out", "f"),),
+        routing={f"x{i}": "P_O" for i in range(len(inputs))},
+        gate=tuple(gate),
+    )
+    tokens = [QToken(f"d{i + 1}", TokenKind.DATA, _reversal_payload(rng, w))
+              for i, w in enumerate(widths)]
+    net = QPNet(places, [t1], tokens)
+    return net, net.initial_marking({pid: [tok.id] for pid, tok in zip(inputs, tokens)})
+
+
+def gated_reversal_suite(cases: int = 1000, seed: int = 407) -> int:
+    """unfire(fire(m)) == m for gated firings on superposed payloads.
+
+    Random permutation gates act across 2-3 data tokens of 1-3 qubits each.
+    A draw whose gate entangles the tokens cannot fire and is replaced;
+    ``cases`` counts the firings actually reversed.
+    """
+    rng = random.Random(seed)
+    done = skipped = 0
+    while done < cases:
+        net, marking = _gated_reversal_case(rng)
+        try:
+            after, event = fire(net, marking, "T1")
+        except ModelError:
+            skipped += 1
+            assert skipped < 4 * cases, "too few product-state draws"
+            continue
+        back = unfire(net, after, event)
+        assert back == marking and hash(back) == hash(marking), done
+        for move in event.consumed:
+            assert back.payload(move.token).amplitude_bytes() == move.payload.amplitude_bytes()
+        done += 1
+    return done
+
+
+# Reference emission: the documents the package built before ``emit_json``,
+# each payload a [real, imaginary] list, serialized by ``json.dumps``.
+
+
+def _reference_payload(payload: StateVector) -> list[list[float]]:
+    return [[a.real, a.imag] for a in payload.amplitudes.tolist()]
+
+
+def _reference_marking(marking: Marking) -> dict:
+    return {
+        "time": marking.time,
+        "queues": {pid: [list(e) for e in entries] for pid, entries in marking.queues.items()},
+        "payloads": {tok: _reference_payload(p) for tok, p in marking.payloads.items()},
+        "addresses": dict(marking.addresses),
+    }
+
+
+def _reference_move(move: TokenMove) -> dict:
+    return {
+        "token": move.token,
+        "place": move.place,
+        "payload": _reference_payload(move.payload),
+        "address": move.address,
+    }
+
+
+def _reference_event(event) -> dict:
+    if isinstance(event, SkippedSelection):
+        return {"type": "skipped", "time": event.time, "transition": event.transition,
+                "reason": event.reason}
+    return {
+        "type": "firing",
+        "time": event.time,
+        "transition": event.transition,
+        "consumed": [_reference_move(m) for m in event.consumed],
+        "produced": [_reference_move(m) for m in event.produced],
+        "consumed_entry_sizes": list(event.consumed_entry_sizes),
+        "produced_entry_sizes": list(event.produced_entry_sizes),
+    }
+
+
+def reference_trace_text(trace: Trace) -> str:
+    out = {
+        "schema": TRACE_SCHEMA,
+        "places": list(trace.places),
+        "initial": _reference_marking(trace.initial),
+        "events": [_reference_event(e) for e in trace.events],
+        "final": _reference_marking(trace.final),
+        "table": [{"time": t, "counts": list(row)} for t, row in trace.table],
+    }
+    return json.dumps(out, sort_keys=True, indent=1) + "\n"
+
+
+def reference_scenario_text(doc: ScenarioDoc) -> str:
+    out: dict = {"schema": SCENARIO_SCHEMA}
+    for f in fields(BufferSpec):
+        value = getattr(doc, f.name)
+        if f.name == "payloads":
+            if value:
+                out["payloads"] = {tok: _reference_payload(p) for tok, p in value.items()}
+        elif value is not None:
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    out["scheduler"] = doc.scheduler
+    if doc.script is not None:
+        out["script"] = list(doc.script)
+    out["seed"] = doc.seed
+    out["enumerate"] = doc.enumerate_outcomes
+    return json.dumps(out, sort_keys=True, indent=1) + "\n"
+
+
+def reference_signature_text(signatures: dict, places) -> str:
+    doc = [
+        {"signature": {pid: count for pid, count in sig if pid in places}, "witness": list(wit)}
+        for sig, wit in sorted(signatures.items())
+    ]
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+# Names that exercise string escaping: quotes, backslashes, controls, non-ASCII.
+_NAME_PARTS = ("P", "d", "T", "é", "\u2603", '"', "\\", "\n", "\t", "/", "\x7f", "\U0001f600",
+               "_", "1", " ")
+
+
+def _random_name(rng: random.Random) -> str:
+    return "".join(rng.choice(_NAME_PARTS) for _ in range(rng.randint(1, 4)))
+
+
+def _distinct_names(rng: random.Random, count: int) -> list[str]:
+    names: list[str] = []
+    while len(names) < count:
+        name = _random_name(rng)
+        if name not in names:
+            names.append(name)
+    return names
+
+
+def _awkward_payload(rng: random.Random) -> StateVector:
+    """A 1-3 qubit state, often superposed, with signed zeros and tiny amplitudes."""
+    n = rng.randint(1, 3)
+    if rng.random() < 0.3:
+        return basis_state_from_index(n, rng.randrange(1 << n))
+    amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << n)]
+    norm = sum(abs(a) ** 2 for a in amps) ** 0.5
+    amps = [a / norm for a in amps]
+    for i in rng.sample(range(len(amps)), rng.randint(0, len(amps) - 1)):
+        amps[i] = complex(rng.choice((-0.0, 0.0, 1e-17, -1e-17, 5e-324, 2.2e-308)),
+                          rng.choice((-0.0, 0.0, 1e-17, 5e-324, -5e-324)))
+    norm = sum(abs(a) ** 2 for a in amps) ** 0.5
+    return StateVector(n, [complex(a.real / norm, a.imag / norm) for a in amps])
+
+
+def _random_marking(rng: random.Random, places, tokens, payloads) -> Marking:
+    queues = {pid: [] for pid in places}
+    rest = list(tokens)
+    rng.shuffle(rest)
+    while rest and places:
+        size = min(len(rest), rng.choice((1, 1, 2)))
+        queues[rng.choice(places)].append(tuple(rest[:size]))
+        rest = rest[size:]
+    placed = [tok for entries in queues.values() for entry in entries for tok in entry]
+    return Marking(
+        queues,
+        {tok: rng.choice(payloads) for tok in placed},
+        {tok: rng.choice((None, 0, 1, 7, 2**40)) for tok in placed},
+        time=rng.randrange(50),
+    )
+
+
+def _random_trace(rng: random.Random) -> Trace:
+    """A trace of random parts: nothing in it need be a run of any net."""
+    places = _distinct_names(rng, rng.randint(0, 4))
+    tokens = _distinct_names(rng, rng.randint(0, 6))
+    payloads = [_awkward_payload(rng) for _ in range(rng.randint(1, 4))]
+    events = []
+    for time in range(rng.choice((0, 0, 1, 3, 6))):
+        if not places or not tokens or rng.random() < 0.3:
+            tid = rng.choice((None, _random_name(rng)))
+            events.append(SkippedSelection(time, tid, _random_name(rng)))
+            continue
+        sides = []
+        for _ in range(2):
+            moves = tuple(
+                TokenMove(rng.choice(tokens), rng.choice(places), rng.choice(payloads),
+                          rng.choice((None, 0, 3)))
+                for _ in range(rng.randint(0, 3))
+            )
+            sides.append(moves)
+        events.append(FiringEvent(time, _random_name(rng), *sides,
+                                  tuple(1 for _ in sides[0]), tuple(1 for _ in sides[1])))
+    return Trace(
+        _random_marking(rng, places, tokens, payloads),
+        tuple(events),
+        _random_marking(rng, places, tokens, payloads),
+    )
+
+
+def _random_json(rng: random.Random, depth: int = 0):
+    """A random JSON value with string keys; tuples stand in for some lists."""
+    if depth > 3 or rng.random() < 0.4:
+        return rng.choice((
+            None, True, False, 0, -1, 2**70, -(2**70), 0.0, -0.0, 1e-17, 5e-324, 1.5e300,
+            float("inf"), float("-inf"), float("nan"), 0.1, -2.5, "", "x", _random_name(rng),
+        ))
+    if rng.random() < 0.5:
+        items = [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return tuple(items) if rng.random() < 0.3 else items
+    keys = _distinct_names(rng, rng.randint(0, 4))
+    return {key: _random_json(rng, depth + 1) for key in keys}
+
+
+def emitter_suite(cases: int = 1000, seed: int = 408) -> int:
+    """``emit_json`` writes what ``json.dumps(doc, sort_keys=True, indent=1)`` writes.
+
+    Each case checks a random JSON value, a random trace (payloads of 1-3
+    qubits with signed zeros, subnormal and 1e-17 amplitudes, skipped
+    events with null transitions, empty queues and event lists, escaped
+    names), a random scenario and a random signature document against the
+    reference built from plain lists and dicts.
+    """
+    rng = random.Random(seed)
+    for case in range(cases):
+        value = _random_json(rng)
+        assert emit_json(value) == json.dumps(value, sort_keys=True, indent=1), case
+
+        trace = _random_trace(rng)
+        assert emit_trace(trace) == reference_trace_text(trace), case
+
+        spec = random_spec(rng)
+        payloads = {tok: _awkward_payload(rng) for tok in rng.sample(
+            [f"d{i}" for i in range(1, 6)], rng.randint(0, 3))}
+        scheduler = rng.choice(("address-driven", "scripted", "eager-output-then-script"))
+        script = None if rng.random() < 0.5 else tuple(
+            _random_name(rng) for _ in range(rng.randint(0, 3)))
+        doc = ScenarioDoc(**{f.name: getattr(spec, f.name) for f in fields(BufferSpec)
+                             if f.name != "payloads"},
+                          payloads=payloads, scheduler=scheduler, script=script,
+                          seed=rng.randrange(1 << 20), enumerate_outcomes=rng.random() < 0.5)
+        assert emit_scenario(doc) == reference_scenario_text(doc), case
+
+        places = tuple(_distinct_names(rng, rng.randint(1, 4)))
+        signatures = {
+            tuple((pid, rng.randrange(5)) for pid in places):
+                tuple(_random_name(rng) for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(0, 4))
+        }
+        shown = tuple(rng.sample(places, rng.randint(0, len(places))))
+        assert (_signature_output(signatures, shown, "json")
+                == reference_signature_text(signatures, shown)), case
     return cases
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qpnbuf import cli
 from qpnbuf.cli import main
 from qpnbuf.qasm import significant_lines
 
@@ -223,3 +224,11 @@ def test_buffer_run_unreadable_scenario_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "buffer", "run", "--scenario", str(tmp_path / "none.json"))
     assert code == 2
     assert "cannot read scenario" in err
+
+
+def test_main_reuses_one_parser_without_carrying_options(capsys):
+    assert main(["buffer", "demo", "siso-4b", "--format", "table"]) == 0
+    assert capsys.readouterr().out.startswith("t ")
+    assert main(["buffer", "demo", "siso-4b"]) == 0
+    assert capsys.readouterr().out.startswith("{")
+    assert cli._parser() is cli._parser()

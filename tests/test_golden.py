@@ -39,6 +39,19 @@ SCENARIOS = {
         "scheduler": "scripted",
         "script": ["T1", "T2", "T4", "T3", "T1", "T3"],
     },
+    # Superposed 2- and 3-qubit payloads with signed zeros, a subnormal and a
+    # 1e-17 amplitude: pins the float text of every payload in the trace.
+    "siso-superposed": {
+        "kind": "siso",
+        "n": 3,
+        "m": 2,
+        "payloads": {
+            "d1": [[0.5, -0.0], [0, 0.5], [-0.5, 0], [1e-17, 0.5]],
+            "d2": [[0.5, 0], [0, -0.5], [5e-324, 0], [0, 0], [-0.0, -0.0], [0.5, 0], [0, 0],
+                   [0, 0.5]],
+            "d3": "011",
+        },
+    },
 }
 
 GOLDEN = {
@@ -66,6 +79,10 @@ GOLDEN = {
     "enumerate/simo-free/table": "82809183aa0e545f4108a08428b4c5b72096201b0ab80b66b55e95bcedb67761",
     "run/simo-free/json": "f715f1654ff9e64977c0d14c3892bd570deb0645d4c69164ca4b9bba6e49056f",
     "run/simo-free/table": "205369006d6dec6207ddc4fe986c8d14c18d08ec47ebd8f49c15e12302abe92d",
+    "enumerate/siso-superposed/json": "86586cbb9c52dd41417d2412b97870061bc50686cf3b5f7289411aee28b0a9d2",
+    "enumerate/siso-superposed/table": "d7b92771b1e7a6b6549daf8397f5fb8b92ec3cce7f6fea7a5bc3c70bcfc8da06",
+    "run/siso-superposed/json": "ab6bda0aafaa05b3442e9729c710fafe8994eb05daff852a83b2c16d368c545e",
+    "run/siso-superposed/table": "173460650c60aacbb61b65922cb3a3e49925aea8ad68a6d7d868e2a6089e0489",
 }
 
 

@@ -33,6 +33,14 @@ def test_permutation_core_suite():
     assert prop_util.permutation_core_suite(1000) == 1000
 
 
+def test_gated_reversal_suite():
+    assert prop_util.gated_reversal_suite(1000) == 1000
+
+
+def test_emitter_suite():
+    assert prop_util.emitter_suite(1000) == 1000
+
+
 def test_generator_covers_all_kinds():
     rng = random.Random(7)
     kinds = {prop_util.random_spec(rng).kind for _ in range(200)}

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qpnbuf.buffers import build_cnot_example, build_siso, run_scenario
@@ -8,6 +9,7 @@ from qpnbuf.engine import AddressDriven, Scripted, run
 from qpnbuf.errors import ScenarioError
 from qpnbuf.scenario import (
     ScenarioDoc,
+    emit_json,
     emit_marking_table,
     emit_scenario,
     emit_trace,
@@ -277,6 +279,14 @@ def _damaged_trace(damage):
         (lambda d: d["events"][0]["consumed"][0].__setitem__("place", "P_X"),
          "events[0].consumed"),
         (lambda d: d["final"]["payloads"].pop("d1"), "final"),
+        # Events that the replay from the initial queues contradicts.
+        (lambda d: d["initial"]["queues"]["P_I"].reverse(), "events[0].consumed"),
+        (lambda d: d["events"][0]["produced"][0].__setitem__("token", "d2"), "events[0]"),
+        (lambda d: d["events"][0]["consumed_entry_sizes"].append(1),
+         "events[0].consumed_entry_sizes"),
+        (lambda d: d["events"][0]["produced"][0].__setitem__("place", "P_X"),
+         "events[0].produced"),
+        (lambda d: d["final"]["queues"].update(P_I=[["d1"]], P_O=[["d2"]]), "final"),
     ],
     ids=[
         "non-object-event", "event-without-time", "no-places", "list-queues",
@@ -284,13 +294,57 @@ def _damaged_trace(damage):
         "int-entry-sizes", "int-counts", "string-event-time", "string-marking-time",
         "string-row-time", "string-entry-size", "string-count", "table-disagrees",
         "token-in-two-places", "reordered-places", "extra-queue", "unknown-move-place",
-        "token-without-payload",
+        "token-without-payload", "consumed-not-at-head", "token-not-conserved",
+        "entry-sizes-disagree", "unknown-produced-place", "swapped-final-tokens",
     ],
 )
 def test_parse_trace_damaged_document_is_scenario_error(damage, field):
     with pytest.raises(ScenarioError) as err:
         parse_trace(_damaged_trace(damage))
     assert err.value.field == field
+
+
+def test_parse_trace_final_queues_must_follow_from_the_events():
+    # d1 is delivered to P_O and d2 stays in P_I; swapping them in the final
+    # queues keeps every count, the table and the payload tables intact.
+    net, marking = build_siso(2, 1)
+    doc = json.loads(emit_trace(run(net, marking, AddressDriven())))
+    assert doc["final"]["queues"]["P_I"] == [["d2"]]
+    assert doc["final"]["queues"]["P_O"] == [["d1"]]
+    doc["final"]["queues"]["P_I"], doc["final"]["queues"]["P_O"] = [["d1"]], [["d2"]]
+    with pytest.raises(ScenarioError) as err:
+        parse_trace(json.dumps(doc))
+    assert err.value.field == "final"
+
+
+def test_parse_trace_pair_entry_must_share_one_place():
+    doc = parse_scenario('{"kind": "miso", "r": [2, 1], "m": 2, "addresses": [0, 1]}')
+    net, marking = doc.build()
+    trace = json.loads(emit_trace(run(net, marking, Scripted(("T1",)))))
+    assert trace["events"][0]["produced_entry_sizes"] == [2]
+    assert parse_trace(json.dumps(trace)).events[0].produced_entries()[0][1].place == "P_DA"
+    trace["events"][0]["produced"][1]["place"] = "P_I1"
+    with pytest.raises(ScenarioError) as err:
+        parse_trace(json.dumps(trace))
+    assert err.value.field == "events[0].produced"
+
+
+def test_parse_trace_integer_amplitudes_give_the_same_state():
+    net, marking = build_siso(2, 1)
+    doc = json.loads(emit_trace(run(net, marking, AddressDriven())))
+    doc["initial"]["payloads"]["d2"] = [[1, 0], [0, 0]]
+    parsed = parse_trace(json.dumps(doc))
+    assert parsed.initial.payloads["d2"] == parsed.initial.payloads["d1"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"a": object()}, [{1j}], [np.float64(0.5)], {1: 0}, [{"a": 0}, {1: 0}]],
+    ids=["object", "set", "numpy-float", "int-key", "int-key-after-str-keys"],
+)
+def test_emit_json_rejects_what_no_document_holds(doc):
+    with pytest.raises(TypeError):
+        emit_json(doc)
 
 
 def test_parse_trace_reuses_each_distinct_payload():

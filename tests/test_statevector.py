@@ -91,6 +91,23 @@ def test_tensor_distributes_over_superposition():
     assert np.allclose(out.amplitudes, [2**-0.5, 2**-0.5, 0, 0], atol=1e-15)
 
 
+def _signed_zero_state(rng, n):
+    amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << n)]
+    for i in rng.sample(range(len(amps)), len(amps) // 2):
+        amps[i] = complex(rng.choice((-0.0, 0.0)), rng.choice((-0.0, 0.0)))
+    norm = sum(abs(a) ** 2 for a in amps) ** 0.5
+    return StateVector(n, [complex(a.real / norm, a.imag / norm) for a in amps])
+
+
+def test_tensor_matches_kron_bytes_with_signed_zeros():
+    rng = random.Random(77)
+    for _ in range(500):
+        a = _signed_zero_state(rng, rng.randint(1, 3))
+        b = _signed_zero_state(rng, rng.randint(1, 3))
+        want = np.kron(a.amplitudes, b.amplitudes)
+        assert tensor(a, b).amplitude_bytes() == want.tobytes()
+
+
 def test_probabilities_basis_states():
     assert probabilities(basis_state(2, "11")) == [("11", 1.0)]
     assert probabilities(basis_state(3, "101")) == [("101", 1.0)]
