@@ -23,6 +23,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from types import MappingProxyType
 
 import numpy as np
@@ -140,6 +141,11 @@ class Transition:
     address_guard: int | None = None
 
 
+def _destinations(dest: str | PairRoute) -> tuple[str, ...]:
+    """The places a routing entry sends tokens to."""
+    return (dest.data_to, dest.ancillary_to) if isinstance(dest, PairRoute) else (dest,)
+
+
 def _tid_key(tid: str) -> tuple[str, int]:
     m = re.match(r"^(.*?)(\d*)$", tid)
     return (m.group(1), int(m.group(2)) if m.group(2) else -1)
@@ -182,10 +188,7 @@ class QPNet:
             )
         out_places = {arc.place for arc in t.output_arcs}
         for label, dest in t.routing.items():
-            dests = (
-                (dest.data_to, dest.ancillary_to) if isinstance(dest, PairRoute) else (dest,)
-            )
-            for pid in dests:
+            for pid in _destinations(dest):
                 if pid not in out_places:
                     raise ModelError(
                         f"transition {t.id}: routing of {label!r} targets {pid!r}, "
@@ -219,6 +222,25 @@ class QPNet:
         return all(
             self._places[arc.place].kind is PlaceKind.DATA_ANCILLARY for arc in t.input_arcs
         )
+
+    @cached_property
+    def guard_relevant_places(self) -> frozenset[str]:
+        """Places whose tokens' addresses and widths can reach a guard.
+
+        The selector supply places, closed under: some transition routes an
+        input label's entry from this place into a guard-relevant place.
+        """
+        relevant = {pid for pid in self._selector.values() if pid is not None}
+        grew = True
+        while grew:
+            grew = False
+            for t in self.transitions:
+                for arc in t.input_arcs:
+                    dests = _destinations(t.routing[arc.label])
+                    if arc.place not in relevant and not relevant.isdisjoint(dests):
+                        relevant.add(arc.place)
+                        grew = True
+        return frozenset(relevant)
 
     def guard_map(self) -> dict[int, str]:
         """Guard value to transition id; requires guard values to be unique.
@@ -847,6 +869,71 @@ def distribution_signature(marking: Marking) -> tuple[tuple[str, int], ...]:
     return tuple((pid, marking.token_count(pid)) for pid in marking.place_ids)
 
 
+def _push_run(runs: tuple, cls) -> tuple:
+    """``runs`` (a run-length encoded queue) with one entry of ``cls`` appended."""
+    if runs and runs[-1][0] == cls:
+        return runs[:-1] + ((cls, runs[-1][1] + 1),)
+    return runs + ((cls, 1),)
+
+
+def _quotient_keys(net: QPNet, marking: Marking):
+    """The count-space memo key of ``marking`` and a function deriving a child's key.
+
+    For a net without gates the key holds, per place, the run-length encoded
+    classes of its entries.  An entry's class is its tokens' kinds; in a
+    guard-relevant place each token also contributes its address and payload
+    width.  That is all that enabledness (queue emptiness, head selector
+    addresses), ``fire`` (pair routing and staging fusion read kinds, the
+    guard range check reads free-selector widths) and signatures (token
+    counts) read, so states with equal keys have equal outcomes.
+    """
+    index = {pid: i for i, pid in enumerate(marking.place_ids)}
+    relevant = net.guard_relevant_places
+    kinds = {tok.id: tok.kind for tok in net.tokens.values()}
+
+    def entry_class(pid: str, moves) -> tuple:
+        if pid in relevant:
+            return tuple((kinds[m.token], m.address, m.payload.num_qubits) for m in moves)
+        return tuple(kinds[m.token] for m in moves)
+
+    def child_key(key: tuple, event: FiringEvent) -> tuple:
+        """The key after ``event``: pop consumed entries' heads, push produced tails."""
+        key = list(key)
+        for moves in event.consumed_entries():
+            i = index[moves[0].place]
+            runs = key[i]
+            cls, count = runs[0]
+            key[i] = ((cls, count - 1),) + runs[1:] if count > 1 else runs[1:]
+        for moves in event.produced_entries():
+            pid = moves[0].place
+            key[index[pid]] = _push_run(key[index[pid]], entry_class(pid, moves))
+        return tuple(key)
+
+    root = tuple(
+        tuple(
+            (cls, len(list(group)))
+            for cls, group in groupby(
+                entry_class(pid, [
+                    TokenMove(tok, pid, marking.payload(tok), marking.address(tok))
+                    for tok in entry
+                ])
+                for entry in entries
+            )
+        )
+        for pid, entries in marking.queues.items()
+    )
+    return root, child_key
+
+
+def _unroll(cell) -> tuple[str, ...]:
+    """A witness held as nested ``(tid, rest)`` cells, as a flat tuple."""
+    out = []
+    while cell is not None:
+        tid, cell = cell
+        out.append(tid)
+    return tuple(out)
+
+
 def enumerate_final_markings(
     net: QPNet, marking: Marking, step_bound: int = DEFAULT_STEP_BOUND
 ) -> dict[tuple[tuple[str, int], ...], tuple[str, ...]]:
@@ -854,48 +941,58 @@ def enumerate_final_markings(
 
     Performs an exhaustive depth-first exploration of every enabled choice,
     in id order, deduplicating outcomes by distribution signature; each
-    signature keeps the first witness firing sequence found.  Identical
-    intermediate markings (same queues, addresses and payloads) share their
-    explored suffixes.  The depth-first stack is an explicit list, so long
-    firing chains need no interpreter recursion.  Raises once more than
+    signature keeps the first witness firing sequence found.  States with
+    equal memo keys share their explored suffixes.  In a net without gates
+    the key is the count-space quotient of ``_quotient_keys``, derived from
+    the parent's key and the firing; a gated net keys on ``Marking.key()``
+    (same queues, addresses and payloads).  Either way the result, witnesses
+    included, is what a memo on full marking identity gives.  The
+    depth-first stack is an explicit list, so long firing chains need no
+    interpreter recursion.  Raises ``ExplosionError`` once more than
     ``step_bound`` firings have been explored.
     """
+    if any(t.gate for t in net.transitions):
+        root_key, child_key = marking.key(), None
+    else:
+        root_key, child_key = _quotient_keys(net, marking)
+    # Outcomes map each signature to its witness, held as shared (tid, rest)
+    # cells (``None`` is the empty witness) and unrolled once at the end.
     memo: dict[tuple, dict] = {}
-    # One frame per marking being expanded: [key, marking, enabled ids,
-    # index of the next id to fire, signatures found so far].
+    # One frame per state being expanded: [key, marking (dropped once its
+    # last enabled id has fired), enabled ids, index of the next id to fire,
+    # signatures found so far].
     stack: list[list] = []
     fired = 0
 
-    def visit(m: Marking) -> dict | None:
+    def visit(key: tuple, m: Marking) -> dict | None:
         """The outcomes of ``m`` if known now; else push a frame and return None."""
-        key = m.key()
         if key in memo:
             return memo[key]
         enabled = enabled_transitions(net, m)
         if not enabled:
-            memo[key] = {distribution_signature(m): ()}
+            memo[key] = {distribution_signature(m): None}
             return memo[key]
         stack.append([key, m, enabled, 0, {}])
         return None
 
-    outcome = visit(marking)
+    outcome = visit(root_key, marking)
     while stack:
         frame = stack[-1]
         key, m, enabled, index, result = frame
         if outcome is not None:  # outcomes of the child reached by enabled[index - 1]
             tid = enabled[index - 1]
             for sig, suffix in outcome.items():
-                result.setdefault(sig, (tid,) + suffix)
+                result.setdefault(sig, (tid, suffix))
         if index == len(enabled):
             stack.pop()
             memo[key] = outcome = result
             continue
-        frame[3] = index + 1
+        if fired >= step_bound:
+            raise ExplosionError(step_bound, fired, len(memo), len(stack))
         fired += 1
-        if fired > step_bound:
-            raise ExplosionError(
-                f"enumeration exceeded the step bound of {step_bound} firings"
-            )
-        nxt, _ = fire(net, m, enabled[index])
-        outcome = visit(nxt)
-    return dict(sorted(outcome.items()))
+        frame[3] = index + 1
+        if index + 1 == len(enabled):
+            frame[1] = None
+        nxt, event = fire(net, m, enabled[index])
+        outcome = visit(nxt.key() if child_key is None else child_key(key, event), nxt)
+    return {sig: _unroll(cell) for sig, cell in sorted(outcome.items())}

@@ -46,7 +46,22 @@ class ReversalError(QpnError):
 
 
 class ExplosionError(QpnError):
-    """State-space enumeration exceeded its firing budget."""
+    """State-space enumeration exceeded its firing budget.
+
+    ``fired``, ``states`` and ``depth`` say how far it got: the firings
+    explored, the distinct states whose outcomes were memoized, and the
+    depth of the depth-first stack when the bound was reached.
+    """
+
+    def __init__(self, step_bound: int, fired: int, states: int, depth: int):
+        super().__init__(
+            f"enumeration exceeded the step bound of {step_bound} firings "
+            f"({fired} firings explored, {states} distinct states memoized, "
+            f"stack depth {depth})"
+        )
+        self.fired = fired
+        self.states = states
+        self.depth = depth
 
 
 class SpecError(QpnError):

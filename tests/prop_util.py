@@ -16,6 +16,7 @@ import numpy as np
 
 from qpnbuf.buffers import (
     BufferSpec,
+    _identity_transition,
     build_cnot_example,
     build_miso,
     build_simo,
@@ -38,6 +39,7 @@ from qpnbuf.engine import (
     Trace,
     Transition,
     _split_product,
+    distribution_signature,
     enabled_transitions,
     enumerate_final_markings,
     fire,
@@ -633,6 +635,161 @@ def emitter_suite(cases: int = 1000, seed: int = 408) -> int:
     return cases
 
 
+# Enumeration: the count-space quotient against a memo on full marking identity.
+
+
+def reference_enumerate(net: QPNet, marking: Marking) -> dict:
+    """Outcome enumeration memoized on ``Marking.key()`` (queues, addresses, payloads).
+
+    The engine's loop before it keyed ungated nets on the count-space
+    quotient: same depth-first order and first-witness rule, so its result
+    must equal the engine's as an ordered dict.
+    """
+    memo: dict[tuple, dict] = {}
+    stack: list[list] = []
+
+    def visit(m: Marking) -> dict | None:
+        key = m.key()
+        if key in memo:
+            return memo[key]
+        enabled = enabled_transitions(net, m)
+        if not enabled:
+            memo[key] = {distribution_signature(m): ()}
+            return memo[key]
+        stack.append([key, m, enabled, 0, {}])
+        return None
+
+    outcome = visit(marking)
+    while stack:
+        frame = stack[-1]
+        key, m, enabled, index, result = frame
+        if outcome is not None:
+            tid = enabled[index - 1]
+            for sig, suffix in outcome.items():
+                result.setdefault(sig, (tid,) + suffix)
+        if index == len(enabled):
+            stack.pop()
+            memo[key] = outcome = result
+            continue
+        frame[3] = index + 1
+        nxt, _ = fire(net, m, enabled[index])
+        outcome = visit(nxt)
+    return dict(sorted(outcome.items()))
+
+
+def _program(rng: random.Random, count: int, choices: int):
+    """No address program, a full one, or one covering only the first selectors."""
+    shape = rng.choice(("free", "full", "partial"))
+    if shape == "free":
+        return None
+    length = count if shape == "full" else rng.randint(0, max(0, count - 1))
+    return tuple(rng.randrange(choices) for _ in range(length))
+
+
+def _quotient_spec(rng: random.Random) -> BufferSpec:
+    """A small buffer of any kind with wide or superposed data payloads."""
+    kind = rng.choice(("siso", "simo", "miso", "mimo", "priority"))
+    if kind in ("siso", "simo"):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, n)
+        tokens = n
+    elif kind == "priority":
+        counts = [rng.randint(0, 3) for _ in range(4)]
+        tokens = counts[0] + counts[1]
+    else:
+        r = tuple(rng.randint(0, 2 if kind == "mimo" else 3) for _ in range(rng.randint(2, 3)))
+        m = rng.randint(1, 3)
+        tokens = sum(r)
+    payloads = {f"d{i + 1}": random_payload(rng, 3) for i in range(tokens)
+                if rng.random() < 0.6}
+    if kind == "siso":
+        return BufferSpec(kind=kind, n=n, m=m, payloads=payloads)
+    if kind == "simo":
+        k = rng.randint(2, 4)
+        return BufferSpec(kind=kind, n=n, m=m, k=k, payloads=payloads,
+                          addresses=_program(rng, m, k))
+    if kind == "miso":
+        return BufferSpec(kind=kind, r=r, m=m, payloads=payloads,
+                          addresses=_program(rng, m, len(r)))
+    if kind == "mimo":
+        outputs = rng.randint(2, 3)
+        return BufferSpec(kind=kind, r=r, outputs=outputs, m=m, payloads=payloads,
+                          input_addresses=_program(rng, m, len(r)),
+                          output_addresses=_program(rng, m, outputs))
+    return BufferSpec(kind=kind, r_low=counts[0], r_high=counts[1], m_low=counts[2],
+                      m_high=counts[3], payloads=payloads)
+
+
+def relay_net(x_addresses=(0,), y_addresses=(1,), data: int = 1):
+    """An ungated net whose addressed selectors reach their supply through a relay.
+
+    TX and TY move the selectors of P_X and P_Y into the plain place P_Q; TQ,
+    inhibited until both are empty, moves P_Q's head into the selector
+    supply P_A, where guard 0 (T1) or 1 (T2) routes a data token to P_O1 or
+    P_O2.  Firing TX before TY or after it leaves P_Q with equal counts but
+    its addresses in another order, and the order decides the outcome: a
+    memo key that kept addresses only inside selector places would merge
+    the two states and lose the signatures of the one explored second.
+    """
+    places = [Place(pid, PlaceKind.INPUT) for pid in ("P_X", "P_Y", "P_Q", "P_I")] + [
+        Place("P_A", PlaceKind.ANCILLARY),
+        Place("P_A1", PlaceKind.ANCILLARY),
+        Place("P_O1", PlaceKind.OUTPUT),
+        Place("P_O2", PlaceKind.OUTPUT),
+    ]
+    transitions = [
+        _identity_transition("TX", [("P_X", "x1")], {"x1": "P_Q"}),
+        _identity_transition("TY", [("P_Y", "x1")], {"x1": "P_Q"}),
+        _identity_transition("TQ", [("P_Q", "x1")], {"x1": "P_A"}, inhibitors=["P_X", "P_Y"]),
+    ] + [
+        _identity_transition(f"T{g + 1}", [("P_I", "x1"), ("P_A", "x2")],
+                             {"x1": f"P_O{g + 1}", "x2": "P_A1"}, guard=g)
+        for g in (0, 1)
+    ]
+    selectors = {}
+    for pid, addresses in (("P_X", x_addresses), ("P_Y", y_addresses)):
+        selectors[pid] = [
+            QToken(f"{pid[-1].lower()}{i + 1}", TokenKind.ANCILLARY,
+                   basis_state_from_index(1, a if a is not None else 0), address=a)
+            for i, a in enumerate(addresses)
+        ]
+    data_tokens = [QToken(f"d{i + 1}", TokenKind.DATA, basis_state_from_index(1, 0))
+                   for i in range(data)]
+    net = QPNet(places, transitions, data_tokens + selectors["P_X"] + selectors["P_Y"])
+    return net, net.initial_marking({
+        "P_I": [tok.id for tok in data_tokens],
+        **{pid: [tok.id for tok in toks] for pid, toks in selectors.items()},
+    })
+
+
+def quotient_enumeration_suite(cases: int = 300, seed: int = 409) -> int:
+    """Count-space enumeration equals the full-identity reference, witnesses and order.
+
+    Random buffers of all five kinds (free selectors, full and partial
+    address programs, data payloads of 1-3 qubits, often superposed) and
+    relay nets with random selector addresses must give the ordered dict
+    ``reference_enumerate`` gives.  The canonical relay net must reach both
+    outputs, which it does only if relayed addresses stay in the key.
+    """
+    rng = random.Random(seed)
+    net, marking = relay_net()
+    got = enumerate_final_markings(net, marking)
+    assert list(got.items()) == list(reference_enumerate(net, marking).items())
+    assert {dict(sig)["P_O1"] for sig in got} == {0, 1}
+    for case in range(cases):
+        if case % 10 == 0:
+            net, marking = relay_net(
+                *(tuple(rng.choice((0, 1, None)) for _ in range(rng.randint(0, 2)))
+                  for _ in range(2)),
+                data=rng.randint(1, 3),
+            )
+        else:
+            net, marking = _quotient_spec(rng).build()
+        got = enumerate_final_markings(net, marking)
+        assert list(got.items()) == list(reference_enumerate(net, marking).items()), case
+    return cases
+
+
 # Count-space capacity oracle: buffer dynamics as pure count vectors.
 
 
@@ -749,9 +906,9 @@ def capacity_suite(instances: int = 36, seed: int = 0xCAFE, walks: int = 5):
     """Ancilla consumption on all maximal runs equals min(m, available data).
 
     The count oracle enumerates every reachable count state; the engine is
-    checked against it by random maximal walks on every instance and by full
-    signature-set enumeration on the instances small enough to afford it.
-    Returns (instances checked, full enumeration comparisons performed).
+    checked against it by random maximal walks and by full signature-set
+    enumeration, with witness replay, on every instance.  Returns (instances
+    checked, full enumeration comparisons performed).
     """
     rng = random.Random(seed)
     full_comparisons = 0
@@ -791,33 +948,25 @@ def capacity_suite(instances: int = 36, seed: int = 0xCAFE, walks: int = 5):
             )
             assert engine_sig in oracle_sigs, (kind, params)
 
-        # Full engine enumeration where the marking space stays small: the
-        # engine distinguishes markings by token identities, so its state
-        # count grows like (choices per firing)^(firings), unlike the
-        # count-space oracle.
-        firings = min(m, total_data)
-        branching = {
-            "siso": 1,
-            "simo": params.get("k", 1),
-            "miso": len(params.get("r", ())) + 1,
-        }[kind]
-        exponent = firings if kind != "miso" else 2 * firings
-        if branching**exponent <= 5000:
-            net, marking = _build_capacity(kind, params)
-            enumerated = enumerate_final_markings(net, marking)
-            engine_sigs = {tuple(sorted(sig)) for sig in enumerated}
-            assert engine_sigs == oracle_sigs, (kind, params)
-            full_comparisons += 1
-            for sig, witness in enumerated.items():
-                net2, m2 = _build_capacity(kind, params)
-                replay = run(net2, m2, Scripted(witness))
-                assert (
-                    tuple(
-                        sorted(
-                            (p, replay.final.token_count(p))
-                            for p in replay.final.place_ids
-                        )
+        # Full engine enumeration on every instance: these buffers have no
+        # gates, so the engine memoizes on per-place entry classes and its
+        # state count follows the count-space oracle's.  Every witness must
+        # replay to its signature.
+        net, marking = _build_capacity(kind, params)
+        enumerated = enumerate_final_markings(net, marking)
+        engine_sigs = {tuple(sorted(sig)) for sig in enumerated}
+        assert engine_sigs == oracle_sigs, (kind, params)
+        full_comparisons += 1
+        for sig, witness in enumerated.items():
+            net2, m2 = _build_capacity(kind, params)
+            replay = run(net2, m2, Scripted(witness))
+            assert (
+                tuple(
+                    sorted(
+                        (p, replay.final.token_count(p))
+                        for p in replay.final.place_ids
                     )
-                    == tuple(sorted(sig))
                 )
+                == tuple(sorted(sig))
+            )
     return instances, full_comparisons

@@ -285,5 +285,5 @@ def test_criterion_12_capacity_property():
         start = time.perf_counter()
         instances, full = prop_util.capacity_suite(instances=36, seed=0xCAFE)
         assert instances == 36
-        assert full >= 5
+        assert full == 36
         assert time.perf_counter() - start < 10.0

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -253,9 +255,17 @@ def test_enumeration_witnesses_replay():
 
 
 def test_enumeration_step_bound():
+    # Three T1 firings reach the quiescent (3, 0) split, the only state
+    # memoized, with frames for the three markings above it still open.
     net, m0 = build_simo(4, 3, 2)
-    with pytest.raises(ExplosionError):
+    with pytest.raises(ExplosionError) as info:
         enumerate_final_markings(net, m0, step_bound=3)
+    err = info.value
+    assert (err.fired, err.states, err.depth) == (3, 1, 3)
+    assert str(err) == (
+        "enumeration exceeded the step bound of 3 firings "
+        "(3 firings explored, 1 distinct states memoized, stack depth 3)"
+    )
 
 
 def test_marking_validation_against_wrong_net():
@@ -326,3 +336,24 @@ def test_unfire_rejects_event_that_swaps_tokens():
                      + event.consumed[1:])
     with pytest.raises(ReversalError):
         unfire(net, m1, forged)
+
+
+def test_enumerate_simo_64_free_selectors_in_count_space():
+    start = time.perf_counter()
+    net, m0 = build_simo(64, 64, 2)
+    outcomes = enumerate_final_markings(net, m0)
+    assert time.perf_counter() - start < 10.0
+    assert len(outcomes) == 65
+    assert {dict(sig)["P_O1"] for sig in outcomes} == set(range(65))
+    for sig, witness in outcomes.items():
+        net2, m2 = build_simo(64, 64, 2)
+        assert distribution_signature(run(net2, m2, Scripted(witness)).final) == sig
+
+
+def test_enumerate_siso_4000_chain():
+    start = time.perf_counter()
+    net, m0 = build_siso(4000, 4000)
+    outcomes = enumerate_final_markings(net, m0)
+    assert time.perf_counter() - start < 15.0
+    assert list(outcomes) == [(("P_I", 0), ("P_A", 0), ("P_A1", 4000), ("P_O", 4000))]
+    assert next(iter(outcomes.values())) == ("T1",) * 4000

@@ -41,6 +41,10 @@ def test_emitter_suite():
     assert prop_util.emitter_suite(1000) == 1000
 
 
+def test_quotient_enumeration_suite():
+    assert prop_util.quotient_enumeration_suite(1000) == 1000
+
+
 def test_generator_covers_all_kinds():
     rng = random.Random(7)
     kinds = {prop_util.random_spec(rng).kind for _ in range(200)}
@@ -66,4 +70,4 @@ def test_oracle_miso_drains_staging():
 def test_capacity_suite_small():
     instances, full = prop_util.capacity_suite(instances=12, seed=99)
     assert instances == 12
-    assert full >= 1
+    assert full == 12
