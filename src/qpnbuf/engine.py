@@ -242,6 +242,16 @@ class QPNet:
                         grew = True
         return frozenset(relevant)
 
+    @cached_property
+    def token_is_data(self) -> dict[str, bool]:
+        """Token id to whether it is a data token (read without hashing kinds)."""
+        return {tok.id: tok.kind is TokenKind.DATA for tok in self.tokens.values()}
+
+    @cached_property
+    def staging_places(self) -> frozenset[str]:
+        """The data/ancillary staging places, where an arriving pair fuses."""
+        return frozenset(p.id for p in self.places if p.kind is PlaceKind.DATA_ANCILLARY)
+
     def guard_map(self) -> dict[int, str]:
         """Guard value to transition id; requires guard values to be unique.
 
@@ -427,7 +437,7 @@ class Marking:
         object.__setattr__(self, "_net", net)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenMove:
     """One token's role in a firing: where it was/went and its payload there."""
 
@@ -437,7 +447,7 @@ class TokenMove:
     address: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiringEvent:
     """One transition firing.
 
@@ -468,7 +478,7 @@ class FiringEvent:
         return self._group(self.produced, self.produced_entry_sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkippedSelection:
     """A scheduler selection that could not fire and was passed over."""
 
@@ -626,9 +636,8 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
             addresses = {**addresses, selector: t.address_guard}
             payloads = {**payloads, selector: shared_basis_state(width, t.address_guard)}
 
-    data_tokens = [
-        m.token for m in consumed_moves if net.tokens[m.token].kind is TokenKind.DATA
-    ]
+    is_data = net.token_is_data
+    data_tokens = [m.token for m in consumed_moves if is_data[m.token]]
     if t.gate and data_tokens:
         widths = [payloads[tok].num_qubits for tok in data_tokens]
         joint = apply_all(_tensor_all([payloads[tok] for tok in data_tokens]), t.gate)
@@ -641,28 +650,24 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
         dest = t.routing[arc.label]
         entry = entry_by_label[arc.label]
         if isinstance(dest, PairRoute):
-            by_kind = {net.tokens[tok].kind: tok for tok in entry}
-            if len(entry) != 2 or set(by_kind) != {TokenKind.DATA, TokenKind.ANCILLARY}:
+            if len(entry) != 2 or is_data[entry[0]] == is_data[entry[1]]:
                 raise ModelError(
                     f"transition {tid}: pair routing needs a (data, ancillary) entry, "
                     f"got {entry}"
                 )
-            deposits.setdefault(dest.data_to, []).append(by_kind[TokenKind.DATA])
-            deposits.setdefault(dest.ancillary_to, []).append(by_kind[TokenKind.ANCILLARY])
+            data, ancillary = entry if is_data[entry[0]] else entry[::-1]
+            deposits.setdefault(dest.data_to, []).append(data)
+            deposits.setdefault(dest.ancillary_to, []).append(ancillary)
         else:
             deposits.setdefault(dest, []).extend(entry)
 
     produced_moves: list[TokenMove] = []
     produced_sizes: list[int] = []
+    staging = net.staging_places
     for pid, toks in deposits.items():
-        kinds = {net.tokens[tok].kind for tok in toks}
-        if (
-            net.place(pid).kind is PlaceKind.DATA_ANCILLARY
-            and len(toks) == 2
-            and kinds == {TokenKind.DATA, TokenKind.ANCILLARY}
-        ):
-            ordered = sorted(toks, key=lambda tok: net.tokens[tok].kind is not TokenKind.DATA)
-            queues[pid] += (tuple(ordered),)
+        if pid in staging and len(toks) == 2 and is_data[toks[0]] != is_data[toks[1]]:
+            ordered = tuple(toks) if is_data[toks[0]] else (toks[1], toks[0])
+            queues[pid] += (ordered,)
             produced_sizes.append(2)
             produced_moves.extend(
                 TokenMove(tok, pid, payloads[tok], addresses[tok]) for tok in ordered
@@ -725,9 +730,8 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
     # the same tensor, gate and split that ``fire`` ran, must give the
     # recorded post-firing payloads.  (Run backward, the split's rounding and
     # phase choice would not reproduce a superposed payload exactly.)
-    data_moves = [
-        m for m in event.consumed if net.tokens[m.token].kind is TokenKind.DATA
-    ]
+    is_data = net.token_is_data
+    data_moves = [m for m in event.consumed if is_data[m.token]]
     if t.gate and data_moves:
         post = {m.token: m.payload for m in event.produced}
         widths = [m.payload.num_qubits for m in data_moves]
@@ -889,7 +893,7 @@ def _quotient_keys(net: QPNet, marking: Marking):
     """
     index = {pid: i for i, pid in enumerate(marking.place_ids)}
     relevant = net.guard_relevant_places
-    kinds = {tok.id: tok.kind for tok in net.tokens.values()}
+    kinds = net.token_is_data  # two kinds, so a bool tells them apart
 
     def entry_class(pid: str, moves) -> tuple:
         if pid in relevant:

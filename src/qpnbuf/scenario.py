@@ -13,10 +13,11 @@ events on the initial queues and rejects a document that contradicts
 itself.
 
 Both formats are versioned JSON.  Emission is canonical (sorted keys,
-fixed layout), so identical runs serialize to identical bytes; ``emit_json``
-writes that layout directly, in the bytes ``json.dumps(..., sort_keys=True,
-indent=1)`` gives.  Amplitudes serialize as [real, imaginary] pairs, never
-decimal strings.
+fixed layout), so identical runs serialize to identical bytes: the bytes
+``json.dumps(..., sort_keys=True, indent=1)`` gives, which ``emit_json``
+writes directly for scenario and signature documents and ``emit_trace``
+writes from the trace's records.  Amplitudes serialize as [real, imaginary]
+pairs, never decimal strings.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import json
 import marshal
 from collections import deque
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .buffers import KIND_PARAMS, KINDS, BufferSpec
 from .engine import (
@@ -38,9 +41,10 @@ from .engine import (
     TokenMove,
     Trace,
     addresses_to_script,
+    shared_basis_state,
 )
 from .errors import ModelError, QpnError, ScenarioError
-from .statevector import StateVector, basis_state
+from .statevector import StateVector
 
 SCENARIO_SCHEMA = "qpn-scenario/1"
 TRACE_SCHEMA = "qpn-trace/1"
@@ -98,29 +102,44 @@ def _int_list(value, name) -> tuple[int, ...]:
     return tuple(_int_field(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
+def _bulk_amplitudes(value) -> np.ndarray | None:
+    """A pair list's amplitudes in one conversion, or None where it needs a closer look."""
+    if not all(type(pair) is list and len(pair) == 2 for pair in value):
+        return None
+    flat = [x for pair in value for x in pair]
+    if not set(map(type, flat)) <= {int, float}:  # bools are JSON's true/false
+        return None
+    try:
+        return np.array(flat, dtype=np.float64).view(np.complex128)
+    except OverflowError:
+        return None
+
+
 def _payload_value(value, name) -> StateVector:
     if isinstance(value, str):
         if not value or set(value) - {"0", "1"}:
             raise ScenarioError(f"basis label must be nonempty 0/1, got {value!r}", field=name)
-        return basis_state(len(value), value)
+        return shared_basis_state(len(value), int(value, 2))
     if isinstance(value, list):
         if len(value) < 2 or len(value) & (len(value) - 1):
             raise ScenarioError(
                 f"amplitude list length must be a power of two >= 2, got {len(value)}",
                 field=name,
             )
-        amps = []
-        for i, pair in enumerate(value):
-            if not isinstance(pair, list) or len(pair) != 2 or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
-            ):
-                raise ScenarioError(
-                    f"amplitude {i} must be a [real, imaginary] pair", field=name
-                )
-            try:
-                amps.append(complex(pair[0], pair[1]))
-            except OverflowError:
-                raise ScenarioError(f"amplitude {i} is out of range", field=name) from None
+        amps = _bulk_amplitudes(value)
+        if amps is None:  # the per-pair check names the first bad pair
+            amps = []
+            for i, pair in enumerate(value):
+                if not isinstance(pair, list) or len(pair) != 2 or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
+                ):
+                    raise ScenarioError(
+                        f"amplitude {i} must be a [real, imaginary] pair", field=name
+                    )
+                try:
+                    amps.append(complex(pair[0], pair[1]))
+                except OverflowError:
+                    raise ScenarioError(f"amplitude {i} is out of range", field=name) from None
         try:
             return StateVector(len(value).bit_length() - 1, amps)
         except QpnError as exc:
@@ -273,6 +292,20 @@ def _payload_text(payload: StateVector, level: int) -> str:
     return f"[{pair}{f',{pair}'.join(pairs)}\n{' ' * level}]"
 
 
+_int_text = int.__repr__
+
+
+def _address_text(address: int | None) -> str:
+    return "null" if address is None else _int_text(address)
+
+
+def _list_text(texts, level: int) -> str:
+    """A list opening at nesting ``level``, of members already written as ``texts``."""
+    inner = "\n" + " " * (level + 1)
+    body = f",{inner}".join(texts)
+    return f"[{inner}{body}\n{' ' * level}]" if body else "[]"
+
+
 def emit_json(doc) -> str:
     """The text of ``json.dumps(doc, sort_keys=True, indent=1)``, written directly.
 
@@ -281,27 +314,21 @@ def emit_json(doc) -> str:
     empty) with the same string, int and float text.  ``doc`` is built of
     dicts with string keys, lists, tuples, str, int, float, bool and None, as
     every document here is; anything else raises ``TypeError``.  A
-    ``StateVector`` stands for its [real, imaginary] pair list; payloads are
-    shared objects, so each one's text is made once per nesting level and
-    kept for this document.  So is each key set's sorted order with its key
-    texts (a trace has a few key sets, each repeated thousands of times).
+    ``StateVector`` stands for its [real, imaginary] pair list.  Each key
+    set's sorted order with its key texts is made once per document (a
+    signature document repeats one key set per outcome).
     """
     parts: list[str] = []
     write = parts.append
-    payloads: dict[tuple[int, int], str] = {}
     orders: dict[tuple[str, ...], list[tuple[str, str]]] = {}
     levels: list[tuple[str, str, str, str]] = []  # inner, sep, "]" and "}" closings
     scalar = _SCALAR_TEXT.get
-
-    def payload(value: StateVector, level: int) -> str:
-        text = payloads[id(value), level] = _payload_text(value, level)
-        return text
 
     def emit(value, level, prefix):
         """Write ``prefix`` and a container or payload; scalars inside are written in place."""
         cls = type(value)
         if cls is StateVector:
-            write(prefix + (payloads.get((id(value), level)) or payload(value, level)))
+            write(prefix + _payload_text(value, level))
             return
         if cls is not dict and cls is not list and cls is not tuple:
             text = scalar(cls)
@@ -327,9 +354,6 @@ def emit_json(doc) -> str:
                 text = scalar(type(item))
                 if text is not None:
                     write(f"{inner}{key_text}: {text(item)}")
-                elif type(item) is StateVector:
-                    text = payloads.get((id(item), level + 1)) or payload(item, level + 1)
-                    write(f"{inner}{key_text}: {text}")
                 else:
                     emit(item, level + 1, f"{inner}{key_text}: ")
                 inner = sep
@@ -367,54 +391,108 @@ def emit_scenario(doc: ScenarioDoc) -> str:
     return emit_json(out) + "\n"
 
 
-def _marking_json(marking: Marking) -> dict:
-    return {
-        "time": marking.time,
-        "queues": dict(marking.queues),
-        "payloads": dict(marking.payloads),
-        "addresses": dict(marking.addresses),
-    }
+class _StringTexts(dict):
+    """A string's JSON text, made on first lookup and kept."""
 
-
-def _move_json(move: TokenMove) -> dict:
-    return {
-        "token": move.token,
-        "place": move.place,
-        "payload": move.payload,
-        "address": move.address,
-    }
-
-
-def _event_json(event: FiringEvent | SkippedSelection) -> dict:
-    if isinstance(event, SkippedSelection):
-        return {
-            "type": "skipped",
-            "time": event.time,
-            "transition": event.transition,
-            "reason": event.reason,
-        }
-    return {
-        "type": "firing",
-        "time": event.time,
-        "transition": event.transition,
-        "consumed": [_move_json(m) for m in event.consumed],
-        "produced": [_move_json(m) for m in event.produced],
-        "consumed_entry_sizes": event.consumed_entry_sizes,
-        "produced_entry_sizes": event.produced_entry_sizes,
-    }
+    def __missing__(self, value: str) -> str:
+        text = self[value] = _encode_str(value)
+        return text
 
 
 def emit_trace(trace: Trace) -> str:
-    """Serialize a run canonically; identical runs give identical bytes."""
-    out = {
-        "schema": TRACE_SCHEMA,
-        "places": trace.places,
-        "initial": _marking_json(trace.initial),
-        "events": [_event_json(e) for e in trace.events],
-        "final": _marking_json(trace.final),
-        "table": [{"time": t, "counts": row} for t, row in trace.table],
-    }
-    return emit_json(out) + "\n"
+    """Serialize a run canonically; identical runs give identical bytes.
+
+    These are the bytes ``emit_json`` gives the trace built as dicts and
+    lists, written straight from the records: the qpn-trace/1 layout is
+    fixed, so each marking, firing, move and table row is written from its
+    keys, in sorted order, at its known nesting level.  Each name's text is
+    made once per document, and so is each distinct payload's: keyed on its
+    amplitude bytes, made at level 0 and re-indented for the levels payloads
+    sit at (3 in markings, 5 in moves).  The pieces go into one list, joined
+    once.
+    """
+    parts: list[str] = []
+    write = parts.append
+    names = _StringTexts({None: "null"})
+    payloads: dict[bytes, str] = {}
+    indented: dict[int, dict[bytes, str]] = {3: {}, 5: {}}
+    sizes: dict[tuple[int, ...], str] = {}
+
+    def payload(state: StateVector, level: int) -> str:
+        key = state.amplitude_bytes()
+        text = indented[level].get(key)
+        if text is None:
+            base = payloads.get(key)
+            if base is None:
+                base = payloads[key] = _payload_text(state, 0)
+            text = indented[level][key] = base.replace("\n", "\n" + " " * level)
+        return text
+
+    def block(members, level: int, brackets: str):
+        """Write a list or object opening at ``level``, piece by piece, from its members' texts."""
+        inner = "\n" + " " * (level + 1)
+        sep, empty = brackets[0] + inner, True
+        for member in members:
+            write(sep)
+            write(member)
+            sep, empty = "," + inner, False
+        write(brackets if empty else f"\n{' ' * level}{brackets[1]}")
+
+    def members(pairs):
+        return (f"{names[key]}: {text}" for key, text in pairs)
+
+    def marking(m: Marking):  # at level 1
+        write('{\n  "addresses": ')
+        block(members((tok, _address_text(a)) for tok, a in sorted(m.addresses.items())),
+              2, "{}")
+        write(',\n  "payloads": ')
+        block(members((tok, payload(p, 3)) for tok, p in sorted(m.payloads.items())), 2, "{}")
+        write(',\n  "queues": ')
+        block(members((pid, _list_text((_list_text(map(names.__getitem__, entry), 4)
+                                        for entry in entries), 3))
+                      for pid, entries in sorted(m.queues.items())), 2, "{}")
+        write(f',\n  "time": {_int_text(m.time)}\n }}')
+
+    def moves(side: tuple[TokenMove, ...]) -> str:  # at level 3
+        return _list_text((
+            f'{{\n     "address": {_address_text(m.address)},'
+            f'\n     "payload": {payload(m.payload, 5)},\n     "place": {names[m.place]},'
+            f'\n     "token": {names[m.token]}\n    }}'
+            for m in side
+        ), 3)
+
+    def entry_sizes(value: tuple[int, ...]) -> str:
+        text = sizes.get(value)
+        if text is None:
+            text = sizes[value] = _list_text(map(_int_text, value), 3)
+        return text
+
+    def events():
+        for event in trace.events:
+            time, transition = _int_text(event.time), names[event.transition]
+            if isinstance(event, SkippedSelection):
+                yield (f'{{\n   "reason": {names[event.reason]},\n   "time": {time},'
+                       f'\n   "transition": {transition},\n   "type": "skipped"\n  }}')
+            else:
+                yield (f'{{\n   "consumed": {moves(event.consumed)},'
+                       f'\n   "consumed_entry_sizes": {entry_sizes(event.consumed_entry_sizes)},'
+                       f'\n   "produced": {moves(event.produced)},'
+                       f'\n   "produced_entry_sizes": {entry_sizes(event.produced_entry_sizes)},'
+                       f'\n   "time": {time},\n   "transition": {transition},'
+                       '\n   "type": "firing"\n  }')
+
+    write('{\n "events": ')
+    block(events(), 1, "[]")
+    write(',\n "final": ')
+    marking(trace.final)
+    write(',\n "initial": ')
+    marking(trace.initial)
+    write(f',\n "places": {_list_text(map(names.__getitem__, trace.places), 1)},'
+          f'\n "schema": {names[TRACE_SCHEMA]},\n "table": ')
+    block((f'{{\n   "counts": {_list_text(map(_int_text, counts), 3)},'
+           f'\n   "time": {_int_text(time)}\n  }}' for time, counts in trace.table), 1, "[]")
+    write("\n}\n")
+    return "".join(parts)
 
 
 def _payload_from_doc(value, seen: dict, where: str, tok: str | None = None) -> StateVector:
@@ -498,92 +576,75 @@ def _marking_from_json(raw, name: str, places: tuple[str, ...], seen: dict) -> M
         raise ScenarioError(str(exc), field=name) from exc
 
 
-def _event_from_json(ev, name: str, seen: dict):
-    """A trace event, read field by field; ``_replay`` checks its moves."""
-    ev = _expect(ev, dict, name)
-    try:
-        time = _int_field(ev["time"], f"{name}.time")
-        if ev.get("type") == "skipped":
-            tid = ev["transition"]
-            return SkippedSelection(
-                time, None if tid is None else _expect(tid, str, f"{name}.transition"),
-                _expect(ev["reason"], str, f"{name}.reason"),
+def _moves(raw, where: str, seen: dict) -> tuple[TokenMove, ...]:
+    """One side of a firing, read move by move (a missing key raises KeyError)."""
+    moves = []
+    for m in _expect(raw, list, where):
+        m = _expect(m, dict, where)
+        token, place, address = m["token"], m["place"], m["address"]
+        if type(token) is not str or type(place) is not str or not _is_address(address):
+            raise ScenarioError(
+                "a move needs a token id, a place id and an address", field=where
             )
-        if ev.get("type") != "firing":
-            raise ScenarioError(f"unknown event type {ev.get('type')!r}", field=name)
-        moves = []
-        for side in ("consumed", "produced"):
-            where, side_moves = f"{name}.{side}", []
-            for m in _expect(ev[side], list, where):
-                m = _expect(m, dict, where)
-                token, place, address = m["token"], m["place"], m["address"]
-                if type(token) is not str or type(place) is not str or not _is_address(address):
-                    raise ScenarioError(
-                        "a move needs a token id, a place id and an address", field=where
-                    )
-                payload = _payload_from_doc(m["payload"], seen, where)
-                side_moves.append(TokenMove(token, place, payload, address))
-            moves.append(tuple(side_moves))
-        sizes = [_ints(ev[key], f"{name}.{key}", 1)
-                 for key in ("consumed_entry_sizes", "produced_entry_sizes")]
-        return FiringEvent(
-            time, _expect(ev["transition"], str, f"{name}.transition"), *moves, *sizes
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"event misses key {exc.args[0]!r}", field=name) from exc
+        payload = _payload_from_doc(m["payload"], seen, where)
+        moves.append(TokenMove(token, place, payload, address))
+    return tuple(moves)
 
 
-def _replay(trace: Trace):
-    """Move the events' entries through the initial queues; they must end as ``final``'s.
+def _replay_firing(event: FiringEvent, name: str, queues: dict, counts: list, column: dict):
+    """Move a firing's entries through the replayed queues and place counts.
 
-    Each firing must produce the tokens it consumes, take each consumed
-    entry from the head of its queue and put each produced one at the tail
-    of a queue of the trace's places, the tokens of an entry sharing a place.
+    The firing must produce the tokens it consumes, take each consumed entry
+    from the head of its queue and put each produced one at the tail of a
+    queue of the trace's places, the tokens of an entry sharing a place.
+    Returns the first contradiction as a ``ScenarioError``, else None.
     """
-    queues = {pid: deque(entries) for pid, entries in trace.initial.queues.items()}
-    for i, event in enumerate(trace.events):
-        if isinstance(event, SkippedSelection):
-            continue
-        name = f"events[{i}]"
-        for side, moves, sizes in (("consumed", event.consumed, event.consumed_entry_sizes),
-                                   ("produced", event.produced, event.produced_entry_sizes)):
-            if sum(sizes) != len(moves):
-                raise ScenarioError(
-                    f"entry sizes add up to {sum(sizes)}, not {len(moves)} moves",
-                    field=f"{name}.{side}_entry_sizes",
+    sides = (("consumed", event.consumed, event.consumed_entry_sizes),
+             ("produced", event.produced, event.produced_entry_sizes))
+    for side, moves, sizes in sides:
+        if sum(sizes) != len(moves):
+            return ScenarioError(
+                f"entry sizes add up to {sum(sizes)}, not {len(moves)} moves",
+                field=f"{name}.{side}_entry_sizes",
+            )
+    consumed = [m.token for m in event.consumed]
+    produced = [m.token for m in event.produced]
+    if consumed != produced and sorted(consumed) != sorted(produced):
+        return ScenarioError("a firing must produce the tokens it consumes", field=name)
+    for (side, moves, sizes), tokens in zip(sides, (consumed, produced)):
+        start = 0
+        for size in sizes:
+            place, entry = moves[start].place, tuple(tokens[start:start + size])
+            queue = queues.get(place)
+            if queue is None or size > 1 and any(
+                    m.place != place for m in moves[start + 1:start + size]):
+                return ScenarioError(
+                    f"entry {entry} is not in one of the trace's places", field=f"{name}.{side}"
                 )
-        if sorted(m.token for m in event.consumed) != sorted(m.token for m in event.produced):
-            raise ScenarioError("a firing must produce the tokens it consumes", field=name)
-        for side, groups in (("consumed", event.consumed_entries()),
-                             ("produced", event.produced_entries())):
-            for group in groups:
-                place, entry = group[0].place, tuple([m.token for m in group])
-                queue = queues.get(place)
-                if queue is None or len(group) > 1 and any(m.place != place for m in group):
-                    raise ScenarioError(
-                        f"entry {entry} is not in one of the trace's places",
-                        field=f"{name}.{side}",
-                    )
-                if side == "produced":
-                    queue.append(entry)
-                elif queue and queue[0] == entry:
-                    queue.popleft()
-                else:
-                    raise ScenarioError(
-                        f"entry {entry} is not at the head of {place}", field=f"{name}.consumed"
-                    )
-    final = trace.final.queues
-    if any(tuple(queue) != final[pid] for pid, queue in queues.items()):
-        raise ScenarioError("final queues are not the ones the events leave", field="final")
+            start += size
+            if side == "produced":
+                queue.append(entry)
+                counts[column[place]] += size
+            elif queue and queue[0] == entry:
+                queue.popleft()
+                counts[column[place]] -= size
+            else:
+                return ScenarioError(
+                    f"entry {entry} is not at the head of {place}", field=f"{name}.consumed"
+                )
+    return None
 
 
 def parse_trace(text: str) -> Trace:
-    """Parse a trace document back into the run's ``Trace``.
+    """Parse a trace document back into the run's ``Trace``, in one pass over its events.
 
     The document must agree with itself: each marking queues exactly the
     listed places, no token sits in two places, the events move entries
     from ``initial`` to exactly ``final``'s queues, and the count table is
-    the one the events give.
+    the one the events give.  Each event is read, replayed on the initial
+    queues and counted as it comes.  Faults are reported in a fixed order:
+    a bad field of ``initial``, the events or ``final``; then the replay's
+    first contradiction; then ``final``'s queues; then the table.
     """
     try:
         raw = json.loads(text)
@@ -597,22 +658,56 @@ def parse_trace(text: str) -> Trace:
     places = _strings(raw["places"], "places")
     seen: dict[str | bytes, StateVector] = {}
     initial = _marking_from_json(raw["initial"], "initial", places, seen)
-    events = tuple(
-        _event_from_json(ev, f"events[{i}]", seen)
-        for i, ev in enumerate(_expect(raw.get("events", []), list, "events"))
-    )
-    trace = Trace(initial, events, _marking_from_json(raw["final"], "final", places, seen))
-    _replay(trace)
-    table = []
+
+    queues = {pid: deque(initial.entries(pid)) for pid in places}
+    column = {pid: i for i, pid in enumerate(places)}
+    counts = [initial.token_count(pid) for pid in places]
+    table = [(0, tuple(counts))]
+    broken = None  # the replay's first contradiction
+    events: list[FiringEvent | SkippedSelection] = []
+    for i, ev in enumerate(_expect(raw.get("events", []), list, "events")):
+        name = f"events[{i}]"
+        ev = _expect(ev, dict, name)
+        try:
+            time = _int_field(ev["time"], f"{name}.time")
+            if ev.get("type") == "skipped":
+                tid = ev["transition"]
+                events.append(SkippedSelection(
+                    time, None if tid is None else _expect(tid, str, f"{name}.transition"),
+                    _expect(ev["reason"], str, f"{name}.reason"),
+                ))
+                continue
+            if ev.get("type") != "firing":
+                raise ScenarioError(f"unknown event type {ev.get('type')!r}", field=name)
+            moves = (_moves(ev["consumed"], f"{name}.consumed", seen),
+                     _moves(ev["produced"], f"{name}.produced", seen))
+            sizes = [_ints(ev[key], f"{name}.{key}", 1)
+                     for key in ("consumed_entry_sizes", "produced_entry_sizes")]
+            event = FiringEvent(
+                time, _expect(ev["transition"], str, f"{name}.transition"), *moves, *sizes
+            )
+        except KeyError as exc:
+            raise ScenarioError(f"event misses key {exc.args[0]!r}", field=name) from exc
+        events.append(event)
+        if broken is None:
+            broken = _replay_firing(event, name, queues, counts, column)
+            table.append((time + 1, tuple(counts)))
+
+    final = _marking_from_json(raw["final"], "final", places, seen)
+    if broken is not None:
+        raise broken
+    if any(tuple(queue) != final.entries(pid) for pid, queue in queues.items()):
+        raise ScenarioError("final queues are not the ones the events leave", field="final")
+    rows = []
     for i, row in enumerate(_expect(raw["table"], list, "table")):
         row = _expect(row, dict, f"table[{i}]")
         if "time" not in row or "counts" not in row:
             raise ScenarioError("table row needs time and counts", field=f"table[{i}]")
-        table.append((_int_field(row["time"], f"table[{i}].time"),
-                       _ints(row["counts"], f"table[{i}].counts")))
-    if tuple(table) != trace.table:
+        rows.append((_int_field(row["time"], f"table[{i}].time"),
+                     _ints(row["counts"], f"table[{i}].counts")))
+    if rows != table:
         raise ScenarioError("table disagrees with the places and events", field="table")
-    return trace
+    return Trace(initial, tuple(events), final)
 
 
 def emit_marking_table(trace: Trace) -> str:

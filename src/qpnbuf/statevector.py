@@ -185,10 +185,14 @@ class StateVector:
         return float(np.sum(np.abs(self._index_order()[1]) ** 2))
 
     def is_basis_state(self, atol: float = NORM_TOL) -> bool:
+        if len(self._values) == 1:  # a one-index support holds a unit amplitude
+            return True
         mags = np.abs(self._values) ** 2
         return bool(abs(np.max(mags) - 1.0) <= atol)
 
     def basis_index(self) -> int:
+        if len(self._values) == 1:
+            return int(self._indices[0])
         if not self.is_basis_state():
             raise GateError("state is not a computational basis state")
         mags = np.abs(self._values)

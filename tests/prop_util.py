@@ -8,8 +8,9 @@ count state to validate ancillary consumption on all maximal runs.
 """
 
 import json
+import marshal
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import fields
 
 import numpy as np
@@ -46,11 +47,16 @@ from qpnbuf.engine import (
     run,
     unfire,
 )
-from qpnbuf.errors import ModelError
+from qpnbuf.errors import ModelError, QpnError, ScenarioError
 from qpnbuf.scenario import (
     SCENARIO_SCHEMA,
     TRACE_SCHEMA,
     ScenarioDoc,
+    _expect,
+    _int_field,
+    _ints,
+    _is_address,
+    _strings,
     emit_json,
     emit_scenario,
     emit_trace,
@@ -61,6 +67,7 @@ from qpnbuf.statevector import (
     Circuit,
     GateOp,
     StateVector,
+    basis_state,
     basis_state_from_index,
     probabilities,
     run_circuit,
@@ -633,6 +640,308 @@ def emitter_suite(cases: int = 1000, seed: int = 408) -> int:
         assert (_signature_output(signatures, shown, "json")
                 == reference_signature_text(signatures, shown)), case
     return cases
+
+
+# Reference reading: the trace parser before the one-pass reader, in three
+# passes (read every event, replay them all, rebuild and compare the table),
+# with the per-pair payload check.  ``trace_mutation_suite`` holds the
+# package's reader to its results and errors.
+
+
+def _reference_payload_value(value, name) -> StateVector:
+    if isinstance(value, str):
+        if not value or set(value) - {"0", "1"}:
+            raise ScenarioError(f"basis label must be nonempty 0/1, got {value!r}", field=name)
+        return basis_state(len(value), value)
+    if isinstance(value, list):
+        if len(value) < 2 or len(value) & (len(value) - 1):
+            raise ScenarioError(
+                f"amplitude list length must be a power of two >= 2, got {len(value)}",
+                field=name,
+            )
+        amps = []
+        for i, pair in enumerate(value):
+            if not isinstance(pair, list) or len(pair) != 2 or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
+            ):
+                raise ScenarioError(
+                    f"amplitude {i} must be a [real, imaginary] pair", field=name
+                )
+            try:
+                amps.append(complex(pair[0], pair[1]))
+            except OverflowError:
+                raise ScenarioError(f"amplitude {i} is out of range", field=name) from None
+        try:
+            return StateVector(len(value).bit_length() - 1, amps)
+        except QpnError as exc:
+            raise ScenarioError(str(exc), field=name) from exc
+    raise ScenarioError(
+        f"payload must be a basis label or amplitude pair list, got {type(value).__name__}",
+        field=name,
+    )
+
+
+def _reference_cached_payload(value, seen: dict, where: str, tok=None) -> StateVector:
+    key = value if type(value) is str else marshal.dumps(value, 2)
+    state = seen.get(key)
+    if state is None:
+        state = seen[key] = _reference_payload_value(
+            value, where if tok is None else f"{where}.{tok}")
+    return state
+
+
+def _reference_marking_from_json(raw, name: str, places, seen: dict) -> Marking:
+    raw = _expect(raw, dict, name)
+    try:
+        where = f"{name}.queues"
+        raw_queues = _expect(raw["queues"], dict, where)
+        if sorted(raw_queues) != sorted(places):
+            raise ScenarioError("queue places differ from the trace's places", field=where)
+        queues = {}
+        for pid in places:
+            field = f"{where}.{pid}"
+            queues[pid] = tuple(
+                _strings(entry, field) for entry in _expect(raw_queues[pid], list, field)
+            )
+        where = f"{name}.payloads"
+        payloads = {
+            tok: _reference_cached_payload(v, seen, where, tok)
+            for tok, v in _expect(raw["payloads"], dict, where).items()
+        }
+        addresses = _expect(raw["addresses"], dict, f"{name}.addresses")
+        if not all(map(_is_address, addresses.values())):
+            raise ScenarioError(
+                "addresses must be integers >= 0 or null", field=f"{name}.addresses"
+            )
+        tokens = {tok for entries in queues.values() for entry in entries for tok in entry}
+        if payloads.keys() != tokens or addresses.keys() != tokens:
+            raise ScenarioError("payloads and addresses must cover the queued tokens", field=name)
+        return Marking(queues, payloads, addresses, _int_field(raw["time"], f"{name}.time"))
+    except KeyError as exc:
+        raise ScenarioError(f"marking misses key {exc.args[0]!r}", field=name) from exc
+    except ModelError as exc:
+        raise ScenarioError(str(exc), field=name) from exc
+
+
+def _reference_event_from_json(ev, name: str, seen: dict):
+    ev = _expect(ev, dict, name)
+    try:
+        time = _int_field(ev["time"], f"{name}.time")
+        if ev.get("type") == "skipped":
+            tid = ev["transition"]
+            return SkippedSelection(
+                time, None if tid is None else _expect(tid, str, f"{name}.transition"),
+                _expect(ev["reason"], str, f"{name}.reason"),
+            )
+        if ev.get("type") != "firing":
+            raise ScenarioError(f"unknown event type {ev.get('type')!r}", field=name)
+        moves = []
+        for side in ("consumed", "produced"):
+            where, side_moves = f"{name}.{side}", []
+            for m in _expect(ev[side], list, where):
+                m = _expect(m, dict, where)
+                token, place, address = m["token"], m["place"], m["address"]
+                if type(token) is not str or type(place) is not str or not _is_address(address):
+                    raise ScenarioError(
+                        "a move needs a token id, a place id and an address", field=where
+                    )
+                payload = _reference_cached_payload(m["payload"], seen, where)
+                side_moves.append(TokenMove(token, place, payload, address))
+            moves.append(tuple(side_moves))
+        sizes = [_ints(ev[key], f"{name}.{key}", 1)
+                 for key in ("consumed_entry_sizes", "produced_entry_sizes")]
+        return FiringEvent(
+            time, _expect(ev["transition"], str, f"{name}.transition"), *moves, *sizes
+        )
+    except KeyError as exc:
+        raise ScenarioError(f"event misses key {exc.args[0]!r}", field=name) from exc
+
+
+def _reference_replay(trace: Trace):
+    queues = {pid: deque(entries) for pid, entries in trace.initial.queues.items()}
+    for i, event in enumerate(trace.events):
+        if isinstance(event, SkippedSelection):
+            continue
+        name = f"events[{i}]"
+        for side, moves, sizes in (("consumed", event.consumed, event.consumed_entry_sizes),
+                                   ("produced", event.produced, event.produced_entry_sizes)):
+            if sum(sizes) != len(moves):
+                raise ScenarioError(
+                    f"entry sizes add up to {sum(sizes)}, not {len(moves)} moves",
+                    field=f"{name}.{side}_entry_sizes",
+                )
+        if sorted(m.token for m in event.consumed) != sorted(m.token for m in event.produced):
+            raise ScenarioError("a firing must produce the tokens it consumes", field=name)
+        for side, groups in (("consumed", event.consumed_entries()),
+                             ("produced", event.produced_entries())):
+            for group in groups:
+                place, entry = group[0].place, tuple([m.token for m in group])
+                queue = queues.get(place)
+                if queue is None or len(group) > 1 and any(m.place != place for m in group):
+                    raise ScenarioError(
+                        f"entry {entry} is not in one of the trace's places",
+                        field=f"{name}.{side}",
+                    )
+                if side == "produced":
+                    queue.append(entry)
+                elif queue and queue[0] == entry:
+                    queue.popleft()
+                else:
+                    raise ScenarioError(
+                        f"entry {entry} is not at the head of {place}", field=f"{name}.consumed"
+                    )
+    final = trace.final.queues
+    if any(tuple(queue) != final[pid] for pid, queue in queues.items()):
+        raise ScenarioError("final queues are not the ones the events leave", field="final")
+
+
+def reference_parse_trace(text: str) -> Trace:
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    if not isinstance(raw, dict) or raw.get("schema") != TRACE_SCHEMA:
+        raise ScenarioError(f"expected schema {TRACE_SCHEMA!r}", field="schema")
+    for name in ("places", "initial", "final", "table"):
+        if name not in raw:
+            raise ScenarioError(f"trace misses key {name!r}", field=name)
+    places = _strings(raw["places"], "places")
+    seen: dict = {}
+    initial = _reference_marking_from_json(raw["initial"], "initial", places, seen)
+    events = tuple(
+        _reference_event_from_json(ev, f"events[{i}]", seen)
+        for i, ev in enumerate(_expect(raw.get("events", []), list, "events"))
+    )
+    trace = Trace(initial, events,
+                  _reference_marking_from_json(raw["final"], "final", places, seen))
+    _reference_replay(trace)
+    table = []
+    for i, row in enumerate(_expect(raw["table"], list, "table")):
+        row = _expect(row, dict, f"table[{i}]")
+        if "time" not in row or "counts" not in row:
+            raise ScenarioError("table row needs time and counts", field=f"table[{i}]")
+        table.append((_int_field(row["time"], f"table[{i}].time"),
+                      _ints(row["counts"], f"table[{i}].counts")))
+    if tuple(table) != trace.table:
+        raise ScenarioError("table disagrees with the places and events", field="table")
+    return trace
+
+
+# Values a mutation writes into a trace: every JSON type, near misses of the
+# document's own values, and payloads valid and not.
+_MUTANTS = (
+    None, True, False, 0, 1, -1, 2, 3, 7, 1.0, -0.0, 0.5, 1e308 * 10, 10**400, "", "x",
+    "d1", "d2", "z1", "P_I", "P_O", "P_A", "P_DA", "T1", "T2", "firing", "skipped",
+    [], {}, [1], [0], ["d1"], [["d1"]], [1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [1.0, 0.0]], [[1, 0], [0, 0]], [[True, 0.0], [0.0, 0.0]],
+    [[0.6, 0.0], [0.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0]], "01", "1",
+    [[0.7071067811865476, 0.0], [0.0, -0.7071067811865476]], {"extra": 1},
+)
+
+
+def _slots(value, inside=False, holds_payloads=False):
+    """Every (container, key, inside a payload) slot of a JSON tree, depth first."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield value, key, inside
+        yield from _slots(item, inside or holds_payloads or key == "payload", key == "payloads")
+
+
+def _mutate(rng: random.Random, doc) -> str:
+    """The text of ``doc`` with one fault: a value, key or list item changed, or the text cut."""
+    slots = list(_slots(doc))
+    outside = [slot for slot in slots if not slot[2]]
+    container, key, _ = rng.choice(outside if outside and rng.random() < 0.85 else slots)
+    op = rng.choice(("replace", "replace", "nudge", "delete", "duplicate", "swap", "swap",
+                     "add_key", "text"))
+    item = container[key]
+    if op == "nudge" and type(item) in (int, float):
+        container[key] = item + rng.choice((-1, 1))
+    elif op == "nudge" and isinstance(item, str):
+        strings = [v for c, k, _ in slots if isinstance(v := c[k], str) and v != item]
+        container[key] = rng.choice(strings) if strings else item + "x"
+    elif op == "nudge" and isinstance(item, list) and len(item) > 1:
+        container[key] = item[::-1]
+    elif op == "delete":
+        del container[key]
+    elif op == "duplicate" and isinstance(container, list):
+        container.insert(rng.randint(0, len(container)), item)
+    elif op == "swap" and len(container) > 1:
+        other = rng.choice([k for k in (container if isinstance(container, dict)
+                                        else range(len(container))) if k != key])
+        container[key], container[other] = container[other], container[key]
+    elif op == "add_key" and isinstance(item, dict):
+        item[rng.choice(("extra", "type", "time", "token", "places"))] = rng.choice(_MUTANTS)
+    elif op == "text":
+        text = json.dumps(doc, indent=1)
+        cut = rng.randrange(len(text))
+        return text[:cut] + rng.choice(("", "}", "]", ",", '"', "x", "0", " ")) + text[cut + 1:]
+    else:
+        container[key] = rng.choice(_MUTANTS)
+    return json.dumps(doc, indent=1)
+
+
+def _mutation_source(rng: random.Random) -> str:
+    """A valid trace: fig2-example, or a run of a random buffer of any kind.
+
+    Some runs follow a random address program, whose selections of missing
+    or blocked transitions are recorded as skipped.
+    """
+    if rng.random() < 0.08:
+        net, marking = build_cnot_example()
+        return emit_trace(run(net, marking, Scripted(("T1",))))
+    while True:
+        spec = _quotient_spec(rng)
+        program = spec.addresses
+        if rng.random() < 0.3:
+            program = tuple(rng.randrange(4) for _ in range(rng.randint(1, 6)))
+        try:
+            return emit_trace(run(*spec.build(), AddressDriven(program)))
+        except QpnError:
+            continue
+
+
+def _reading(parse, text: str):
+    """What ``parse`` makes of ``text``: the trace, its table and its text, or the error."""
+    try:
+        trace = parse(text)
+    except QpnError as exc:
+        return (type(exc), str(exc), getattr(exc, "field", None), getattr(exc, "line", None))
+    return (trace, trace.table, emit_trace(trace))
+
+
+# Faults that only the replay, the table comparison or the JSON reader find.
+TRACE_CHECKS = (
+    "invalid JSON", "is not at the head of", "is not in one of the trace's places",
+    "must produce the tokens it consumes", "entry sizes add up",
+    "final queues are not the ones", "table disagrees",
+)
+
+
+def trace_mutation_suite(cases: int = 1000, seed: int = 410) -> Counter:
+    """``parse_trace`` reads mutated traces as ``reference_parse_trace`` does.
+
+    Each case takes a valid trace (fig2-example, or a run of a random buffer
+    of any kind, with skipped selections, pair entries and superposed
+    payloads), makes one fault in it and requires the same ``Trace`` (table
+    and emitted text included) or the same error: type, message, field and
+    line.  An error other than a ``QpnError`` escapes.  Returns how many cases were
+    read as a trace (``"accepted"``), met each of ``TRACE_CHECKS``, or met
+    another error.
+    """
+    rng = random.Random(seed)
+    outcomes: Counter = Counter()
+    for case in range(cases):
+        mutated = _mutate(rng, json.loads(_mutation_source(rng)))
+        want = _reading(reference_parse_trace, mutated)
+        assert _reading(parse_trace, mutated) == want, (case, mutated, want)
+        if isinstance(want[0], Trace):
+            outcomes["accepted"] += 1
+        else:
+            outcomes[next((check for check in TRACE_CHECKS if check in want[1]),
+                          "other error")] += 1
+    return outcomes
 
 
 # Enumeration: the count-space quotient against a memo on full marking identity.

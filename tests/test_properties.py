@@ -41,6 +41,13 @@ def test_emitter_suite():
     assert prop_util.emitter_suite(1000) == 1000
 
 
+def test_trace_mutation_suite():
+    outcomes = prop_util.trace_mutation_suite(1000)
+    assert sum(outcomes.values()) == 1000
+    for outcome in prop_util.TRACE_CHECKS + ("accepted", "other error"):
+        assert outcomes[outcome] >= 5, (outcome, outcomes)
+
+
 def test_quotient_enumeration_suite():
     assert prop_util.quotient_enumeration_suite(1000) == 1000
 
