@@ -27,8 +27,6 @@ import marshal
 from collections import deque
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .buffers import KIND_PARAMS, KINDS, BufferSpec
 from .engine import (
     AddressDriven,
@@ -102,19 +100,6 @@ def _int_list(value, name) -> tuple[int, ...]:
     return tuple(_int_field(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
-def _bulk_amplitudes(value) -> np.ndarray | None:
-    """A pair list's amplitudes in one conversion, or None where it needs a closer look."""
-    if not all(type(pair) is list and len(pair) == 2 for pair in value):
-        return None
-    flat = [x for pair in value for x in pair]
-    if not set(map(type, flat)) <= {int, float}:  # bools are JSON's true/false
-        return None
-    try:
-        return np.array(flat, dtype=np.float64).view(np.complex128)
-    except OverflowError:
-        return None
-
-
 def _payload_value(value, name) -> StateVector:
     if isinstance(value, str):
         if not value or set(value) - {"0", "1"}:
@@ -126,20 +111,18 @@ def _payload_value(value, name) -> StateVector:
                 f"amplitude list length must be a power of two >= 2, got {len(value)}",
                 field=name,
             )
-        amps = _bulk_amplitudes(value)
-        if amps is None:  # the per-pair check names the first bad pair
-            amps = []
-            for i, pair in enumerate(value):
-                if not isinstance(pair, list) or len(pair) != 2 or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
-                ):
-                    raise ScenarioError(
-                        f"amplitude {i} must be a [real, imaginary] pair", field=name
-                    )
-                try:
-                    amps.append(complex(pair[0], pair[1]))
-                except OverflowError:
-                    raise ScenarioError(f"amplitude {i} is out of range", field=name) from None
+        amps = []
+        for i, pair in enumerate(value):
+            if not isinstance(pair, list) or len(pair) != 2 or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
+            ):
+                raise ScenarioError(
+                    f"amplitude {i} must be a [real, imaginary] pair", field=name
+                )
+            try:
+                amps.append(complex(pair[0], pair[1]))
+            except OverflowError:
+                raise ScenarioError(f"amplitude {i} is out of range", field=name) from None
         try:
             return StateVector(len(value).bit_length() - 1, amps)
         except QpnError as exc:
@@ -707,7 +690,9 @@ def parse_trace(text: str) -> Trace:
                      _ints(row["counts"], f"table[{i}].counts")))
     if rows != table:
         raise ScenarioError("table disagrees with the places and events", field="table")
-    return Trace(initial, tuple(events), final)
+    trace = Trace(initial, tuple(events), final)
+    trace.__dict__["table"] = tuple(table)  # the cached ``Trace.table``, already counted
+    return trace
 
 
 def emit_marking_table(trace: Trace) -> str:
