@@ -34,6 +34,7 @@ from .engine import (
     TokenKind,
     Trace,
     Transition,
+    _destinations,
     run,
     shared_basis_state,
 )
@@ -60,15 +61,10 @@ def _identity_transition(tid, inputs, routing, guard=None, inhibitors=()):
     input_arcs = tuple(
         Arc(place=p, transition=tid, direction="in", label=lbl) for p, lbl in inputs
     )
-    out_places = []
-    for dest in routing.values():
-        if isinstance(dest, PairRoute):
-            out_places += [dest.data_to, dest.ancillary_to]
-        else:
-            out_places.append(dest)
+    out_places = dict.fromkeys(p for dest in routing.values() for p in _destinations(dest))
     output_arcs = tuple(
         Arc(place=p, transition=tid, direction="out", label=f"f{i + 1}")
-        for i, p in enumerate(dict.fromkeys(out_places))
+        for i, p in enumerate(out_places)
     )
     inhibitor_arcs = tuple(
         Arc(place=p, transition=tid, direction="in", label=f"inh{i + 1}")
@@ -104,28 +100,22 @@ def _selector_tokens(prefix, count, choices, addresses):
                 raise SpecError(
                     f"address {a} at position {i} is out of range for {choices} choices"
                 )
-    out = []
-    for i in range(count):
-        if addresses is not None and i < len(addresses):
-            a = addresses[i]
-            out.append(
-                QToken(
-                    f"{prefix}{i + 1}",
-                    TokenKind.ANCILLARY,
-                    shared_basis_state(width, a),
-                    address=a,
-                )
-            )
-        else:
-            out.append(
-                QToken(
-                    f"{prefix}{i + 1}",
-                    TokenKind.ANCILLARY,
-                    shared_basis_state(width, 0),
-                    address=None,
-                )
-            )
-    return out
+    program = tuple(addresses or ())
+    program += (None,) * (count - len(program))
+    return [
+        QToken(f"{prefix}{i + 1}", TokenKind.ANCILLARY, shared_basis_state(width, a or 0),
+               address=a)
+        for i, a in enumerate(program)
+    ]
+
+
+def _input_queues(r):
+    """Data token ids d1, d2, ... and the input queues holding them, ``r[j]`` in P_I(j+1)."""
+    assignment, counter = {}, 1
+    for j, count in enumerate(r):
+        assignment[f"P_I{j + 1}"] = [f"d{counter + i}" for i in range(count)]
+        counter += count
+    return [tok for toks in assignment.values() for tok in toks], assignment
 
 
 def _plain_ancillas(prefix, count):
@@ -242,12 +232,7 @@ def build_miso(
             routing={"x1": PairRoute(data_to="P_O", ancillary_to="P_A1")},
         )
     )
-    ids, assignment = [], {}
-    counter = 1
-    for j, count in enumerate(r):
-        assignment[f"P_I{j + 1}"] = [f"d{counter + i}" for i in range(count)]
-        ids += assignment[f"P_I{j + 1}"]
-        counter += count
+    ids, assignment = _input_queues(r)
     tokens = _data_tokens(ids, payloads) + _selector_tokens("z", m, k, addresses)
     net = QPNet(places, transitions, tokens)
     assignment["P_A"] = [f"z{j + 1}" for j in range(m)]
@@ -309,12 +294,7 @@ def build_mimo(
         )
         for j in range(outputs)
     ]
-    ids, assignment = [], {}
-    counter = 1
-    for j, count in enumerate(r):
-        assignment[f"P_I{j + 1}"] = [f"d{counter + i}" for i in range(count)]
-        ids += assignment[f"P_I{j + 1}"]
-        counter += count
+    ids, assignment = _input_queues(r)
     tokens = _data_tokens(ids, payloads)
     tokens += _selector_tokens("w", m, k, input_addresses)
     tokens += _selector_tokens("z", m, outputs, output_addresses)

@@ -15,6 +15,7 @@ used by guarded transitions as a selector.  An address of ``None`` is a
 free selector that matches any guard and is materialized (payload set to
 the guard's basis state) when consumed; building a net with free selectors
 is what makes exhaustive outcome enumeration explore every routing choice.
+Enumeration memoizes states on a key that leaves token identity out.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import groupby
 from types import MappingProxyType
 
@@ -172,7 +173,6 @@ class QPNet:
         self._selector = {t.id: self._check_transition(t) for t in self.transitions}
         # enabled_transitions reports ids in this order.
         self._ordered = tuple(sorted(self.transitions, key=lambda t: _tid_key(t.id)))
-        self._guards: dict[int, str] | None = None
 
     def _check_transition(self, t: Transition) -> str | None:
         """Check a transition's wiring; return its selector place, if any."""
@@ -252,13 +252,12 @@ class QPNet:
         """The data/ancillary staging places, where an arriving pair fuses."""
         return frozenset(p.id for p in self.places if p.kind is PlaceKind.DATA_ANCILLARY)
 
+    @cached_property
     def guard_map(self) -> dict[int, str]:
         """Guard value to transition id; requires guard values to be unique.
 
-        Computed on first use and shared afterwards; callers must not mutate it.
+        Shared by every caller, which must not mutate it.
         """
-        if self._guards is not None:
-            return self._guards
         out: dict[int, str] = {}
         for t in self.transitions:
             if t.address_guard is None:
@@ -269,7 +268,6 @@ class QPNet:
                     f"{out[t.address_guard]} and {t.id}"
                 )
             out[t.address_guard] = t.id
-        self._guards = out
         return out
 
     def initial_marking(self, assignment: dict[str, list[str]]) -> "Marking":
@@ -298,49 +296,35 @@ class Marking:
     A marking derived by ``fire`` or ``unfire`` shares with its parent every
     queue the firing left alone, and the payload and address tables unless
     the firing changed them.  Tables are held in token-id order, so the
-    content key needs no sorting; it is built once, on first use, and reuses
-    the parent's key components for tables the two share.
+    content key needs no sorting.
     """
 
-    __slots__ = (
-        "_queues", "_payloads", "_addresses", "time",
-        "_token_place", "_net", "_key", "_address_key", "_payload_key",
-    )
+    __slots__ = ("_queues", "_payloads", "_addresses", "time", "_net")
 
     def __init__(self, queues, payloads, addresses, time):
         queues = {p: tuple(es) for p, es in queues.items()}
-        token_place: dict[str, str] = {}
-        for pid, entries in queues.items():
+        seen: set[str] = set()
+        for entries in queues.values():
             for entry in entries:
                 for tok in entry:
-                    if tok in token_place:
+                    if tok in seen:
                         raise ModelError(f"token {tok!r} appears in more than one place")
-                    token_place[tok] = pid
+                    seen.add(tok)
         self._fill(queues, dict(sorted(payloads.items())), dict(sorted(addresses.items())),
-                   time, token_place, None, None, None)
+                   time, None)
 
-    def _fill(self, queues, payloads, addresses, time, token_place, net, address_key,
-              payload_key):
+    def _fill(self, queues, payloads, addresses, time, net):
         set_ = object.__setattr__
         set_(self, "_queues", queues)
         set_(self, "_payloads", payloads)
         set_(self, "_addresses", addresses)
         set_(self, "time", time)
-        set_(self, "_token_place", token_place)
         set_(self, "_net", net)  # the net this marking was last validated against
-        set_(self, "_key", None)
-        set_(self, "_address_key", address_key)
-        set_(self, "_payload_key", payload_key)
 
     def _derive(self, net: QPNet, queues, payloads, addresses, time) -> "Marking":
         """Successor built by a firing step; it conserves the token set."""
         child = object.__new__(Marking)
-        child._fill(
-            queues, payloads, addresses, time, None,
-            net if self._net is net else None,
-            self._address_key if addresses is self._addresses else None,
-            self._payload_key if payloads is self._payloads else None,
-        )
+        child._fill(queues, payloads, addresses, time, net if self._net is net else None)
         return child
 
     def __setattr__(self, name, value):
@@ -377,22 +361,6 @@ class Marking:
     def tokens_in(self, pid: str) -> tuple[str, ...]:
         return tuple(tok for entry in self._queues[pid] for tok in entry)
 
-    def _token_index(self) -> dict[str, str]:
-        index = self._token_place
-        if index is None:
-            index = {
-                tok: pid for pid, entries in self._queues.items()
-                for entry in entries for tok in entry
-            }
-            object.__setattr__(self, "_token_place", index)
-        return index
-
-    def place_of(self, tok: str) -> str:
-        try:
-            return self._token_index()[tok]
-        except KeyError:
-            raise ModelError(f"token {tok!r} is not in any place") from None
-
     def payload(self, tok: str) -> StateVector:
         return self._payloads[tok]
 
@@ -403,21 +371,13 @@ class Marking:
         return {pid: self.token_count(pid) for pid in self._queues}
 
     def key(self) -> tuple:
-        """Hashable content key (time excluded) for visited-state tracking."""
-        key = self._key
-        if key is None:
-            if self._address_key is None:
-                object.__setattr__(self, "_address_key", tuple(
-                    (t, -1 if a is None else a) for t, a in self._addresses.items()
-                ))
-            if self._payload_key is None:
-                payloads = self._payloads
-                object.__setattr__(self, "_payload_key", tuple(
-                    zip(payloads, map(StateVector.amplitude_bytes, payloads.values()))
-                ))
-            key = (tuple(self._queues.items()), self._address_key, self._payload_key)
-            object.__setattr__(self, "_key", key)
-        return key
+        """Hashable content key (time excluded): queues, addresses and payloads."""
+        payloads = self._payloads
+        return (
+            tuple(self._queues.items()),
+            tuple((t, -1 if a is None else a) for t, a in self._addresses.items()),
+            tuple(zip(payloads, map(StateVector.amplitude_bytes, payloads.values()))),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Marking):
@@ -432,7 +392,8 @@ class Marking:
             return
         if self._queues.keys() != net._place_ids:
             raise ModelError("marking places disagree with the net")
-        if self._token_index().keys() != net.tokens.keys():
+        tokens = {tok for entries in self._queues.values() for entry in entries for tok in entry}
+        if tokens != net.tokens.keys():
             raise ModelError("marking tokens disagree with the net")
         object.__setattr__(self, "_net", net)
 
@@ -592,11 +553,10 @@ def _split_product(state: StateVector, widths: list[int]) -> list[StateVector]:
 shared_basis_state = lru_cache(maxsize=256)(basis_state_from_index)
 
 
-def _tensor_all(payloads: list[StateVector]) -> StateVector:
-    joint = payloads[0]
-    for p in payloads[1:]:
-        joint = tensor(joint, p)
-    return joint
+def _gate_payloads(t: Transition, payloads: list[StateVector]) -> list[StateVector]:
+    """The data payloads, in consumption order, after ``t``'s gates act on their product."""
+    joint = apply_all(reduce(tensor, payloads), t.gate)
+    return _split_product(joint, [p.num_qubits for p in payloads])
 
 
 def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
@@ -639,9 +599,8 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
     is_data = net.token_is_data
     data_tokens = [m.token for m in consumed_moves if is_data[m.token]]
     if t.gate and data_tokens:
-        widths = [payloads[tok].num_qubits for tok in data_tokens]
-        joint = apply_all(_tensor_all([payloads[tok] for tok in data_tokens]), t.gate)
-        payloads = {**payloads, **dict(zip(data_tokens, _split_product(joint, widths)))}
+        gated = _gate_payloads(t, [payloads[tok] for tok in data_tokens])
+        payloads = {**payloads, **dict(zip(data_tokens, gated))}
 
     # Deposit: resolve destinations per label, then fuse a data+ancillary
     # pair arriving together at a staging place into one entry.
@@ -727,16 +686,14 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
                 raise ReversalError(f"token {move.token} state does not match the event")
 
     # Check the gate forward: the recorded pre-firing payloads, run through
-    # the same tensor, gate and split that ``fire`` ran, must give the
+    # the same ``_gate_payloads`` that ``fire`` ran, must give the
     # recorded post-firing payloads.  (Run backward, the split's rounding and
     # phase choice would not reproduce a superposed payload exactly.)
     is_data = net.token_is_data
     data_moves = [m for m in event.consumed if is_data[m.token]]
     if t.gate and data_moves:
         post = {m.token: m.payload for m in event.produced}
-        widths = [m.payload.num_qubits for m in data_moves]
-        joint = apply_all(_tensor_all([m.payload for m in data_moves]), t.gate)
-        for move, part in zip(data_moves, _split_product(joint, widths)):
+        for move, part in zip(data_moves, _gate_payloads(t, [m.payload for m in data_moves])):
             if part != post[move.token]:
                 raise ReversalError(
                     f"gate does not take {move.token}'s recorded payload to its produced one"
@@ -795,7 +752,7 @@ Scheduler = Scripted | AddressDriven | EagerOutputThenScript
 
 def addresses_to_script(net: QPNet, addresses) -> tuple[str, ...]:
     """Translate an address program into the guarded transitions it selects."""
-    guards = net.guard_map()
+    guards = net.guard_map
     try:
         return tuple(guards[a] for a in addresses)
     except KeyError as exc:
@@ -838,7 +795,7 @@ def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
         drain(net.is_output_side)
     elif isinstance(scheduler, AddressDriven):
         if scheduler.program is not None:
-            guards = net.guard_map()
+            guards = net.guard_map
             for a in scheduler.program:
                 tid = guards.get(a)
                 if tid is not None and _is_enabled(net, current, net.transition(tid)):
@@ -848,19 +805,7 @@ def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
                         SkippedSelection(current.time, tid, f"selection {a} not firable")
                     )
         else:
-            while True:
-                enabled = enabled_transitions(net, current)
-                pick = next(
-                    (
-                        tid
-                        for tid in enabled
-                        if net.transition(tid).address_guard is not None
-                    ),
-                    None,
-                )
-                if pick is None:
-                    break
-                fire_one(pick)
+            drain(lambda t: t.address_guard is not None)
         drain(lambda t: t.address_guard is None)
     else:
         raise ModelError(f"unknown scheduler {scheduler!r}")
@@ -883,22 +828,30 @@ def _push_run(runs: tuple, cls) -> tuple:
 def _quotient_keys(net: QPNet, marking: Marking):
     """The count-space memo key of ``marking`` and a function deriving a child's key.
 
-    For a net without gates the key holds, per place, the run-length encoded
-    classes of its entries.  An entry's class is its tokens' kinds; in a
-    guard-relevant place each token also contributes its address and payload
-    width.  That is all that enabledness (queue emptiness, head selector
-    addresses), ``fire`` (pair routing and staging fusion read kinds, the
-    guard range check reads free-selector widths) and signatures (token
-    counts) read, so states with equal keys have equal outcomes.
+    The key holds, per place, the run-length encoded classes of its entries.
+    An entry's class is its tokens' classes: a token's kind; in a
+    guard-relevant place also its address and payload width; and for a data
+    token in a net with gates, which read amplitudes, its payload's
+    amplitude bytes instead.  That is all that enabledness (queue emptiness,
+    head selector addresses), ``fire`` (pair routing and staging fusion read
+    kinds, the guard range check reads free-selector widths, gates read data
+    payloads in consumption order) and signatures (token counts) read, so
+    states with equal keys have equal outcomes.
     """
     index = {pid: i for i, pid in enumerate(marking.place_ids)}
     relevant = net.guard_relevant_places
     kinds = net.token_is_data  # two kinds, so a bool tells them apart
+    gated = any(t.gate for t in net.transitions)
+
+    def token_class(pid: str, m: TokenMove):
+        if gated and kinds[m.token]:
+            return m.payload.amplitude_bytes()
+        if pid in relevant:
+            return (kinds[m.token], m.address, m.payload.num_qubits)
+        return kinds[m.token]
 
     def entry_class(pid: str, moves) -> tuple:
-        if pid in relevant:
-            return tuple((kinds[m.token], m.address, m.payload.num_qubits) for m in moves)
-        return tuple(kinds[m.token] for m in moves)
+        return tuple([token_class(pid, m) for m in moves])
 
     def child_key(key: tuple, event: FiringEvent) -> tuple:
         """The key after ``event``: pop consumed entries' heads, push produced tails."""
@@ -946,19 +899,15 @@ def enumerate_final_markings(
     Performs an exhaustive depth-first exploration of every enabled choice,
     in id order, deduplicating outcomes by distribution signature; each
     signature keeps the first witness firing sequence found.  States with
-    equal memo keys share their explored suffixes.  In a net without gates
-    the key is the count-space quotient of ``_quotient_keys``, derived from
-    the parent's key and the firing; a gated net keys on ``Marking.key()``
-    (same queues, addresses and payloads).  Either way the result, witnesses
-    included, is what a memo on full marking identity gives.  The
-    depth-first stack is an explicit list, so long firing chains need no
-    interpreter recursion.  Raises ``ExplosionError`` once more than
-    ``step_bound`` firings have been explored.
+    equal memo keys share their explored suffixes: the key is the count-space
+    quotient of ``_quotient_keys``, derived from the parent's key and the
+    firing, and the result, witnesses included, is what a memo on full
+    marking identity gives.  The depth-first stack is an explicit list, so
+    long firing chains need no interpreter recursion.  Raises
+    ``ExplosionError`` once more than ``step_bound`` firings have been
+    explored.
     """
-    if any(t.gate for t in net.transitions):
-        root_key, child_key = marking.key(), None
-    else:
-        root_key, child_key = _quotient_keys(net, marking)
+    root_key, child_key = _quotient_keys(net, marking)
     # Outcomes map each signature to its witness, held as shared (tid, rest)
     # cells (``None`` is the empty witness) and unrolled once at the end.
     memo: dict[tuple, dict] = {}
@@ -998,5 +947,5 @@ def enumerate_final_markings(
         if index + 1 == len(enabled):
             frame[1] = None
         nxt, event = fire(net, m, enabled[index])
-        outcome = visit(nxt.key() if child_key is None else child_key(key, event), nxt)
+        outcome = visit(child_key(key, event), nxt)
     return {sig: _unroll(cell) for sig, cell in sorted(outcome.items())}

@@ -104,7 +104,10 @@ def _payload_value(value, name) -> StateVector:
     if isinstance(value, str):
         if not value or set(value) - {"0", "1"}:
             raise ScenarioError(f"basis label must be nonempty 0/1, got {value!r}", field=name)
-        return shared_basis_state(len(value), int(value, 2))
+        try:
+            return shared_basis_state(len(value), int(value, 2))
+        except QpnError as exc:
+            raise ScenarioError(str(exc), field=name) from exc
     if isinstance(value, list):
         if len(value) < 2 or len(value) & (len(value) - 1):
             raise ScenarioError(
@@ -146,12 +149,19 @@ def _check_addresses(program, choices, count, name):
     return program
 
 
-def parse_scenario(text: str) -> ScenarioDoc:
-    """Parse and validate a scenario document; unknown fields are rejected."""
+def _load_json(text: str):
+    """The JSON value in ``text``; malformed or too deeply nested text is a ``ScenarioError``."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError:
+        raise ScenarioError("invalid JSON: nested too deeply") from None
+
+
+def parse_scenario(text: str) -> ScenarioDoc:
+    """Parse and validate a scenario document; unknown fields are rejected."""
+    raw = _load_json(text)
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")
 
@@ -629,10 +639,7 @@ def parse_trace(text: str) -> Trace:
     a bad field of ``initial``, the events or ``final``; then the replay's
     first contradiction; then ``final``'s queues; then the table.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    raw = _load_json(text)
     if not isinstance(raw, dict) or raw.get("schema") != TRACE_SCHEMA:
         raise ScenarioError(f"expected schema {TRACE_SCHEMA!r}", field="schema")
     for name in ("places", "initial", "final", "table"):

@@ -176,11 +176,6 @@ class StateVector:
             return f"StateVector(|{self.basis_label()}>)"
         return f"StateVector({self.num_qubits} qubits)"
 
-    def isclose(self, other: "StateVector", atol: float = NORM_TOL) -> bool:
-        return self.num_qubits == other.num_qubits and bool(
-            np.allclose(self.amplitudes, other.amplitudes, atol=atol, rtol=0.0)
-        )
-
     def norm(self) -> float:
         return float(np.sum(np.abs(self._index_order()[1]) ** 2))
 

@@ -11,7 +11,7 @@ import json
 import marshal
 import random
 from collections import Counter, deque
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -652,7 +652,10 @@ def _reference_payload_value(value, name) -> StateVector:
     if isinstance(value, str):
         if not value or set(value) - {"0", "1"}:
             raise ScenarioError(f"basis label must be nonempty 0/1, got {value!r}", field=name)
-        return basis_state(len(value), value)
+        try:
+            return basis_state(len(value), value)
+        except QpnError as exc:
+            raise ScenarioError(str(exc), field=name) from exc
     if isinstance(value, list):
         if len(value) < 2 or len(value) & (len(value) - 1):
             raise ScenarioError(
@@ -800,6 +803,8 @@ def reference_parse_trace(text: str) -> Trace:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError:
+        raise ScenarioError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict) or raw.get("schema") != TRACE_SCHEMA:
         raise ScenarioError(f"expected schema {TRACE_SCHEMA!r}", field="schema")
     for name in ("places", "initial", "final", "table"):
@@ -1071,20 +1076,69 @@ def relay_net(x_addresses=(0,), y_addresses=(1,), data: int = 1):
     })
 
 
+def gated_relay_net(rng: random.Random):
+    """A gated net whose interleavings reorder the payloads that reach its gate.
+
+    T1 and T2 relay the data tokens of P1 and P2 into P3, in any
+    interleaving.  T3, inhibited until P1 and P2 are empty, takes the heads
+    of P3 and P5 through random 1-2-qubit permutation gates into P_O.  The
+    payloads are drawn from a pool of two or three states, basis and
+    superposed, so queues often repeat a payload; which ones meet at the
+    gate, and so whether it entangles them (a ``ModelError``), depends on
+    the order P3 received them in.  A memo key without data payloads would
+    merge those orders.
+    """
+    relayed, other = rng.randint(1, 2), rng.randint(1, 2)
+    pools = [[_reversal_payload(rng, width) for _ in range(rng.randint(2, 3))]
+             for width in (relayed, other)]
+    total = relayed + other
+    gate = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice([k for k, a in _GATE_ARITY.items() if a <= min(2, total)])
+        gate.append(GateOp(kind, tuple(rng.sample(range(total), _GATE_ARITY[kind]))))
+    places = [Place(pid, PlaceKind.INPUT) for pid in ("P1", "P2", "P3", "P5")]
+    transitions = [
+        _identity_transition("T1", [("P1", "x1")], {"x1": "P3"}),
+        _identity_transition("T2", [("P2", "x1")], {"x1": "P3"}),
+        replace(_identity_transition("T3", [("P3", "x1"), ("P5", "x2")],
+                                     {"x1": "P_O", "x2": "P_O"}, inhibitors=["P1", "P2"]),
+                gate=tuple(gate)),
+    ]
+    counts = {"P1": rng.randint(1, 3), "P2": rng.randint(1, 3), "P5": rng.randint(1, 4)}
+    tokens, assignment = [], {}
+    for pid, count in counts.items():
+        pool = pools[1] if pid == "P5" else pools[0]
+        assignment[pid] = [f"{pid.lower()}_{i + 1}" for i in range(count)]
+        tokens += [QToken(tok, TokenKind.DATA, rng.choice(pool)) for tok in assignment[pid]]
+    net = QPNet(places + [Place("P_O", PlaceKind.OUTPUT)], transitions, tokens)
+    return net, net.initial_marking(assignment)
+
+
+def _enumeration(enumerate_, net: QPNet, marking: Marking):
+    """The ordered outcomes of ``enumerate_``, or the message of its ``ModelError``."""
+    try:
+        return list(enumerate_(net, marking).items())
+    except ModelError as exc:
+        return str(exc)
+
+
 def quotient_enumeration_suite(cases: int = 300, seed: int = 409) -> int:
     """Count-space enumeration equals the full-identity reference, witnesses and order.
 
     Random buffers of all five kinds (free selectors, full and partial
-    address programs, data payloads of 1-3 qubits, often superposed) and
-    relay nets with random selector addresses must give the ordered dict
-    ``reference_enumerate`` gives.  The canonical relay net must reach both
-    outputs, which it does only if relayed addresses stay in the key.
+    address programs, data payloads of 1-3 qubits, often superposed), relay
+    nets with random selector addresses and gated relay nets must give the
+    ordered dict ``reference_enumerate`` gives, or raise the ``ModelError``
+    it raises.  The canonical relay net must reach both outputs, which it
+    does only if relayed addresses stay in the key; the gated nets must
+    raise as well as succeed.
     """
     rng = random.Random(seed)
     net, marking = relay_net()
     got = enumerate_final_markings(net, marking)
     assert list(got.items()) == list(reference_enumerate(net, marking).items())
     assert {dict(sig)["P_O1"] for sig in got} == {0, 1}
+    gated = Counter()
     for case in range(cases):
         if case % 10 == 0:
             net, marking = relay_net(
@@ -1092,10 +1146,15 @@ def quotient_enumeration_suite(cases: int = 300, seed: int = 409) -> int:
                   for _ in range(2)),
                 data=rng.randint(1, 3),
             )
+        elif case % 5 == 2:
+            net, marking = gated_relay_net(rng)
         else:
             net, marking = _quotient_spec(rng).build()
-        got = enumerate_final_markings(net, marking)
-        assert list(got.items()) == list(reference_enumerate(net, marking).items()), case
+        got = _enumeration(enumerate_final_markings, net, marking)
+        assert got == _enumeration(reference_enumerate, net, marking), case
+        if case % 5 == 2:
+            gated[isinstance(got, str)] += 1
+    assert cases < 50 or min(gated[True], gated[False]) >= cases // 50, gated
     return cases
 
 

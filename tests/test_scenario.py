@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import prop_util
+
 from qpnbuf.buffers import build_cnot_example, build_siso, run_scenario
 from qpnbuf.cli import _DEMO_SCENARIOS
 from qpnbuf.engine import AddressDriven, Scripted, run
@@ -396,6 +398,43 @@ def test_nan_payload_scenario_exits_2(tmp_path, capsys):
     path.write_text('{"kind": "siso", "n": 1, "m": 1, "payloads": {"d1": [[NaN, 0], [0, 0]]}}')
     assert main(["buffer", "run", "--scenario", str(path)]) == 2
     assert "payloads.d1" in capsys.readouterr().err
+
+
+def test_over_wide_basis_label_is_scenario_error(tmp_path, capsys):
+    from qpnbuf.cli import main
+
+    label = "0" * 64
+    path = tmp_path / "wide.json"
+    path.write_text('{"kind": "siso", "n": 1, "m": 1, "payloads": {"d1": "%s"}}' % label)
+    assert main(["buffer", "run", "--scenario", str(path)]) == 2
+    assert "payloads.d1" in capsys.readouterr().err
+    raw = json.loads(emit_trace(run(*build_siso(1, 1), AddressDriven())))
+    raw["initial"]["payloads"]["d1"] = label
+    text = json.dumps(raw)
+    with pytest.raises(ScenarioError) as err:
+        parse_trace(text)
+    assert err.value.field == "initial.payloads.d1"
+    assert prop_util._reading(parse_trace, text) == prop_util._reading(
+        prop_util.reference_parse_trace, text)
+
+
+@pytest.mark.parametrize("parse", [parse_scenario, parse_trace])
+def test_deeply_nested_json_is_scenario_error(parse):
+    text = "[" * 200_000
+    with pytest.raises(ScenarioError, match="nested too deeply"):
+        parse(text)
+    if parse is parse_trace:
+        assert prop_util._reading(parse, text) == prop_util._reading(
+            prop_util.reference_parse_trace, text)
+
+
+def test_deeply_nested_scenario_exits_2(tmp_path, capsys):
+    from qpnbuf.cli import main
+
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main(["buffer", "run", "--scenario", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def _demo_trace(name):
