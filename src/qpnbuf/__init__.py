@@ -70,6 +70,7 @@ from .scenario import (
     ScenarioDoc,
     emit_marking_table,
     emit_scenario,
+    emit_signatures,
     emit_trace,
     parse_scenario,
     parse_trace,

@@ -1,9 +1,10 @@
 """Constructors for the five quantum buffer nets and their scenario runner.
 
-``KIND_PARAMS`` declares each kind's required parameters once: ``BufferSpec``
-checks them before it calls the kind's builder, and the scenario parser
-derives its field checks from the same table (``ScenarioDoc`` is a
-``BufferSpec`` with run settings added).
+``KIND_TABLE`` declares once what each buffer kind takes: its parameters,
+its address programs and its number of data tokens.  ``BufferSpec.build``
+checks a spec against it before it calls the kind's builder, and the
+scenario parser and emitter read their fields from the same table
+(``ScenarioDoc`` is a ``BufferSpec`` with run settings added).
 
 All buffer transitions are identity events: payloads move between places
 untouched, so a data token of any qubit width flows exactly like a
@@ -19,7 +20,8 @@ choice.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 from .engine import (
     AddressDriven,
@@ -41,15 +43,58 @@ from .engine import (
 from .errors import QpnError, SpecError
 from .statevector import StateVector, basis_state, cx
 
-# Required parameters of each buffer kind, in the order its builder takes them.
-KIND_PARAMS = {
-    "siso": ("n", "m"),
-    "simo": ("n", "m", "k"),
-    "miso": ("r", "m"),
-    "mimo": ("r", "outputs", "m"),
-    "priority": ("r_low", "r_high", "m_low", "m_high"),
+
+class BufferKind(NamedTuple):
+    """What a buffer kind takes, in the order its builder takes it.
+
+    ``params`` are its required parameters.  ``programs`` maps each optional
+    address program to the parameter that counts its choices; a program
+    seeds up to ``m`` selectors.  ``data`` are the parameters that add up to
+    its number of data tokens d1, d2, ...  The input counts ``r`` count
+    choices by their length and data tokens by their sum.
+    """
+
+    params: tuple[str, ...]
+    programs: dict[str, str]
+    data: tuple[str, ...]
+
+    @property
+    def arguments(self) -> tuple[str, ...]:
+        """The ``BufferSpec`` fields the kind's builder takes, in its order."""
+        return (*self.params, "payloads", *self.programs)
+
+    def choices(self, program: str, params) -> int:
+        value = params[self.programs[program]]
+        return value if isinstance(value, int) else len(value)
+
+    def data_count(self, params) -> int:
+        counts = (params[name] for name in self.data)
+        return sum(c if isinstance(c, int) else sum(c) for c in counts)
+
+
+KIND_TABLE = {
+    "siso": BufferKind(("n", "m"), {}, ("n",)),
+    "simo": BufferKind(("n", "m", "k"), {"addresses": "k"}, ("n",)),
+    "miso": BufferKind(("r", "m"), {"addresses": "r"}, ("r",)),
+    "mimo": BufferKind(("r", "outputs", "m"),
+                       {"input_addresses": "r", "output_addresses": "outputs"}, ("r",)),
+    "priority": BufferKind(("r_low", "r_high", "m_low", "m_high"), {}, ("r_low", "r_high")),
 }
-KINDS = tuple(KIND_PARAMS)
+KINDS = tuple(KIND_TABLE)
+
+
+def address_fault(program, choices: int, count: int) -> tuple[str, str] | None:
+    """Why ``program`` cannot seed ``count`` selectors of ``choices`` choices.
+
+    The message and the index suffix (``[i]``, or empty) of the field at
+    fault; None for a program that fits.
+    """
+    if len(program) > count:
+        return f"address program has {len(program)} entries for {count} selectors", ""
+    for i, a in enumerate(program):
+        if not 0 <= a < choices:
+            return f"address {a} at position {i} is out of range for {choices} choices", f"[{i}]"
+    return None
 
 
 def _selector_width(choices: int) -> int:
@@ -82,6 +127,9 @@ def _identity_transition(tid, inputs, routing, guard=None, inhibitors=()):
 
 def _data_tokens(ids, payloads: dict[str, StateVector] | None):
     payloads = payloads or {}
+    unknown = sorted(payloads.keys() - set(ids))
+    if unknown:
+        raise SpecError(f"payload for {unknown[0]!r}, which is not a data token of this instance")
     return [
         QToken(tid, TokenKind.DATA, payloads.get(tid, shared_basis_state(1, 0))) for tid in ids
     ]
@@ -91,15 +139,9 @@ def _selector_tokens(prefix, count, choices, addresses):
     """Ancillary selector tokens; seeded with addresses or left free."""
     width = _selector_width(choices)
     if addresses is not None:
-        if len(addresses) > count:
-            raise SpecError(
-                f"address program has {len(addresses)} entries for {count} selectors"
-            )
-        for i, a in enumerate(addresses):
-            if not 0 <= a < choices:
-                raise SpecError(
-                    f"address {a} at position {i} is out of range for {choices} choices"
-                )
+        fault = address_fault(addresses, choices, count)
+        if fault is not None:
+            raise SpecError(fault[0])
     program = tuple(addresses or ())
     program += (None,) * (count - len(program))
     return [
@@ -116,6 +158,17 @@ def _input_queues(r):
         assignment[f"P_I{j + 1}"] = [f"d{counter + i}" for i in range(count)]
         counter += count
     return [tok for toks in assignment.values() for tok in toks], assignment
+
+
+def _check_inputs(kind, r, m) -> int:
+    """The number of input places of a miso or mimo instance, checked with its capacity."""
+    if len(r) < 2:
+        raise SpecError(f"{kind} requires at least 2 input places, got {len(r)}")
+    if m < 1:
+        raise SpecError(f"{kind} requires m >= 1, got m={m}")
+    if any(c < 0 for c in r):
+        raise SpecError(f"input counts must be nonnegative, got {r}")
+    return len(r)
 
 
 def _plain_ancillas(prefix, count):
@@ -203,13 +256,7 @@ def build_miso(
     selector and stages the pair in P_DA; the unguarded output transition
     forwards the pair's data token to P_O and parks the selector in P_A1.
     """
-    k = len(r)
-    if k < 2:
-        raise SpecError(f"miso requires at least 2 input places, got {k}")
-    if m < 1:
-        raise SpecError(f"miso requires m >= 1, got m={m}")
-    if any(c < 0 for c in r):
-        raise SpecError(f"input counts must be nonnegative, got {r}")
+    k = _check_inputs("miso", r, m)
     places = [Place(f"P_I{j + 1}", PlaceKind.INPUT) for j in range(k)] + [
         Place("P_DA", PlaceKind.DATA_ANCILLARY),
         Place("P_A", PlaceKind.ANCILLARY),
@@ -254,15 +301,9 @@ def build_mimo(
     place; output selectors (z, in P_A2) choose which output place receives
     the staged data token.  Both spent selectors collect in P_A3.
     """
-    k = len(r)
-    if k < 2:
-        raise SpecError(f"mimo requires at least 2 input places, got {k}")
+    k = _check_inputs("mimo", r, m)
     if outputs < 2:
         raise SpecError(f"mimo requires at least 2 output places, got {outputs}")
-    if m < 1:
-        raise SpecError(f"mimo requires m >= 1, got m={m}")
-    if any(c < 0 for c in r):
-        raise SpecError(f"input counts must be nonnegative, got {r}")
     places = (
         [Place(f"P_I{j + 1}", PlaceKind.INPUT) for j in range(k)]
         + [
@@ -319,12 +360,7 @@ def build_priority(
     while P_DA2 holds anything, so T4 always clears high-priority pairs
     first.  Spent ancillas collect in P_A2 in arrival order.
     """
-    for name, value in (
-        ("r_low", r_low),
-        ("r_high", r_high),
-        ("m_low", m_low),
-        ("m_high", m_high),
-    ):
+    for name, value in zip(KIND_TABLE["priority"].params, (r_low, r_high, m_low, m_high)):
         if value < 0:
             raise SpecError(f"{name} must be nonnegative, got {value}")
     places = [
@@ -427,24 +463,23 @@ class BufferSpec:
     output_addresses: tuple[int, ...] | None = None
 
     def build(self) -> tuple[QPNet, Marking]:
-        if self.kind not in KIND_PARAMS:
+        """Check the spec against its kind's table entry and call the kind's builder.
+
+        The builder is looked up by its module-level name ``build_<kind>``
+        on each call, so a rebinding of that name takes effect here.
+        """
+        kind = KIND_TABLE.get(self.kind)
+        if kind is None:
             raise SpecError(f"unknown buffer kind {self.kind!r}")
-        params = []
-        for name in KIND_PARAMS[self.kind]:
-            params.append(getattr(self, name))
-            if params[-1] is None:
+        names = kind.arguments
+        for f in fields(BufferSpec)[1:]:  # after kind
+            if f.name not in names and getattr(self, f.name) is not None:
+                raise SpecError(f"a {self.kind} spec takes no {f.name}")
+        args = [getattr(self, name) for name in names]
+        for name, value in zip(kind.params, args):
+            if value is None:
                 raise SpecError(f"{self.kind} spec needs {name}")
-        if self.kind == "siso":
-            return build_siso(*params, self.payloads)
-        if self.kind == "simo":
-            return build_simo(*params, self.payloads, self.addresses)
-        if self.kind == "miso":
-            return build_miso(*params, self.payloads, self.addresses)
-        if self.kind == "mimo":
-            return build_mimo(
-                *params, self.payloads, self.input_addresses, self.output_addresses
-            )
-        return build_priority(*params, self.payloads)
+        return globals()[f"build_{self.kind}"](*args)
 
 
 def run_scenario(

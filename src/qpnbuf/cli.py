@@ -21,11 +21,12 @@ from .flipflop import (
     QsrInputs,
     build_qsr_circuit,
     conformance_report,
+    initial_x_gates,
     reference_next_state,
     simulate_qsr,
 )
 from .qasm import export_qasm
-from .scenario import emit_json, emit_marking_table, emit_trace, parse_scenario
+from .scenario import emit_marking_table, emit_signatures, emit_trace, parse_scenario
 
 # The buffer demos are scenario documents and take the path of ``buffer run``.
 # An enumeration demo also names the places its signatures show.
@@ -59,9 +60,12 @@ def _write_output(text: str, out: Path | None):
 def _step_bound() -> int:
     value = os.environ.get("QPN_STEP_BOUND", DEFAULT_STEP_BOUND)
     try:
-        return int(value)
+        bound = int(value)
     except ValueError:
-        raise ScenarioError(f"QPN_STEP_BOUND must be an integer, got {value!r}") from None
+        bound = -1
+    if bound < 0:
+        raise ScenarioError(f"QPN_STEP_BOUND must be an integer >= 0, got {value!r}")
+    return bound
 
 
 def _fmt_bit(value: int | None) -> str:
@@ -111,20 +115,6 @@ def _qsr_conformance() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _init_gates(inputs: QsrInputs) -> tuple[int, ...]:
-    """X gates preparing q = (S, R, 0, NOT Q, Q, 0, 0) from all-zero."""
-    gates = []
-    if inputs.s:
-        gates.append(0)
-    if inputs.r:
-        gates.append(1)
-    if not inputs.q:
-        gates.append(3)
-    if inputs.q:
-        gates.append(4)
-    return tuple(gates)
-
-
 def _cmd_qsr(args) -> int:
     variant = CircuitVariant(args.variant)
     if args.mode == "table":
@@ -139,7 +129,7 @@ def _cmd_qsr(args) -> int:
         inputs = QsrInputs(args.S or 0, 1 if args.R is None else args.R,
                            args.Q or 0)
         circuit = build_qsr_circuit(variant)
-        _write_output(export_qasm(circuit, _init_gates(inputs)), args.out)
+        _write_output(export_qasm(circuit, initial_x_gates(inputs)), args.out)
     return 0
 
 
@@ -159,11 +149,7 @@ def _trace_output(trace: Trace, fmt: str) -> str:
 
 def _signature_output(signatures: dict, places: tuple[str, ...], fmt: str) -> str:
     if fmt == "json":
-        doc = [
-            {"signature": {pid: count for pid, count in sig if pid in places}, "witness": wit}
-            for sig, wit in sorted(signatures.items())
-        ]
-        return emit_json(doc) + "\n"
+        return emit_signatures(signatures, places)
     lines = []
     for sig, wit in sorted(signatures.items()):
         shown = " ".join(f"{pid}={count}" for pid, count in sig if pid in places)
@@ -227,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help=f"demo name, one of {', '.join(DEMOS)}")
     buffer_cmd.add_argument("--scenario", type=Path, default=None)
     buffer_cmd.add_argument("--out", type=Path, default=None)
-    buffer_cmd.add_argument("--seed", type=int, default=0)
     buffer_cmd.add_argument("--format", choices=["json", "table"], default="json")
     return parser
 

@@ -133,14 +133,15 @@ def build_qsr_circuit(variant: CircuitVariant) -> Circuit:
     )
 
 
+def initial_x_gates(inputs: QsrInputs) -> tuple[int, ...]:
+    """The qubits, ascending, that X gates raise to prepare q = (S, R, 0, NOT Q, Q, 0, 0)."""
+    raised = {S_QUBIT: inputs.s, R_QUBIT: inputs.r, QPRIME_QUBIT: 1 - inputs.q, Q_QUBIT: inputs.q}
+    return tuple(q for q, bit in raised.items() if bit)
+
+
 def initial_label(inputs: QsrInputs) -> str:
     """Basis label (qubit 6 first) for q = (S, R, 0, NOT Q, Q, 0, 0)."""
-    bits = [0] * 7
-    bits[S_QUBIT] = inputs.s
-    bits[R_QUBIT] = inputs.r
-    bits[QPRIME_QUBIT] = 1 - inputs.q
-    bits[Q_QUBIT] = inputs.q
-    return "".join(str(b) for b in reversed(bits))
+    return format(sum(1 << q for q in initial_x_gates(inputs)), "07b")
 
 
 def simulate_qsr(variant: CircuitVariant, inputs: QsrInputs) -> QsrOutcome:

@@ -12,12 +12,16 @@ from the engine's ``Trace`` and parses back to one; the parser replays the
 events on the initial queues and rejects a document that contradicts
 itself.
 
-Both formats are versioned JSON.  Emission is canonical (sorted keys,
+A signature document lists the outcomes of an enumeration, each with the
+firing sequence that reaches it.
+
+All three formats are versioned JSON.  Emission is canonical (sorted keys,
 fixed layout), so identical runs serialize to identical bytes: the bytes
-``json.dumps(..., sort_keys=True, indent=1)`` gives, which ``emit_json``
-writes directly for scenario and signature documents and ``emit_trace``
-writes from the trace's records.  Amplitudes serialize as [real, imaginary]
-pairs, never decimal strings.
+``json.dumps(..., sort_keys=True, indent=1)`` gives.  ``emit_scenario``
+calls it; ``emit_trace`` and ``emit_signatures`` write that layout straight
+from their records.  Amplitudes serialize as [real, imaginary] pairs, never
+decimal strings.  What each buffer kind takes is read from
+``buffers.KIND_TABLE``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import marshal
 from collections import deque
 from dataclasses import dataclass, fields
 
-from .buffers import KIND_PARAMS, KINDS, BufferSpec
+from .buffers import KIND_TABLE, KINDS, BufferSpec, address_fault
 from .engine import (
     AddressDriven,
     EagerOutputThenScript,
@@ -50,13 +54,6 @@ TRACE_SCHEMA = "qpn-trace/1"
 SCHEDULERS = ("address-driven", "scripted", "eager-output-then-script")
 
 _COMMON_FIELDS = {"schema", "kind", "payloads", "scheduler", "script", "seed", "enumerate"}
-# Optional selector programs of each kind, each with the parameter that
-# counts its choices (``r`` by its length); other kind fields are required.
-_ADDRESS_FIELDS = {
-    "simo": {"addresses": "k"},
-    "miso": {"addresses": "r"},
-    "mimo": {"input_addresses": "r", "output_addresses": "outputs"},
-}
 
 
 @dataclass(frozen=True)
@@ -136,19 +133,6 @@ def _payload_value(value, name) -> StateVector:
     )
 
 
-def _check_addresses(program, choices, count, name):
-    if len(program) > count:
-        raise ScenarioError(
-            f"{len(program)} addresses for {count} selector tokens", field=name
-        )
-    for i, a in enumerate(program):
-        if a >= choices:
-            raise ScenarioError(
-                f"address {a} selects among {choices} choices", field=f"{name}[{i}]"
-            )
-    return program
-
-
 def _load_json(text: str):
     """The JSON value in ``text``; malformed or too deeply nested text is a ``ScenarioError``."""
     try:
@@ -172,31 +156,26 @@ def parse_scenario(text: str) -> ScenarioDoc:
     if kind not in KINDS:
         raise ScenarioError(f"kind must be one of {KINDS}, got {kind!r}", field="kind")
 
-    allowed = _COMMON_FIELDS | {*KIND_PARAMS[kind], *_ADDRESS_FIELDS.get(kind, {})}
-    unknown = sorted(set(raw) - allowed)
+    table = KIND_TABLE[kind]
+    unknown = sorted(set(raw) - _COMMON_FIELDS - set(table.arguments))
     if unknown:
         raise ScenarioError(
             f"unknown field(s) for kind {kind!r}: {', '.join(unknown)}", field=unknown[0]
         )
-    for name in KIND_PARAMS[kind]:
+    for name in table.params:
         if name not in raw:
             raise ScenarioError(f"kind {kind!r} needs {name!r}", field=name)
 
     params = {
         name: _int_list(raw[name], name) if name == "r" else _int_field(raw[name], name)
-        for name in KIND_PARAMS[kind]
+        for name in table.params
     }
 
     payloads: dict[str, StateVector] = {}
     if "payloads" in raw:
         if not isinstance(raw["payloads"], dict):
             raise ScenarioError("payloads must be an object", field="payloads")
-        data_count = (
-            params["n"] if "n" in params
-            else sum(params["r"]) if "r" in params
-            else params["r_low"] + params["r_high"]
-        )
-        valid_ids = {f"d{i + 1}" for i in range(data_count)}
+        valid_ids = {f"d{i + 1}" for i in range(table.data_count(params))}
         for tok, value in raw["payloads"].items():
             if tok not in valid_ids:
                 raise ScenarioError(
@@ -205,12 +184,12 @@ def parse_scenario(text: str) -> ScenarioDoc:
             payloads[tok] = _payload_value(value, f"payloads.{tok}")
 
     programs = {}
-    for name, counted in _ADDRESS_FIELDS.get(kind, {}).items():
+    for name in table.programs:
         if name in raw:
-            choices = len(params["r"]) if counted == "r" else params[counted]
-            programs[name] = _check_addresses(
-                _int_list(raw[name], name), choices, params["m"], name
-            )
+            programs[name] = _int_list(raw[name], name)
+            fault = address_fault(programs[name], table.choices(name, params), params["m"])
+            if fault is not None:
+                raise ScenarioError(fault[0], field=name + fault[1])
 
     scheduler = raw.get("scheduler", "address-driven")
     if scheduler not in SCHEDULERS:
@@ -250,28 +229,8 @@ def parse_scenario(text: str) -> ScenarioDoc:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-_SCALARS = {None: "null", True: "true", False: "false"}
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-# The text of each JSON scalar type, as the standard library's encoder writes it.
-_SCALAR_TEXT = {
-    str: _encode_str,
-    int: int.__repr__,
-    float: _float_text,
-    bool: _SCALARS.__getitem__,
-    type(None): _SCALARS.__getitem__,
-}
+_float_text = float.__repr__  # a StateVector's amplitudes are finite
+_int_text = int.__repr__
 
 
 def _payload_text(payload: StateVector, level: int) -> str:
@@ -285,103 +244,31 @@ def _payload_text(payload: StateVector, level: int) -> str:
     return f"[{pair}{f',{pair}'.join(pairs)}\n{' ' * level}]"
 
 
-_int_text = int.__repr__
-
-
 def _address_text(address: int | None) -> str:
     return "null" if address is None else _int_text(address)
 
 
-def _list_text(texts, level: int) -> str:
-    """A list opening at nesting ``level``, of members already written as ``texts``."""
+def _list_text(texts, level: int, brackets: str = "[]") -> str:
+    """A list or object opening at nesting ``level``, of members already written as ``texts``."""
     inner = "\n" + " " * (level + 1)
     body = f",{inner}".join(texts)
-    return f"[{inner}{body}\n{' ' * level}]" if body else "[]"
-
-
-def emit_json(doc) -> str:
-    """The text of ``json.dumps(doc, sort_keys=True, indent=1)``, written directly.
-
-    With an indent the standard library encodes in pure Python; this writes
-    the same layout (sorted keys, one more space per level, ``[]``/``{}`` when
-    empty) with the same string, int and float text.  ``doc`` is built of
-    dicts with string keys, lists, tuples, str, int, float, bool and None, as
-    every document here is; anything else raises ``TypeError``.  A
-    ``StateVector`` stands for its [real, imaginary] pair list.  Each key
-    set's sorted order with its key texts is made once per document (a
-    signature document repeats one key set per outcome).
-    """
-    parts: list[str] = []
-    write = parts.append
-    orders: dict[tuple[str, ...], list[tuple[str, str]]] = {}
-    levels: list[tuple[str, str, str, str]] = []  # inner, sep, "]" and "}" closings
-    scalar = _SCALAR_TEXT.get
-
-    def emit(value, level, prefix):
-        """Write ``prefix`` and a container or payload; scalars inside are written in place."""
-        cls = type(value)
-        if cls is StateVector:
-            write(prefix + _payload_text(value, level))
-            return
-        if cls is not dict and cls is not list and cls is not tuple:
-            text = scalar(cls)
-            if text is None:
-                raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-            write(prefix + text(value))
-            return
-        if not value:
-            write(prefix + ("{}" if cls is dict else "[]"))
-            return
-        while len(levels) <= level:
-            indent = "\n" + " " * len(levels)
-            levels.append((indent + " ", "," + indent + " ", indent + "]", indent + "}"))
-        inner, sep, close_list, close_dict = levels[level]
-        if cls is dict:
-            inner = prefix + "{" + inner
-            keys = tuple(value)
-            order = orders.get(keys)
-            if order is None:  # _encode_str raises TypeError for a key that is not a str
-                order = orders[keys] = [(key, _encode_str(key)) for key in sorted(keys)]
-            for key, key_text in order:
-                item = value[key]
-                text = scalar(type(item))
-                if text is not None:
-                    write(f"{inner}{key_text}: {text(item)}")
-                else:
-                    emit(item, level + 1, f"{inner}{key_text}: ")
-                inner = sep
-            write(close_dict)
-        else:
-            inner = prefix + "[" + inner
-            for item in value:
-                text = scalar(type(item))
-                if text is None:
-                    emit(item, level + 1, inner)
-                else:
-                    write(inner + text(item))
-                inner = sep
-            write(close_list)
-
-    emit(doc, 0, "")
-    return "".join(parts)
+    return f"{brackets[0]}{inner}{body}\n{' ' * level}{brackets[1]}" if body else brackets
 
 
 def emit_scenario(doc: ScenarioDoc) -> str:
     """Serialize a scenario document canonically; parse(emit(doc)) == doc."""
-    out: dict = {"schema": SCENARIO_SCHEMA}
-    for f in fields(BufferSpec):  # kind, sizing parameters, payloads, address programs
-        value = getattr(doc, f.name)
-        if f.name == "payloads":
-            if value:
-                out["payloads"] = dict(value)
-        elif value is not None:
-            out[f.name] = value
-    out["scheduler"] = doc.scheduler
+    kind = KIND_TABLE[doc.kind]
+    out: dict = {"schema": SCENARIO_SCHEMA, "kind": doc.kind, "scheduler": doc.scheduler,
+                 "seed": doc.seed, "enumerate": doc.enumerate_outcomes}
+    for name in kind.params + tuple(kind.programs):
+        if getattr(doc, name) is not None:
+            out[name] = getattr(doc, name)
+    if doc.payloads:
+        out["payloads"] = {tok: [[a.real, a.imag] for a in p.amplitudes.tolist()]
+                           for tok, p in doc.payloads.items()}
     if doc.script is not None:
         out["script"] = doc.script
-    out["seed"] = doc.seed
-    out["enumerate"] = doc.enumerate_outcomes
-    return emit_json(out) + "\n"
+    return json.dumps(out, sort_keys=True, indent=1) + "\n"
 
 
 class _StringTexts(dict):
@@ -395,14 +282,14 @@ class _StringTexts(dict):
 def emit_trace(trace: Trace) -> str:
     """Serialize a run canonically; identical runs give identical bytes.
 
-    These are the bytes ``emit_json`` gives the trace built as dicts and
-    lists, written straight from the records: the qpn-trace/1 layout is
-    fixed, so each marking, firing, move and table row is written from its
-    keys, in sorted order, at its known nesting level.  Each name's text is
-    made once per document, and so is each distinct payload's: keyed on its
-    amplitude bytes, made at level 0 and re-indented for the levels payloads
-    sit at (3 in markings, 5 in moves).  The pieces go into one list, joined
-    once.
+    These are the bytes ``json.dumps(..., sort_keys=True, indent=1)`` gives
+    the trace built as dicts and lists, written straight from the records:
+    the qpn-trace/1 layout is fixed, so each marking, firing, move and table
+    row is written from its keys, in sorted order, at its known nesting
+    level.  Each name's text is made once per document, and so is each
+    distinct payload's: keyed on its amplitude bytes, made at level 0 and
+    re-indented for the levels payloads sit at (3 in markings, 5 in moves).
+    The pieces go into one list, joined once.
     """
     parts: list[str] = []
     write = parts.append
@@ -486,6 +373,26 @@ def emit_trace(trace: Trace) -> str:
            f'\n   "time": {_int_text(time)}\n  }}' for time, counts in trace.table), 1, "[]")
     write("\n}\n")
     return "".join(parts)
+
+
+def emit_signatures(signatures: dict, places) -> str:
+    """Serialize enumerated outcomes: per signature, its counts on ``places`` and its witness.
+
+    ``signatures`` maps each outcome signature, a tuple of (place, count)
+    pairs, to a firing sequence that reaches it.  These are the bytes
+    ``json.dumps(..., sort_keys=True, indent=1)`` gives the list of
+    ``{"signature": {place: count}, "witness": [transition]}`` objects in
+    signature order, written from that fixed layout; each name's text is
+    made once per document.
+    """
+    names, shown = _StringTexts(), set(places)
+
+    def outcome(sig, witness) -> str:  # at level 1
+        counts = (f"{names[pid]}: {_int_text(n)}" for pid, n in sorted(sig) if pid in shown)
+        return (f'{{\n  "signature": {_list_text(counts, 2, "{}")},'
+                f'\n  "witness": {_list_text(map(names.__getitem__, witness), 2)}\n }}')
+
+    return _list_text((outcome(*item) for item in sorted(signatures.items())), 0) + "\n"
 
 
 def _payload_from_doc(value, seen: dict, where: str, tok: str | None = None) -> StateVector:

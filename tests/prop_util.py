@@ -23,7 +23,6 @@ from qpnbuf.buffers import (
     build_simo,
     build_siso,
 )
-from qpnbuf.cli import _signature_output
 from qpnbuf.engine import (
     AddressDriven,
     Arc,
@@ -57,8 +56,8 @@ from qpnbuf.scenario import (
     _ints,
     _is_address,
     _strings,
-    emit_json,
     emit_scenario,
+    emit_signatures,
     emit_trace,
     parse_scenario,
     parse_trace,
@@ -431,7 +430,7 @@ def gated_reversal_suite(cases: int = 1000, seed: int = 407) -> int:
     return done
 
 
-# Reference emission: the documents the package built before ``emit_json``,
+# Reference emission: the documents the package built before its fixed-layout writers,
 # each payload a [real, imaginary] list, serialized by ``json.dumps``.
 
 
@@ -587,34 +586,17 @@ def _random_trace(rng: random.Random) -> Trace:
     )
 
 
-def _random_json(rng: random.Random, depth: int = 0):
-    """A random JSON value with string keys; tuples stand in for some lists."""
-    if depth > 3 or rng.random() < 0.4:
-        return rng.choice((
-            None, True, False, 0, -1, 2**70, -(2**70), 0.0, -0.0, 1e-17, 5e-324, 1.5e300,
-            float("inf"), float("-inf"), float("nan"), 0.1, -2.5, "", "x", _random_name(rng),
-        ))
-    if rng.random() < 0.5:
-        items = [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
-        return tuple(items) if rng.random() < 0.3 else items
-    keys = _distinct_names(rng, rng.randint(0, 4))
-    return {key: _random_json(rng, depth + 1) for key in keys}
-
-
 def emitter_suite(cases: int = 1000, seed: int = 408) -> int:
-    """``emit_json`` writes what ``json.dumps(doc, sort_keys=True, indent=1)`` writes.
+    """The document writers write what ``json.dumps(doc, sort_keys=True, indent=1)`` writes.
 
-    Each case checks a random JSON value, a random trace (payloads of 1-3
-    qubits with signed zeros, subnormal and 1e-17 amplitudes, skipped
-    events with null transitions, empty queues and event lists, escaped
-    names), a random scenario and a random signature document against the
-    reference built from plain lists and dicts.
+    Each case checks a random trace (payloads of 1-3 qubits with signed
+    zeros, subnormal and 1e-17 amplitudes, skipped events with null
+    transitions, empty queues and event lists, escaped names), a random
+    scenario and a random signature document against the reference built
+    from plain lists and dicts.
     """
     rng = random.Random(seed)
     for case in range(cases):
-        value = _random_json(rng)
-        assert emit_json(value) == json.dumps(value, sort_keys=True, indent=1), case
-
         trace = _random_trace(rng)
         assert emit_trace(trace) == reference_trace_text(trace), case
 
@@ -637,7 +619,7 @@ def emitter_suite(cases: int = 1000, seed: int = 408) -> int:
             for _ in range(rng.randint(0, 4))
         }
         shown = tuple(rng.sample(places, rng.randint(0, len(places))))
-        assert (_signature_output(signatures, shown, "json")
+        assert (emit_signatures(signatures, shown)
                 == reference_signature_text(signatures, shown)), case
     return cases
 

@@ -306,6 +306,27 @@ def test_buffer_spec_unknown_kind():
         BufferSpec(kind="fifo").build()
 
 
+def test_buffer_spec_rejects_addresses_of_an_unguarded_kind():
+    # Left unchecked, the program would drive the run into two skipped selections.
+    with pytest.raises(SpecError, match="siso spec takes no addresses"):
+        run_scenario(BufferSpec(kind="siso", n=2, m=2, addresses=(0, 1)))
+
+
+def test_buffer_spec_rejects_a_field_its_kind_does_not_read():
+    spec = BufferSpec(kind="mimo", r=(1, 1), outputs=2, m=1, addresses=(5,))
+    with pytest.raises(SpecError, match="mimo spec takes no addresses"):
+        spec.build()
+
+
+def test_builders_reject_payloads_of_other_tokens():
+    spec = BufferSpec(kind="siso", n=2, m=1,
+                      payloads={"d7": basis_state(1, "1"), "z1": basis_state(1, "1")})
+    with pytest.raises(SpecError, match="'d7'"):
+        spec.build()
+    with pytest.raises(SpecError, match="'d3'"):
+        build_priority(1, 1, 1, 1, payloads={"d3": basis_state(1, "1")})
+
+
 def test_payload_width_freedom():
     wide = basis_state(3, "101")
     spec = BufferSpec(kind="siso", n=2, m=2, payloads={"d1": wide})

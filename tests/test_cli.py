@@ -199,6 +199,21 @@ def test_buffer_enumerate_step_bound_env_not_an_integer(capsys, tmp_path, monkey
     assert "QPN_STEP_BOUND" in err
 
 
+def test_buffer_enumerate_step_bound_env_negative(capsys, tmp_path, monkeypatch):
+    scenario = tmp_path / "scn.json"
+    scenario.write_text(json.dumps({"kind": "simo", "n": 4, "m": 3, "k": 2}))
+    monkeypatch.setenv("QPN_STEP_BOUND", "-1")
+    code, _, err = run_cli(capsys, "buffer", "enumerate", "--scenario", str(scenario))
+    assert code == 2
+    assert "QPN_STEP_BOUND" in err
+    # A bound of 0 is valid: a net that cannot fire needs no firing budget.
+    scenario.write_text(json.dumps({"kind": "siso", "n": 1, "m": 0}))
+    monkeypatch.setenv("QPN_STEP_BOUND", "0")
+    code, out, _ = run_cli(capsys, "buffer", "enumerate", "--scenario", str(scenario))
+    assert code == 0
+    assert json.loads(out)[0]["witness"] == []
+
+
 @pytest.mark.parametrize(
     "argv", [["qsr", "table"], ["buffer", "demo", "siso-4b"]], ids=["qsr", "buffer"]
 )

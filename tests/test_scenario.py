@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 import prop_util
@@ -11,7 +10,6 @@ from qpnbuf.engine import AddressDriven, Scripted, run
 from qpnbuf.errors import ScenarioError
 from qpnbuf.scenario import (
     ScenarioDoc,
-    emit_json,
     emit_marking_table,
     emit_scenario,
     emit_trace,
@@ -337,16 +335,6 @@ def test_parse_trace_integer_amplitudes_give_the_same_state():
     doc["initial"]["payloads"]["d2"] = [[1, 0], [0, 0]]
     parsed = parse_trace(json.dumps(doc))
     assert parsed.initial.payloads["d2"] == parsed.initial.payloads["d1"]
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [{"a": object()}, [{1j}], [np.float64(0.5)], {1: 0}, [{"a": 0}, {1: 0}]],
-    ids=["object", "set", "numpy-float", "int-key", "int-key-after-str-keys"],
-)
-def test_emit_json_rejects_what_no_document_holds(doc):
-    with pytest.raises(TypeError):
-        emit_json(doc)
 
 
 def test_parse_trace_reuses_each_distinct_payload():

@@ -9,6 +9,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from qpnbuf import buffers
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -26,3 +30,20 @@ def test_every_traced_name_resolves():
     for mod, cls, method, _ in tracer.METHODS:
         owner = getattr(importlib.import_module(f"qpnbuf.{mod}"), cls, None)
         assert callable(getattr(owner, method, None)), (mod, cls, method)
+
+
+@pytest.mark.parametrize("spec", [
+    buffers.BufferSpec(kind="siso", n=1, m=1),
+    buffers.BufferSpec(kind="simo", n=1, m=1, k=2),
+    buffers.BufferSpec(kind="miso", r=(1, 1), m=1),
+    buffers.BufferSpec(kind="mimo", r=(1, 1), outputs=2, m=1),
+    buffers.BufferSpec(kind="priority", r_low=1, r_high=1, m_low=1, m_high=1),
+], ids=lambda spec: spec.kind)
+def test_buffer_spec_calls_the_builder_by_its_module_name(monkeypatch, spec):
+    # The tracer counts buffers.build.calls by rebinding these names.
+    calls = []
+    builder = getattr(buffers, f"build_{spec.kind}")
+    monkeypatch.setattr(buffers, f"build_{spec.kind}",
+                        lambda *args: calls.append(args) or builder(*args))
+    spec.build()
+    assert len(calls) == 1
