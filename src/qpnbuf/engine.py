@@ -10,6 +10,11 @@ the concatenated data payloads through a gate sequence, and append the
 tokens at their routed destinations.  Every supported gate permutes basis
 states, so firing and unfiring are bit-exact on amplitudes.
 
+A net compiles each transition once into a firing plan, which ``fire`` and
+``unfire`` read.  Queues are persistent FIFOs with O(1) head pop and tail
+append (and their inverses), shared between markings; firing records are
+named tuples.
+
 Ancillary tokens may carry an *address*: the basis value of their payload,
 used by guarded transitions as a selector.  An address of ``None`` is a
 free selector that matches any guard and is materialized (payload set to
@@ -24,8 +29,9 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import groupby
+from itertools import groupby, islice
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,19 +105,15 @@ class Place:
 class Arc:
     """Labeled connection between a place and a transition.
 
-    ``direction`` is "in" (place to transition) or "out"; an input arc
-    takes one entry per firing.  Inhibitor arcs, which demand an empty
-    place, are the "in" arcs a transition lists as ``inhibitor_arcs``.
+    An input arc takes one entry per firing; inhibitor arcs demand an empty
+    place.  The engine reads ``place`` and ``label``; ``transition`` and
+    ``direction`` ("in" or "out") only describe the arc.
     """
 
     place: str
     transition: str
     direction: str
     label: str
-
-    def __post_init__(self):
-        if self.direction not in ("in", "out"):
-            raise ModelError(f"arc direction must be 'in' or 'out', got {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,23 @@ def _tid_key(tid: str) -> tuple[str, int]:
     return (m.group(1), int(m.group(2)) if m.group(2) else -1)
 
 
+class _Plan(NamedTuple):
+    """A transition compiled for firing.
+
+    ``slots`` are its deposit places in first-use order, each flagged if a
+    pair arriving there fuses; ``routes`` give per input the slot its entry
+    goes to, or the (data slot, ancillary slot) that split a pair entry.
+    """
+
+    tid: str
+    inputs: tuple[str, ...]
+    inhibitors: tuple[str, ...]
+    guard: tuple[str, int] | None  # (selector place, guard value)
+    slots: tuple[tuple[str, bool], ...]
+    routes: tuple[int | tuple[int, int], ...]
+    gate: tuple[GateOp, ...]
+
+
 class QPNet:
     """Static net structure: places, transitions, tokens, arcs."""
 
@@ -170,40 +189,45 @@ class QPNet:
         if len(self._transitions) != len(self.transitions):
             raise ModelError("duplicate transition ids")
         self._place_ids = self._places.keys()
-        self._selector = {t.id: self._check_transition(t) for t in self.transitions}
+        self._plans = {t.id: self._compile(t) for t in self.transitions}
         # enabled_transitions reports ids in this order.
-        self._ordered = tuple(sorted(self.transitions, key=lambda t: _tid_key(t.id)))
+        self._ordered = tuple(self._plans[tid] for tid in sorted(self._plans, key=_tid_key))
 
-    def _check_transition(self, t: Transition) -> str | None:
-        """Check a transition's wiring; return its selector place, if any."""
+    def _compile(self, t: Transition) -> _Plan:
+        """Check a transition's wiring and compile it into its firing plan."""
         for arc in t.input_arcs + t.output_arcs + t.inhibitor_arcs:
             if arc.place not in self._places:
                 raise ModelError(f"transition {t.id}: unknown place {arc.place!r}")
         labels = [arc.label for arc in t.input_arcs]
         if len(set(labels)) != len(labels):
             raise ModelError(f"transition {t.id}: duplicate input arc labels")
+        inputs = tuple(arc.place for arc in t.input_arcs)
+        if len(set(inputs)) != len(inputs):
+            raise ModelError(f"transition {t.id}: two input arcs from one place")
         if set(t.routing) != set(labels):
-            raise ModelError(
-                f"transition {t.id}: routing must cover exactly the input arc labels"
-            )
+            raise ModelError(f"transition {t.id}: routing must cover exactly the input arc labels")
         out_places = {arc.place for arc in t.output_arcs}
-        for label, dest in t.routing.items():
-            for pid in _destinations(dest):
+        slots: dict[str, int] = {}
+        routes = []
+        for label in labels:
+            dests = _destinations(t.routing[label])
+            for pid in dests:
                 if pid not in out_places:
                     raise ModelError(
                         f"transition {t.id}: routing of {label!r} targets {pid!r}, "
                         "which is not an output-arc place"
                     )
-        selector = next(
-            (arc.place for arc in t.input_arcs
-             if self._places[arc.place].kind is PlaceKind.ANCILLARY),
-            None,
-        )
+                slots.setdefault(pid, len(slots))
+            route = tuple(slots[pid] for pid in dests)
+            routes.append(route if len(route) == 2 else route[0])
+        selector = next((p for p in inputs if self._places[p].kind is PlaceKind.ANCILLARY), None)
         if t.address_guard is not None and selector is None:
-            raise ModelError(
-                f"transition {t.id}: an address guard needs an ancillary input place"
-            )
-        return selector
+            raise ModelError(f"transition {t.id}: an address guard needs an ancillary input place")
+        staging = PlaceKind.DATA_ANCILLARY
+        return _Plan(t.id, inputs, tuple(arc.place for arc in t.inhibitor_arcs),
+                     None if t.address_guard is None else (selector, t.address_guard),
+                     tuple((pid, self._places[pid].kind is staging) for pid in slots),
+                     tuple(routes), t.gate)
 
     def place(self, pid: str) -> Place:
         try:
@@ -214,6 +238,12 @@ class QPNet:
     def transition(self, tid: str) -> Transition:
         try:
             return self._transitions[tid]
+        except KeyError:
+            raise ModelError(f"unknown transition {tid!r}") from None
+
+    def _plan(self, tid: str) -> _Plan:
+        try:
+            return self._plans[tid]
         except KeyError:
             raise ModelError(f"unknown transition {tid!r}") from None
 
@@ -230,7 +260,7 @@ class QPNet:
         The selector supply places, closed under: some transition routes an
         input label's entry from this place into a guard-relevant place.
         """
-        relevant = {pid for pid in self._selector.values() if pid is not None}
+        relevant = {plan.guard[0] for plan in self._plans.values() if plan.guard is not None}
         grew = True
         while grew:
             grew = False
@@ -246,11 +276,6 @@ class QPNet:
     def token_is_data(self) -> dict[str, bool]:
         """Token id to whether it is a data token (read without hashing kinds)."""
         return {tok.id: tok.kind is TokenKind.DATA for tok in self.tokens.values()}
-
-    @cached_property
-    def staging_places(self) -> frozenset[str]:
-        """The data/ancillary staging places, where an arriving pair fuses."""
-        return frozenset(p.id for p in self.places if p.kind is PlaceKind.DATA_ANCILLARY)
 
     @cached_property
     def guard_map(self) -> dict[int, str]:
@@ -290,6 +315,41 @@ class QPNet:
         return Marking(queues, payloads, addresses, time=0)
 
 
+# A queue is ``[slots, start, end, entries]``: the window [start, end) of a
+# slot list shared by the queues derived from one another, and its entries
+# once built.  Lists only grow at their end, so a window widens in place when
+# its next slot is past the end or already holds the same entry, and is
+# copied otherwise: along a line of firings and unfirings, all four end
+# operations are O(1).
+Queue = list
+
+
+def _entries(queue: Queue) -> tuple[Entry, ...]:
+    entries = queue[3]
+    if entries is None:
+        slots, start, end, _ = queue
+        entries = queue[3] = tuple(slots[start:end])
+    return entries
+
+
+def _push_tail(queue: Queue, entry: Entry) -> Queue:
+    slots, start, end, _ = queue
+    if end == len(slots):
+        slots.append(entry)
+    elif slots[end] != entry:
+        slots = slots[start:end] + [entry]
+        return [slots, 0, len(slots), None]
+    return [slots, start, end + 1, None]
+
+
+def _push_head(queue: Queue, entry: Entry) -> Queue:
+    slots, start, end, _ = queue
+    if start and slots[start - 1] == entry:
+        return [slots, start - 1, end, None]
+    slots = [entry] + slots[start:end]
+    return [slots, 0, len(slots), None]
+
+
 class Marking:
     """Immutable snapshot: queue contents, payload table, addresses, time.
 
@@ -299,27 +359,26 @@ class Marking:
     content key needs no sorting.
     """
 
-    __slots__ = ("_queues", "_payloads", "_addresses", "time", "_net")
+    __slots__ = ("_queues", "_payloads", "_addresses", "_time", "_net")
 
     def __init__(self, queues, payloads, addresses, time):
-        queues = {p: tuple(es) for p, es in queues.items()}
+        held: dict[str, Queue] = {}
         seen: set[str] = set()
-        for entries in queues.values():
+        for pid, entries in queues.items():
+            entries = tuple(entries)
             for entry in entries:
                 for tok in entry:
                     if tok in seen:
                         raise ModelError(f"token {tok!r} appears in more than one place")
                     seen.add(tok)
-        self._fill(queues, dict(sorted(payloads.items())), dict(sorted(addresses.items())),
+            held[pid] = [list(entries), 0, len(entries), entries]
+        self._fill(held, dict(sorted(payloads.items())), dict(sorted(addresses.items())),
                    time, None)
 
     def _fill(self, queues, payloads, addresses, time, net):
-        set_ = object.__setattr__
-        set_(self, "_queues", queues)
-        set_(self, "_payloads", payloads)
-        set_(self, "_addresses", addresses)
-        set_(self, "time", time)
-        set_(self, "_net", net)  # the net this marking was last validated against
+        self._queues, self._payloads, self._addresses = queues, payloads, addresses
+        self._time = time
+        self._net = net  # the net this marking was last validated against
 
     def _derive(self, net: QPNet, queues, payloads, addresses, time) -> "Marking":
         """Successor built by a firing step; it conserves the token set."""
@@ -327,8 +386,9 @@ class Marking:
         child._fill(queues, payloads, addresses, time, net if self._net is net else None)
         return child
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Marking is immutable")
+    @property
+    def time(self) -> int:
+        return self._time
 
     @property
     def place_ids(self) -> tuple[str, ...]:
@@ -337,7 +397,7 @@ class Marking:
     @property
     def queues(self) -> MappingProxyType:
         """Read-only view: place id to its tuple of entries, in place order."""
-        return MappingProxyType(self._queues)
+        return MappingProxyType({pid: _entries(q) for pid, q in self._queues.items()})
 
     @property
     def payloads(self) -> MappingProxyType:
@@ -350,16 +410,18 @@ class Marking:
         return MappingProxyType(self._addresses)
 
     def entries(self, pid: str) -> tuple[Entry, ...]:
-        return self._queues[pid]
+        return _entries(self._queues[pid])
 
     def entry_count(self, pid: str) -> int:
-        return len(self._queues[pid])
+        _, start, end, _ = self._queues[pid]
+        return end - start
 
     def token_count(self, pid: str) -> int:
-        return sum(len(e) for e in self._queues[pid])
+        slots, start, end, _ = self._queues[pid]
+        return sum(map(len, slots[start:end]))
 
     def tokens_in(self, pid: str) -> tuple[str, ...]:
-        return tuple(tok for entry in self._queues[pid] for tok in entry)
+        return tuple(tok for entry in self.entries(pid) for tok in entry)
 
     def payload(self, tok: str) -> StateVector:
         return self._payloads[tok]
@@ -374,7 +436,7 @@ class Marking:
         """Hashable content key (time excluded): queues, addresses and payloads."""
         payloads = self._payloads
         return (
-            tuple(self._queues.items()),
+            tuple(self.queues.items()),
             tuple((t, -1 if a is None else a) for t, a in self._addresses.items()),
             tuple(zip(payloads, map(StateVector.amplitude_bytes, payloads.values()))),
         )
@@ -392,14 +454,16 @@ class Marking:
             return
         if self._queues.keys() != net._place_ids:
             raise ModelError("marking places disagree with the net")
-        tokens = {tok for entries in self._queues.values() for entry in entries for tok in entry}
+        tokens = {tok for entries in self.queues.values() for entry in entries for tok in entry}
         if tokens != net.tokens.keys():
             raise ModelError("marking tokens disagree with the net")
-        object.__setattr__(self, "_net", net)
+        self._net = net
 
 
-@dataclass(frozen=True, slots=True)
-class TokenMove:
+_new = tuple.__new__  # a record from its field tuple, skipping the constructor's frame
+
+
+class TokenMove(NamedTuple):
     """One token's role in a firing: where it was/went and its payload there."""
 
     token: str
@@ -408,8 +472,7 @@ class TokenMove:
     address: int | None
 
 
-@dataclass(frozen=True, slots=True)
-class FiringEvent:
+class FiringEvent(NamedTuple):
     """One transition firing.
 
     ``consumed`` lists tokens in consumption order with pre-firing payloads;
@@ -425,18 +488,13 @@ class FiringEvent:
     consumed_entry_sizes: tuple[int, ...]
     produced_entry_sizes: tuple[int, ...]
 
-    def _group(self, moves, sizes):
-        out, i = [], 0
-        for size in sizes:
-            out.append(tuple(moves[i : i + size]))
-            i += size
-        return out
-
     def consumed_entries(self) -> list[tuple[TokenMove, ...]]:
-        return self._group(self.consumed, self.consumed_entry_sizes)
+        moves = iter(self.consumed)
+        return [tuple(islice(moves, size)) for size in self.consumed_entry_sizes]
 
     def produced_entries(self) -> list[tuple[TokenMove, ...]]:
-        return self._group(self.produced, self.produced_entry_sizes)
+        moves = iter(self.produced)
+        return [tuple(islice(moves, size)) for size in self.produced_entry_sizes]
 
 
 @dataclass(frozen=True, slots=True)
@@ -481,31 +539,28 @@ class Trace:
         return tuple(rows)
 
 
-def _guard_ok(net: QPNet, marking: Marking, t: Transition) -> bool:
-    if t.address_guard is None:
+def _is_enabled(plan: _Plan, queues: dict[str, Queue], addresses: dict) -> bool:
+    for pid in plan.inputs:
+        _, start, end, _ = queues[pid]
+        if start == end:
+            return False
+    for pid in plan.inhibitors:
+        _, start, end, _ = queues[pid]
+        if start != end:
+            return False
+    if plan.guard is None:
         return True
-    entries = marking._queues[net._selector[t.id]]
-    if not entries:
-        return False
-    addr = marking._addresses[entries[0][0]]
-    return addr is None or addr == t.address_guard
-
-
-def _is_enabled(net: QPNet, marking: Marking, t: Transition) -> bool:
-    queues = marking._queues
-    for arc in t.input_arcs:
-        if not queues[arc.place]:
-            return False
-    for arc in t.inhibitor_arcs:
-        if queues[arc.place]:
-            return False
-    return _guard_ok(net, marking, t)
+    supply, value = plan.guard
+    slots, start, _, _ = queues[supply]
+    addr = addresses[slots[start][0]]
+    return addr is None or addr == value
 
 
 def enabled_transitions(net: QPNet, marking: Marking) -> list[str]:
     """Ids of all currently enabled transitions, ordered by id."""
     marking.validate(net)
-    return [t.id for t in net._ordered if _is_enabled(net, marking, t)]
+    queues, addresses = marking._queues, marking._addresses
+    return [plan.tid for plan in net._ordered if _is_enabled(plan, queues, addresses)]
 
 
 def _split_product(state: StateVector, widths: list[int]) -> list[StateVector]:
@@ -553,166 +608,164 @@ def _split_product(state: StateVector, widths: list[int]) -> list[StateVector]:
 shared_basis_state = lru_cache(maxsize=256)(basis_state_from_index)
 
 
-def _gate_payloads(t: Transition, payloads: list[StateVector]) -> list[StateVector]:
-    """The data payloads, in consumption order, after ``t``'s gates act on their product."""
-    joint = apply_all(reduce(tensor, payloads), t.gate)
+def _gate_payloads(gate: tuple[GateOp, ...], payloads: list[StateVector]) -> list[StateVector]:
+    """The data payloads, in consumption order, after ``gate`` acts on their product."""
+    joint = apply_all(reduce(tensor, payloads), gate)
     return _split_product(joint, [p.num_qubits for p in payloads])
 
 
 def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
     """Fire a transition: consume head entries, transform, deposit, advance time."""
-    t = net.transition(tid)
-    if not _is_enabled(net, marking, t):
+    plan = net._plan(tid)
+    queues, payloads, addresses = marking._queues, marking._payloads, marking._addresses
+    if not _is_enabled(plan, queues, addresses):
         raise NotEnabledError(f"transition {tid} cannot fire")
 
     # Successor state shares every queue and table the firing leaves alone.
-    queues = dict(marking._queues)
-    payloads = marking._payloads
-    addresses = marking._addresses
-
-    consumed_moves: list[TokenMove] = []
-    consumed_sizes: list[int] = []
-    entry_by_label: dict[str, Entry] = {}
-    for arc in t.input_arcs:
-        queue = queues[arc.place]
-        entry = entry_by_label[arc.label] = queue[0]
-        queues[arc.place] = queue[1:]
-        consumed_sizes.append(len(entry))
+    queues = dict(queues)
+    entries, consumed = [], []
+    for pid in plan.inputs:
+        slots, start, end, _ = queues[pid]
+        entry = slots[start]
+        entries.append(entry)
+        queues[pid] = [slots, start + 1, end, None]
         for tok in entry:
-            consumed_moves.append(TokenMove(tok, arc.place, payloads[tok], addresses[tok]))
+            consumed.append(_new(TokenMove, (tok, pid, payloads[tok], addresses[tok])))
 
     # Materialize a free selector: consuming it through a guard assigns the
     # guard's basis value as its address and payload.
-    if t.address_guard is not None:
-        supply = net._selector[tid]
-        selector = next(m.token for m in consumed_moves if m.place == supply)
+    if plan.guard is not None:
+        supply, value = plan.guard
+        selector = entries[plan.inputs.index(supply)][0]
         if addresses[selector] is None:
             width = payloads[selector].num_qubits
-            if t.address_guard >= (1 << width):
+            if value >= (1 << width):
                 raise ModelError(
-                    f"guard {t.address_guard} does not fit selector {selector}'s "
-                    f"{width}-qubit payload"
+                    f"guard {value} does not fit selector {selector}'s {width}-qubit payload"
                 )
-            addresses = {**addresses, selector: t.address_guard}
-            payloads = {**payloads, selector: shared_basis_state(width, t.address_guard)}
+            addresses = {**addresses, selector: value}
+            payloads = {**payloads, selector: shared_basis_state(width, value)}
 
     is_data = net.token_is_data
-    data_tokens = [m.token for m in consumed_moves if is_data[m.token]]
-    if t.gate and data_tokens:
-        gated = _gate_payloads(t, [payloads[tok] for tok in data_tokens])
-        payloads = {**payloads, **dict(zip(data_tokens, gated))}
+    if plan.gate:
+        data_tokens = [tok for entry in entries for tok in entry if is_data[tok]]
+        if data_tokens:
+            gated = _gate_payloads(plan.gate, [payloads[tok] for tok in data_tokens])
+            payloads = {**payloads, **dict(zip(data_tokens, gated))}
 
-    # Deposit: resolve destinations per label, then fuse a data+ancillary
-    # pair arriving together at a staging place into one entry.
-    deposits: dict[str, list[str]] = {}
-    for arc in t.input_arcs:
-        dest = t.routing[arc.label]
-        entry = entry_by_label[arc.label]
-        if isinstance(dest, PairRoute):
-            if len(entry) != 2 or is_data[entry[0]] == is_data[entry[1]]:
-                raise ModelError(
-                    f"transition {tid}: pair routing needs a (data, ancillary) entry, "
-                    f"got {entry}"
-                )
-            data, ancillary = entry if is_data[entry[0]] else entry[::-1]
-            deposits.setdefault(dest.data_to, []).append(data)
-            deposits.setdefault(dest.ancillary_to, []).append(ancillary)
-        else:
-            deposits.setdefault(dest, []).extend(entry)
+    # Deposit: route each entry to its slot (splitting a pair entry), then
+    # fuse a data+ancillary pair arriving together at a staging place.
+    deposits: list[list[str]] = [[] for _ in plan.slots]
+    for entry, route in zip(entries, plan.routes):
+        if type(route) is int:
+            deposits[route] += entry
+            continue
+        if len(entry) != 2 or is_data[entry[0]] == is_data[entry[1]]:
+            raise ModelError(
+                f"transition {tid}: pair routing needs a (data, ancillary) entry, got {entry}"
+            )
+        data, ancillary = entry if is_data[entry[0]] else entry[::-1]
+        deposits[route[0]].append(data)
+        deposits[route[1]].append(ancillary)
 
-    produced_moves: list[TokenMove] = []
-    produced_sizes: list[int] = []
-    staging = net.staging_places
-    for pid, toks in deposits.items():
-        if pid in staging and len(toks) == 2 and is_data[toks[0]] != is_data[toks[1]]:
-            ordered = tuple(toks) if is_data[toks[0]] else (toks[1], toks[0])
-            queues[pid] += (ordered,)
+    produced, produced_sizes = [], []
+    for (pid, staging), toks in zip(plan.slots, deposits):
+        if staging and len(toks) == 2 and is_data[toks[0]] != is_data[toks[1]]:
+            toks = toks if is_data[toks[0]] else toks[::-1]
+            queues[pid] = _push_tail(queues[pid], tuple(toks))
             produced_sizes.append(2)
-            produced_moves.extend(
-                TokenMove(tok, pid, payloads[tok], addresses[tok]) for tok in ordered
-            )
         else:
-            queues[pid] += tuple((tok,) for tok in toks)
-            produced_sizes.extend([1] * len(toks))
-            produced_moves.extend(
-                TokenMove(tok, pid, payloads[tok], addresses[tok]) for tok in toks
-            )
+            for tok in toks:
+                queues[pid] = _push_tail(queues[pid], (tok,))
+                produced_sizes.append(1)
+        for tok in toks:
+            produced.append(_new(TokenMove, (tok, pid, payloads[tok], addresses[tok])))
 
-    event = FiringEvent(
-        time=marking.time,
-        transition=tid,
-        consumed=tuple(consumed_moves),
-        produced=tuple(produced_moves),
-        consumed_entry_sizes=tuple(consumed_sizes),
-        produced_entry_sizes=tuple(produced_sizes),
-    )
+    event = _new(FiringEvent, (marking.time, tid, tuple(consumed), tuple(produced),
+                               tuple(map(len, entries)), tuple(produced_sizes)))
     return marking._derive(net, queues, payloads, addresses, marking.time + 1), event
 
 
 def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
     """Undo the most recent firing, restoring the pre-firing marking exactly.
 
-    The event's recorded pre-firing payloads are restored after a forward
-    check: the transition's gates must take them to the recorded post-firing
-    payloads.
+    The event must move each token once, consume one entry per input place in
+    input order, and leave its produced entries at the queue tails with the
+    recorded states; its gates must take the recorded pre-firing payloads,
+    which are restored, to the recorded post-firing ones.
     """
-    if marking.time != event.time + 1:
-        raise ReversalError(
-            f"marking time {marking.time} does not follow event time {event.time}"
-        )
-    t = net.transition(event.transition)
-    if sorted(m.token for m in event.consumed) != sorted(m.token for m in event.produced):
+    time, tid, consumed, produced, consumed_sizes, produced_sizes = event
+    if marking.time != time + 1:
+        raise ReversalError(f"marking time {marking.time} does not follow event time {time}")
+    plan = net._plan(tid)
+    tokens = [m.token for m in consumed]
+    produced_tokens = [m.token for m in produced]
+    moved = set(tokens)
+    if len(produced) != len(tokens) or moved.symmetric_difference(produced_tokens):
         raise ReversalError("event consumes and produces different tokens")
-    queues = dict(marking._queues)
-    payloads = marking._payloads
-    addresses = marking._addresses
+    if len(moved) != len(tokens):
+        raise ReversalError("event moves a token twice")
+    if sum(consumed_sizes) != len(consumed) or sum(produced_sizes) != len(produced):
+        raise ReversalError("event entry sizes do not add up to its moves")
+    if len(consumed_sizes) != len(plan.inputs):
+        raise ReversalError(f"{tid} consumes one entry per input arc: "
+                            f"{len(plan.inputs)}, not {len(consumed_sizes)}")
+    heads, start = [], 0
+    for pid, size in zip(plan.inputs, consumed_sizes):
+        if size < 1:
+            raise ReversalError("event has an empty entry")
+        stop = start + size
+        heads.append(tuple(tokens[start:stop]))
+        for m in consumed[start:stop]:
+            if m.place != pid:
+                raise ReversalError(f"{tid} consumes entry {len(heads)} from {pid}, not {m.place}")
+        start = stop
+
+    queues, payloads, addresses = dict(marking._queues), marking._payloads, marking._addresses
 
     # Produced entries must sit, in order, at the tails of their queues.
-    produced = event.produced_entries()
-    for entry_moves in reversed(produced):
-        pid = entry_moves[0].place
-        entry = tuple(m.token for m in entry_moves)
-        queue = queues[pid]
-        if not queue or queue[-1] != entry:
-            raise ReversalError(
-                f"queue tail of {pid} does not match event entry {entry}"
-            )
-        queues[pid] = queue[:-1]
-        for move in entry_moves:
-            payload = payloads[move.token]
-            if (
-                payload is not move.payload and payload != move.payload
-            ) or addresses[move.token] != move.address:
-                raise ReversalError(f"token {move.token} state does not match the event")
+    stop = len(produced)
+    for size in reversed(produced_sizes):
+        if size < 1:
+            raise ReversalError("event has an empty entry")
+        first = stop - size
+        pid = produced[first].place
+        entry = tuple(produced_tokens[first:stop])
+        slots, start, end, _ = queues.get(pid) or (None, 0, 0, None)
+        if start == end or slots[end - 1] != entry:
+            raise ReversalError(f"queue tail of {pid} does not match event entry {entry}")
+        queues[pid] = [slots, start, end - 1, None]
+        for tok, _, payload, address in produced[first:stop]:
+            held = payloads[tok]
+            if held is not payload and held != payload or addresses[tok] != address:
+                raise ReversalError(f"token {tok} state does not match the event")
+        stop = first
 
-    # Check the gate forward: the recorded pre-firing payloads, run through
-    # the same ``_gate_payloads`` that ``fire`` ran, must give the
-    # recorded post-firing payloads.  (Run backward, the split's rounding and
-    # phase choice would not reproduce a superposed payload exactly.)
+    # Check the gate forward, through the same ``_gate_payloads`` as ``fire``:
+    # run backward, the split's rounding and phase choice would not reproduce
+    # a superposed payload exactly.
     is_data = net.token_is_data
-    data_moves = [m for m in event.consumed if is_data[m.token]]
-    if t.gate and data_moves:
-        post = {m.token: m.payload for m in event.produced}
-        for move, part in zip(data_moves, _gate_payloads(t, [m.payload for m in data_moves])):
+    data_moves = [m for m in consumed if is_data[m.token]] if plan.gate else []
+    if data_moves:
+        post = {m.token: m.payload for m in produced}
+        gated = _gate_payloads(plan.gate, [m.payload for m in data_moves])
+        for move, part in zip(data_moves, gated):
             if part != post[move.token]:
                 raise ReversalError(
                     f"gate does not take {move.token}'s recorded payload to its produced one"
                 )
 
-    restored = {m.token: m.payload for m in event.consumed if payloads[m.token] is not m.payload}
-    if restored:
-        payloads = {**payloads, **restored}
-    restored = {m.token: m.address for m in event.consumed if addresses[m.token] != m.address}
-    if restored:
-        addresses = {**addresses, **restored}
+    for tok, _, payload, address in consumed:
+        if payloads[tok] is not payload:
+            payloads = {**payloads, tok: payload}
+        if addresses[tok] != address:
+            addresses = {**addresses, tok: address}
 
-    # Re-prepend consumed entries at the heads of their source queues.
-    consumed = event.consumed_entries()
-    for entry_moves in reversed(consumed):
-        pid = entry_moves[0].place
-        queues[pid] = (tuple(m.token for m in entry_moves),) + queues[pid]
+    # Push the consumed entries back onto the heads of their input queues.
+    for pid, entry in zip(plan.inputs, heads):
+        queues[pid] = _push_head(queues[pid], entry)
 
-    return marking._derive(net, queues, payloads, addresses, event.time)
+    return marking._derive(net, queues, payloads, addresses, time)
 
 
 @dataclass(frozen=True)
@@ -777,8 +830,11 @@ def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
                 return
             fire_one(pick)
 
+    def enabled(tid: str) -> bool:
+        return _is_enabled(net._plan(tid), current._queues, current._addresses)
+
     def scripted_step(index: int, tid: str, on_blocked: str):
-        if _is_enabled(net, current, net.transition(tid)):
+        if enabled(tid):
             fire_one(tid)
         elif on_blocked == "skip":
             events.append(SkippedSelection(current.time, tid, "not enabled"))
@@ -798,7 +854,7 @@ def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
             guards = net.guard_map
             for a in scheduler.program:
                 tid = guards.get(a)
-                if tid is not None and _is_enabled(net, current, net.transition(tid)):
+                if tid is not None and enabled(tid):
                     fire_one(tid)
                 else:
                     events.append(

@@ -1,9 +1,11 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qpnbuf.buffers import (
+    _identity_transition,
     build_cnot_example,
     build_miso,
     build_priority,
@@ -14,8 +16,14 @@ from qpnbuf.engine import (
     AddressDriven,
     EagerOutputThenScript,
     Marking,
+    PairRoute,
+    Place,
+    PlaceKind,
+    QPNet,
+    QToken,
     Scripted,
     SkippedSelection,
+    TokenKind,
     addresses_to_script,
     distribution_signature,
     enabled_transitions,
@@ -328,14 +336,183 @@ def test_derived_marking_from_other_net_still_rejected():
 
 
 def test_unfire_rejects_event_that_swaps_tokens():
-    from dataclasses import replace
-
     net, m0 = build_siso(2, 2)
     m1, event = fire(net, m0, "T1")
-    forged = replace(event, consumed=(replace(event.consumed[0], token="d2"),)
-                     + event.consumed[1:])
-    with pytest.raises(ReversalError):
+    forged = event._replace(consumed=(event.consumed[0]._replace(token="d2"),)
+                            + event.consumed[1:])
+    with pytest.raises(ReversalError, match="^event consumes and produces different tokens$"):
         unfire(net, m1, forged)
+
+
+# Every error branch of fire and unfire, by type and message.
+
+
+def test_unfire_rejects_marking_out_of_time():
+    net, m0 = build_siso(2, 2)
+    _, event = fire(net, m0, "T1")
+    with pytest.raises(ReversalError, match="^marking time 0 does not follow event time 0$"):
+        unfire(net, m0, event)
+
+
+def test_unfire_rejects_event_whose_entries_are_not_at_the_tails():
+    # T1 and T2 are both enabled at t=0; T2's marking does not end in T1's deposit.
+    net, m0 = build_priority(1, 1, 1, 1)
+    _, e1 = fire(net, m0, "T1")
+    m1b, _ = fire(net, m0, "T2")
+    with pytest.raises(
+        ReversalError, match=r"^queue tail of P_DA1 does not match event entry \('d1', 'w1'\)$"
+    ):
+        unfire(net, m1b, e1)
+
+
+def test_unfire_rejects_event_with_another_produced_payload():
+    net, m0 = build_siso(2, 2)
+    m1, event = fire(net, m0, "T1")
+    d1 = event.produced[0]._replace(payload=basis_state(1, "1"))
+    forged = event._replace(produced=(d1,) + event.produced[1:])
+    with pytest.raises(ReversalError, match="^token d1 state does not match the event$"):
+        unfire(net, m1, forged)
+
+
+def test_unfire_rejects_gated_event_whose_gate_does_not_give_its_payloads():
+    net, m0 = build_cnot_example()
+    m1, event = fire(net, m0, "T1")  # CNOT(a=|1>, d=|0>) leaves d=|1>
+    wrong = basis_state(1, "0")
+    d = event.produced[1]._replace(payload=wrong)
+    forged = event._replace(produced=(event.produced[0], d))
+    # A marking that agrees with the forged event, so only the gate check is left.
+    m1_forged = Marking(
+        {pid: m1.entries(pid) for pid in m1.place_ids},
+        {**m1.payloads, "d": wrong},
+        dict(m1.addresses),
+        time=m1.time,
+    )
+    with pytest.raises(
+        ReversalError, match="^gate does not take d's recorded payload to its produced one$"
+    ):
+        unfire(net, m1_forged, forged)
+
+
+def test_fire_rejects_guard_wider_than_free_selector():
+    places = [Place("P_I", PlaceKind.INPUT), Place("P_A", PlaceKind.ANCILLARY),
+              Place("P_A1", PlaceKind.ANCILLARY), Place("P_O", PlaceKind.OUTPUT)]
+    t1 = _identity_transition("T1", [("P_I", "x1"), ("P_A", "x2")],
+                              {"x1": "P_O", "x2": "P_A1"}, guard=2)
+    tokens = [QToken("d1", TokenKind.DATA, basis_state(1, "0")),
+              QToken("z1", TokenKind.ANCILLARY, basis_state(1, "0"))]
+    net = QPNet(places, [t1], tokens)
+    m0 = net.initial_marking({"P_I": ["d1"], "P_A": ["z1"]})
+    assert enabled_transitions(net, m0) == ["T1"]  # a free selector matches any guard
+    with pytest.raises(ModelError, match="^guard 2 does not fit selector z1's 1-qubit payload$"):
+        fire(net, m0, "T1")
+
+
+def test_fire_rejects_pair_route_of_a_single_token():
+    places = [Place("P_I", PlaceKind.INPUT), Place("P_A1", PlaceKind.ANCILLARY),
+              Place("P_O", PlaceKind.OUTPUT)]
+    t1 = _identity_transition("T1", [("P_I", "x1")],
+                              {"x1": PairRoute(data_to="P_O", ancillary_to="P_A1")})
+    net = QPNet(places, [t1], [QToken("d1", TokenKind.DATA, basis_state(1, "0"))])
+    m0 = net.initial_marking({"P_I": ["d1"]})
+    with pytest.raises(
+        ModelError,
+        match=r"^transition T1: pair routing needs a \(data, ancillary\) entry, got \('d1',\)$",
+    ):
+        fire(net, m0, "T1")
+
+
+def test_net_rejects_two_input_arcs_from_one_place():
+    places = [Place("P_I", PlaceKind.INPUT), Place("P_O", PlaceKind.OUTPUT)]
+    t1 = _identity_transition("T1", [("P_I", "x1"), ("P_I", "x2")], {"x1": "P_O", "x2": "P_O"})
+    with pytest.raises(ModelError, match="^transition T1: two input arcs from one place$"):
+        QPNet(places, [t1], [QToken("d1", TokenKind.DATA, basis_state(1, "0"))])
+
+
+# Forged events that would duplicate, lose or fuse tokens.
+
+
+def _siso_firing():
+    net, m0 = build_siso(2, 2)
+    m1, event = fire(net, m0, "T1")
+    return net, m1, event
+
+
+def test_unfire_rejects_produced_sizes_that_drop_a_move():
+    net, m1, event = _siso_firing()
+    with pytest.raises(ReversalError, match="^event entry sizes do not add up to its moves$"):
+        unfire(net, m1, event._replace(produced_entry_sizes=(1,)))
+
+
+def test_unfire_rejects_consumed_sizes_that_drop_a_move():
+    net, m1, event = _siso_firing()
+    with pytest.raises(ReversalError, match="^event entry sizes do not add up to its moves$"):
+        unfire(net, m1, event._replace(consumed_entry_sizes=(1,)))
+
+
+def test_unfire_rejects_empty_entry():
+    net, m1, event = _siso_firing()
+    d1, z1 = event.consumed
+    forged = event._replace(consumed=(d1, z1._replace(place="P_I")), consumed_entry_sizes=(2, 0))
+    with pytest.raises(ReversalError, match="^event has an empty entry$"):
+        unfire(net, m1, forged)
+    with pytest.raises(ReversalError, match="^event has an empty entry$"):
+        unfire(net, m1, event._replace(produced_entry_sizes=(2, 0)))
+
+
+def test_unfire_rejects_consumed_sizes_that_fuse_two_arcs():
+    net, m1, event = _siso_firing()
+    with pytest.raises(ReversalError, match="^T1 consumes one entry per input arc: 2, not 1$"):
+        unfire(net, m1, event._replace(consumed_entry_sizes=(2,)))
+
+
+def test_unfire_rejects_consumed_move_from_another_place():
+    net, m1, event = _siso_firing()
+    forged = event._replace(consumed=(event.consumed[0]._replace(place="P_A"),)
+                            + event.consumed[1:])
+    with pytest.raises(ReversalError, match="^T1 consumes entry 1 from P_I, not P_A$"):
+        unfire(net, m1, forged)
+
+
+def test_unfire_rejects_token_moved_twice():
+    net, m1, event = _siso_firing()
+    d1 = event.consumed[0]
+    forged = event._replace(consumed=(d1, d1._replace(place="P_A")),
+                            produced=(event.produced[0], event.produced[0]._replace(place="P_A1")))
+    with pytest.raises(ReversalError, match="^event moves a token twice$"):
+        unfire(net, m1, forged)
+
+
+# Firing at depth: constant memory per call, linear chains.
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fire_and_unfire_allocate_constant_memory_deep_in_a_chain():
+    net, marking = build_siso(20_000, 20_000)
+    for _ in range(10_000):
+        marking, _ = fire(net, marking, "T1")
+    (after, event), fire_peak = _traced_peak(fire, net, marking, "T1")
+    back, unfire_peak = _traced_peak(unfire, net, after, event)
+    assert back == marking
+    assert fire_peak < 16 * 1024, fire_peak
+    assert unfire_peak < 16 * 1024, unfire_peak
+
+
+def test_enumerate_siso_10k_chain_in_linear_time():
+    start = time.perf_counter()
+    net, m0 = build_siso(10_000, 10_000)
+    outcomes = enumerate_final_markings(net, m0)
+    elapsed = time.perf_counter() - start
+    assert list(outcomes) == [(("P_I", 0), ("P_A", 0), ("P_A1", 10_000), ("P_O", 10_000))]
+    assert next(iter(outcomes.values())) == ("T1",) * 10_000
+    assert elapsed < 1.5, elapsed
 
 
 def test_enumerate_simo_64_free_selectors_in_count_space():

@@ -1,16 +1,32 @@
-"""Golden-byte fixtures: sha256 of CLI output for every demo and three scenarios.
+"""Golden-byte fixtures: sha256 of CLI output for every demo and the scenarios below.
 
 The hashes pin the exact bytes the CLI writes, so any change to firing
 order, enumeration order, witnesses, payload serialization or table layout
-shows up here even when every structural test still passes.
+shows up here even when every structural test still passes.  One more hash
+pins, through the API, the trace of a gated net with superposed payloads,
+which no CLI command builds.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from qpnbuf.cli import DEMOS, main
+from qpnbuf.engine import (
+    Arc,
+    Place,
+    PlaceKind,
+    QPNet,
+    QToken,
+    Scripted,
+    TokenKind,
+    Transition,
+    run,
+)
+from qpnbuf.scenario import emit_trace
+from qpnbuf.statevector import GateOp, StateVector, basis_state_from_index
 
 SCENARIOS = {
     # Free selectors: enumeration witnesses depend on the depth-first order.
@@ -52,6 +68,26 @@ SCENARIOS = {
             "d3": "011",
         },
     },
+    # The eager scheduler drains the output transition T3 before and after
+    # every scripted step.
+    "miso-eager-script": {
+        "kind": "miso",
+        "r": [2, 2],
+        "m": 3,
+        "scheduler": "eager-output-then-script",
+        "script": ["T2", "T1", "T2"],
+        "payloads": {"d3": [[0.6, 0], [0, 0.8]], "d1": "1"},
+    },
+    # An address program under the eager scheduler: blocked selections are
+    # skipped, and the third selector, addressed to the empty P_I1, stays put.
+    "miso-eager-program": {
+        "kind": "miso",
+        "r": [1, 2],
+        "m": 4,
+        "addresses": [0, 1, 0, 1],
+        "scheduler": "eager-output-then-script",
+        "payloads": {"d2": [[0, 0.6], [0.8, 0]], "d1": "1"},
+    },
 }
 
 GOLDEN = {
@@ -83,6 +119,14 @@ GOLDEN = {
     "enumerate/siso-superposed/table": "d7b92771b1e7a6b6549daf8397f5fb8b92ec3cce7f6fea7a5bc3c70bcfc8da06",
     "run/siso-superposed/json": "ab6bda0aafaa05b3442e9729c710fafe8994eb05daff852a83b2c16d368c545e",
     "run/siso-superposed/table": "173460650c60aacbb61b65922cb3a3e49925aea8ad68a6d7d868e2a6089e0489",
+    "enumerate/miso-eager-script/json": "354a6cc958660a2aff341fcb42edc0cfafa8228851b3d6ff3d301feedb8a4fe5",
+    "enumerate/miso-eager-script/table": "adfe1cdc55e4a82b370be9b5b3bac041ddfc2e5bd88e1df04cfdacdf773ad1fe",
+    "run/miso-eager-script/json": "866e35b34afa45ce6babf334f2d788a050823fc4f64619ac74d62f230fac2116",
+    "run/miso-eager-script/table": "dde1ea5fd63e3e17c4ee5bbb5afeef3c9b21410de275468e579442dd225c201f",
+    "enumerate/miso-eager-program/json": "d44f56b2f8ca0147480fad0fb3abf510a707188959a1f3c37ae9d223c54d95e5",
+    "enumerate/miso-eager-program/table": "049854a1e5d346550417f5c0c5ff3039a867d72b12e650edba8b40178b6f1c50",
+    "run/miso-eager-program/json": "6441cae14c240c280f7287845c22f21cf52baea68aa84f513e56f662b759a2f1",
+    "run/miso-eager-program/table": "7177697bc7c8e1b2344fc0e886cf6d9160da06f9adab48b337aa7bb7c715b634",
 }
 
 
@@ -108,3 +152,43 @@ def test_scenario_output_bytes(capsys, tmp_path, name, mode, fmt):
     path.write_text(json.dumps(SCENARIOS[name]))
     digest = _sha(capsys, ["buffer", mode, "--scenario", str(path), "--format", fmt])
     assert digest == GOLDEN[f"{mode}/{name}/{fmt}"]
+
+
+# The benchmark's Fig. 2-shaped gate: every control sits on the basis payload
+# of P2's token (qubits 1..0), so the joint state stays a product.
+GATED_GATE = (GateOp("cx", (1, 3)), GateOp("ccx", (1, 0, 2)), GateOp("cswap", (0, 3, 2)))
+GATED_PAIRS = 8
+
+
+def _gated_superposed_net():
+    """T1 takes the heads of P1 (superposed 2-qubit payloads) and P2 (basis) through the gate."""
+    rng = random.Random(2024)
+    a_tokens, b_tokens = [], []
+    for i in range(GATED_PAIRS):
+        amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
+        norm = sum(abs(a) ** 2 for a in amps) ** 0.5
+        a_tokens.append(QToken(f"a{i + 1}", TokenKind.DATA,
+                               StateVector(2, [a / norm for a in amps])))
+        b_tokens.append(QToken(f"b{i + 1}", TokenKind.DATA,
+                               basis_state_from_index(2, rng.randrange(4))))
+    t1 = Transition(
+        id="T1",
+        input_arcs=(Arc("P1", "T1", "in", "x"), Arc("P2", "T1", "in", "y")),
+        output_arcs=(Arc("P3", "T1", "out", "f1"),),
+        routing={"x": "P3", "y": "P3"},
+        gate=GATED_GATE,
+    )
+    places = [Place("P1", PlaceKind.INPUT), Place("P2", PlaceKind.INPUT),
+              Place("P3", PlaceKind.OUTPUT)]
+    net = QPNet(places, [t1], a_tokens + b_tokens)
+    return net, net.initial_marking({"P1": [t.id for t in a_tokens],
+                                     "P2": [t.id for t in b_tokens]})
+
+
+GATED_SUPERPOSED_SHA = "bbf26b8cc66b48e1a72d3d8216d25a2947ca08805fce0d64eba752e07af5ba59"
+
+
+def test_gated_superposed_trace_bytes():
+    net, marking = _gated_superposed_net()
+    text = emit_trace(run(net, marking, Scripted(("T1",) * GATED_PAIRS)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GATED_SUPERPOSED_SHA
