@@ -66,6 +66,8 @@ from qpnbuf.statevector import (
     Circuit,
     GateOp,
     StateVector,
+    _compile,
+    apply_all,
     basis_state,
     basis_state_from_index,
     probabilities,
@@ -367,6 +369,108 @@ def permutation_core_suite(cases: int = 1000, seed: int = 406) -> int:
 
 
 _GATE_ARITY = {"x": 1, "cx": 2, "ccx": 3, "swap": 2, "cswap": 3, "id": 1}
+
+
+def _reference_images(ops, n: int) -> np.ndarray:
+    """The image of every n-qubit basis index under the gate list, bit-sliced.
+
+    Plane q is one Python int whose bit i is bit q of index i, so a gate
+    acts on all 2**n indices at once with a few big-integer operations.
+    For n >= 3 the planes fill whole bytes and unpack into the images.
+    """
+    size = 1 << n
+    full = (1 << size) - 1
+    planes = []
+    for q in range(n):
+        plane, period = ((1 << (1 << q)) - 1) << (1 << q), 2 << q
+        while period < size:
+            plane |= plane << period
+            period *= 2
+        planes.append(plane)
+    for op in ops:
+        q = op.qubits
+        p = [planes[i] for i in q]
+        if op.kind == "x":
+            planes[q[0]] = p[0] ^ full
+        elif op.kind == "cx":
+            planes[q[1]] = p[1] ^ p[0]
+        elif op.kind == "ccx":
+            planes[q[2]] = p[2] ^ (p[0] & p[1])
+        elif op.kind == "swap":
+            planes[q[0]], planes[q[1]] = p[1], p[0]
+        elif op.kind == "cswap":
+            flip = p[0] & (p[1] ^ p[2])
+            planes[q[1]], planes[q[2]] = p[1] ^ flip, p[2] ^ flip
+    images = np.zeros(size, dtype=np.int64)
+    for q, plane in enumerate(planes):
+        raw = np.frombuffer(plane.to_bytes(size // 8, "little"), dtype=np.uint8)
+        images |= np.unpackbits(raw, bitorder="little").astype(np.int64) << q
+    return images
+
+
+def fused_kernel_suite(cases: int = 1000, seed: int = 412) -> int:
+    """``apply_all``'s fused runs agree with the one-index-at-a-time reference.
+
+    Lists of 20-80 gates are cut into several runs, whose qubits fall into
+    non-contiguous chunks.  Nine cases in ten start from a basis state of
+    1-63 qubits (63 about half the time, with a gate on qubit 62); every
+    tenth starts from a dense state of 11-16 qubits holding signed zeros.
+    The final support must hold ``_reference_image`` of each start index at
+    that index's position, share the start's amplitude array, and give the
+    bytes of the start's amplitudes moved to those images.  Dense images
+    come from ``_reference_images``, checked against ``_reference_image`` at
+    sampled indices.
+    """
+    rng = random.Random(seed)
+    gen = np.random.default_rng(seed)
+    multi_run = chunked = top = 0
+    for case in range(cases):
+        dense = case % 10 == 9
+        n = rng.randint(11, 16) if dense else rng.choice((rng.randint(1, 63), 63))
+        kinds = [k for k, a in _GATE_ARITY.items() if a <= n]
+        ops = []
+        for _ in range(rng.randint(20, 80)):
+            kind = rng.choice(kinds)
+            ops.append(GateOp(kind, tuple(rng.sample(range(n), _GATE_ARITY[kind]))))
+        if n == 63:
+            kind = rng.choice(("x", "cx", "ccx", "swap", "cswap"))
+            qubits = rng.sample(range(62), _GATE_ARITY[kind] - 1) + [62]
+            rng.shuffle(qubits)
+            ops.insert(rng.randrange(len(ops)), GateOp(kind, tuple(qubits)))
+        runs = _compile(tuple(ops))[1]
+        multi_run += len(runs) >= 3
+        chunked += any(len(chunks) >= 2 for chunks, _ in runs)
+        top += any(62 in op.qubits for op in ops)
+
+        if dense:
+            size = 1 << n
+            amps = gen.standard_normal(size) + 1j * gen.standard_normal(size)
+            zeros = gen.permutation(size)[: size // 2]
+            amps.real[zeros] = np.copysign(0.0, gen.standard_normal(len(zeros)))
+            amps.imag[zeros] = np.copysign(0.0, gen.standard_normal(len(zeros)))
+            start = StateVector(n, amps / np.sqrt(np.sum(np.abs(amps) ** 2)))
+            final = apply_all(start, ops)
+            assert final._values is start._values, case
+            images = _reference_images(ops, n)
+            for i in rng.sample(range(size), 8):
+                assert images[i] == _reference_image(ops, i), case
+            assert np.array_equal(final._indices, images), case
+            out = np.zeros(size, dtype=np.complex128)
+            out[images] = start.amplitudes
+        else:
+            index = rng.getrandbits(n)
+            start = basis_state_from_index(n, index)
+            final = apply_all(start, ops)
+            assert final._values is start._values, case
+            image = _reference_image(ops, index)
+            assert final._indices.tolist() == [image], case
+            if n > 16:  # the dense bytes would take 2**n amplitudes
+                continue
+            out = np.zeros(1 << n, dtype=np.complex128)
+            out[image] = 1.0
+        assert final.amplitude_bytes() == out.tobytes(), case
+    assert min(multi_run, chunked, top) >= cases // 4, (multi_run, chunked, top)
+    return cases
 
 
 def _reversal_payload(rng: random.Random, width: int) -> StateVector:

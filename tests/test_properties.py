@@ -33,6 +33,10 @@ def test_permutation_core_suite():
     assert prop_util.permutation_core_suite(1000) == 1000
 
 
+def test_fused_kernel_suite():
+    assert prop_util.fused_kernel_suite(1000) == 1000
+
+
 def test_gated_reversal_suite():
     assert prop_util.gated_reversal_suite(1000) == 1000
 

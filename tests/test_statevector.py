@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qpnbuf.statevector import (
     apply_all,
     basis_state,
     basis_state_from_index,
+    ccx,
     cswap,
     cx,
     identity,
@@ -193,6 +196,35 @@ def test_basis_closure():
         mags = np.abs(out.amplitudes) ** 2
         assert abs(mags.max() - 1.0) < 1e-12
         assert np.count_nonzero(mags > 1e-12) == 1
+
+
+@pytest.mark.parametrize("position", [0, 2, 5])
+def test_apply_all_names_the_first_gate_too_wide(position):
+    state = basis_state(3, "101")
+    ops = [x(0), cx(0, 1), ccx(0, 1, 2), cswap(2, 0, 1), identity(1)]
+    ops.insert(position, cx(1, 3))
+    message = "gate cx(1, 3) exceeds the state's 3 qubits"
+    with pytest.raises(GateError, match=re.escape(message)):
+        apply_all(state, ops)
+    with pytest.raises(GateError, match=re.escape(message)):
+        apply_all(state, ops + [ccx(4, 0, 1)])  # a later wide gate is not the one named
+    with pytest.raises(GateError, match=re.escape(message)):
+        apply(state, cx(1, 3))
+
+
+def test_apply_all_peak_memory_is_a_few_index_arrays():
+    rng = random.Random(505)
+    ops = [_random_gate(rng, 17) for _ in range(46)]
+    state = StateVector(17, np.full(1 << 17, 2 ** -8.5, dtype=np.complex128))
+    apply_all(state, ops)  # compile the gate list outside the measurement
+    tracemalloc.start()
+    try:
+        apply_all(state, ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The new support's index array and two scratch arrays of the same size.
+    assert peak < 3.5 * (8 << 17), peak
 
 
 def test_apply_all_composes_in_order():
