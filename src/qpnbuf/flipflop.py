@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ConstructionError
-from .statevector import Circuit, GateOp, apply_all, basis_state, ccx, cswap, cx, x
+from .statevector import Circuit, GateOp, apply_all, basis_state, ccx, cswap, cx, shared_gate, x
 
 S_QUBIT, R_QUBIT, FLAG_QUBIT, QPRIME_QUBIT, Q_QUBIT, ZERO_QUBIT, ONE_QUBIT = range(7)
 
@@ -238,7 +238,7 @@ def build_register(u: int, variant: CircuitVariant = CircuitVariant.NORMALIZED) 
     measured: list[tuple[int, int]] = []
     for lane in range(u):
         remap = register_lane_qubits(lane)
-        ops.extend(GateOp(op.kind, tuple(remap[q] for q in op.qubits)) for op in body)
+        ops.extend(shared_gate(op.kind, tuple(remap[q] for q in op.qubits)) for op in body)
         measured.append((remap[QPRIME_QUBIT], 2 * lane))
         measured.append((remap[Q_QUBIT], 2 * lane + 1))
     return Circuit(num_qubits=2 + LANE_QUBITS * u, ops=tuple(ops), measured_qubits=tuple(measured))

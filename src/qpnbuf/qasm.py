@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import QasmError
-from .statevector import _ARITY, Circuit, GateOp
+from .errors import GateError, QasmError
+from .statevector import _ARITY, Circuit, GateOp, shared_gate
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";'
 
@@ -76,7 +76,8 @@ def parse_qasm(text: str) -> Circuit:
     """Parse QASM 2.0 text (gate subset) into a Circuit.
 
     Initialization X gates are ordinary leading ops in the result; QASM has
-    no marker distinguishing them from the body.
+    no marker distinguishing them from the body.  Gates come from
+    ``shared_gate``, so the result shares them with other circuits.
     """
     saw_version = False
     qreg: tuple[str, int] | None = None
@@ -91,6 +92,18 @@ def parse_qasm(text: str) -> Circuit:
         if not line.endswith(";"):
             raise QasmError(f"statement does not end with ';': {line!r}", lineno)
         stmt = line[:-1].strip()
+
+        # A gate statement first: none of the patterns below can match one.
+        # A qreg is declared only after the header.
+        parts = stmt.split(None, 1)
+        if len(parts) == 2 and parts[0] in _ARITY and qreg is not None:
+            kind, args = parts
+            qubits = tuple(_parse_ref(tok, qreg[0], qreg[1], lineno) for tok in args.split(","))
+            try:
+                ops.append(shared_gate(kind, qubits))
+            except GateError as exc:
+                raise QasmError(str(exc), lineno) from exc
+            continue
 
         if stmt.startswith("OPENQASM"):
             if stmt.split() != ["OPENQASM", "2.0"]:
@@ -127,15 +140,7 @@ def parse_qasm(text: str) -> Circuit:
             measured.append((q, c))
             continue
 
-        parts = stmt.split(None, 1)
-        if len(parts) != 2 or parts[0] not in _ARITY:
-            raise QasmError(f"unsupported statement {stmt!r}", lineno)
-        kind, args = parts
-        qubits = tuple(_parse_ref(tok, qreg[0], qreg[1], lineno) for tok in args.split(","))
-        try:
-            ops.append(GateOp(kind, qubits))
-        except Exception as exc:
-            raise QasmError(str(exc), lineno) from exc
+        raise QasmError(f"unsupported statement {stmt!r}", lineno)
 
     if qreg is None:
         raise QasmError("no qreg declaration found")

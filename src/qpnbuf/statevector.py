@@ -20,7 +20,6 @@ bitstrings are written most-significant qubit first.  ``tensor(a, b)`` puts
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,35 +46,40 @@ class GateOp:
     def __post_init__(self):
         if self.kind not in _ARITY:
             raise GateError(f"unsupported gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
         if len(self.qubits) != _ARITY[self.kind]:
             raise GateError(
                 f"{self.kind} expects {_ARITY[self.kind]} qubits, got {len(self.qubits)}"
             )
         if len(set(self.qubits)) != len(self.qubits):
             raise GateError(f"{self.kind} qubit indices must be distinct: {self.qubits}")
-        if any(q < 0 for q in self.qubits):
+        if min(self.qubits) < 0:
             raise GateError(f"negative qubit index in {self.qubits}")
 
 
+# Gates are immutable values and circuits repeat them, so each distinct
+# (kind, qubits) is validated once and its circuits share one object.
+shared_gate = lru_cache(maxsize=4096)(GateOp)
+
+
 def x(q: int) -> GateOp:
-    return GateOp("x", (q,))
+    return shared_gate("x", (q,))
 
 
 def cx(control: int, target: int) -> GateOp:
-    return GateOp("cx", (control, target))
+    return shared_gate("cx", (control, target))
 
 
 def ccx(control1: int, control2: int, target: int) -> GateOp:
-    return GateOp("ccx", (control1, control2, target))
+    return shared_gate("ccx", (control1, control2, target))
 
 
 def cswap(control: int, a: int, b: int) -> GateOp:
-    return GateOp("cswap", (control, a, b))
+    return shared_gate("cswap", (control, a, b))
 
 
 def identity(q: int) -> GateOp:
-    return GateOp("id", (q,))
+    return shared_gate("id", (q,))
 
 
 class StateVector:
@@ -388,6 +392,13 @@ class Circuit:
         return 1 + max((c for _, c in self.measured_qubits), default=-1)
 
 
+def _count_argument(name: str, value) -> int:
+    """``value`` as an int if it is a nonnegative integer (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise CircuitError(f"{name} must be a nonnegative int, got {value!r}")
+    return int(value)
+
+
 def run_circuit(
     circuit: Circuit, initial: StateVector, shots: int, seed: int
 ) -> tuple[StateVector, dict[str, int]]:
@@ -395,33 +406,49 @@ def run_circuit(
 
     Sampling draws basis indices from the final distribution using NumPy's
     default PCG64 generator seeded with ``seed``; identical inputs and seed
-    give an identical histogram.  Histogram keys read the classical register
-    most-significant bit first.
+    give an identical histogram.  ``shots`` and ``seed`` are nonnegative
+    ints.  Histogram keys read the classical register most-significant bit
+    first.
     """
     if initial.num_qubits != circuit.num_qubits:
         raise CircuitError(
             f"initial state has {initial.num_qubits} qubits, circuit has {circuit.num_qubits}"
         )
-    if shots < 0:
-        raise CircuitError("shots must be nonnegative")
+    shots = _count_argument("shots", shots)
+    seed = _count_argument("seed", seed)
     final = apply_all(initial, circuit.ops)
+    if not shots:
+        return final, {}
+    if not circuit.measured_qubits:
+        return final, {"": shots}
+    if len(final._values) == 1:
+        # Inverse-CDF sampling over the single probability 1.0 draws its
+        # index every time, so no generator is needed.
+        return final, {_outcome_keys(circuit, final._indices)[0].decode(): shots}
 
     # Inverse-CDF sampling never selects a zero probability, so drawing over
-    # the index-ordered support gives the draws of the dense distribution: a
-    # full support is that distribution, and a smaller one is a permuted
-    # basis state whose single probability is 1.0 either way.
+    # the index-ordered support gives the draws of the dense distribution.
     indices, values = final._index_order()
     probs = np.abs(values) ** 2
     probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(probs), size=shots, p=probs)
-
-    width = circuit.num_clbits
-    counts: Counter[str] = Counter()
+    draws = np.random.default_rng(seed).choice(len(probs), size=shots, p=probs)
     positions, hits = np.unique(draws, return_counts=True)
-    for basis, hit in zip(indices[positions].tolist(), hits.tolist()):
-        bits = ["0"] * width
-        for q, c in circuit.measured_qubits:
-            bits[width - 1 - c] = str((basis >> q) & 1)
-        counts["".join(bits)] += hit
-    return final, dict(sorted(counts.items()))
+    # Indices that differ only on unmeasured qubits share a key.
+    keys, merged = np.unique(_outcome_keys(circuit, indices[positions]), return_inverse=True)
+    totals = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(totals, merged, hits)
+    return final, dict(zip(keys.astype(f"U{circuit.num_clbits}").tolist(), totals.tolist()))
+
+
+def _outcome_keys(circuit: Circuit, basis: np.ndarray) -> np.ndarray:
+    """Each basis index's classical register, most significant bit first, as bytes.
+
+    One shift and mask per measured qubit fills a row of ``'0'``/``'1'``
+    bytes per index; the rows are read as fixed-width byte strings, so any
+    register width works.
+    """
+    width = circuit.num_clbits
+    bits = np.full((len(basis), width), ord("0"), dtype=np.uint8)
+    for q, c in circuit.measured_qubits:
+        bits[:, width - 1 - c] += ((basis >> q) & 1).astype(np.uint8)
+    return bits.view(f"S{width}").ravel()

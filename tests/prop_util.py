@@ -10,6 +10,7 @@ count state to validate ancillary consumption on all maximal runs.
 import json
 import marshal
 import random
+import re
 from collections import Counter, deque
 from dataclasses import fields, replace
 
@@ -46,7 +47,9 @@ from qpnbuf.engine import (
     run,
     unfire,
 )
-from qpnbuf.errors import ModelError, QpnError, ScenarioError
+from qpnbuf.errors import ModelError, QasmError, QpnError, ScenarioError
+from qpnbuf.flipflop import CircuitVariant, build_qsr_circuit, build_register
+from qpnbuf.qasm import export_qasm, parse_qasm
 from qpnbuf.scenario import (
     SCENARIO_SCHEMA,
     TRACE_SCHEMA,
@@ -1032,6 +1035,220 @@ def trace_mutation_suite(cases: int = 1000, seed: int = 410) -> Counter:
         else:
             outcomes[next((check for check in TRACE_CHECKS if check in want[1]),
                           "other error")] += 1
+    return outcomes
+
+
+# QASM reading: the reader before it took gate statements first, and
+# one-fault mutations of exported register and flip-flop listings.
+
+_REFERENCE_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_REFERENCE_CREG_RE = re.compile(r"^creg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_REFERENCE_REF_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_REFERENCE_MEASURE_RE = re.compile(r"^measure\s+(.+?)\s*->\s*(.+)$")
+
+
+def _reference_ref(token: str, register: str, size: int, lineno: int) -> int:
+    m = _REFERENCE_REF_RE.match(token.strip())
+    if not m:
+        raise QasmError(f"malformed register reference {token.strip()!r}", lineno)
+    name, idx = m.group(1), int(m.group(2))
+    if name != register:
+        raise QasmError(f"unknown register {name!r} (expected {register!r})", lineno)
+    if idx >= size:
+        raise QasmError(f"index {idx} out of range for {register}[{size}]", lineno)
+    return idx
+
+
+def reference_parse_qasm(text: str) -> Circuit:
+    """Each statement tried as a header, register and measure before a gate."""
+    saw_version = False
+    qreg = creg = None
+    ops, measured = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("//", 1)[0].strip()
+        if not line:
+            continue
+        if not line.endswith(";"):
+            raise QasmError(f"statement does not end with ';': {line!r}", lineno)
+        stmt = line[:-1].strip()
+        if stmt.startswith("OPENQASM"):
+            if stmt.split() != ["OPENQASM", "2.0"]:
+                raise QasmError(f"unsupported version statement {stmt!r}", lineno)
+            saw_version = True
+            continue
+        if stmt.startswith("include"):
+            continue
+        if not saw_version:
+            raise QasmError("missing OPENQASM 2.0 header", lineno)
+        m = _REFERENCE_QREG_RE.match(stmt)
+        if m:
+            if qreg is not None:
+                raise QasmError("multiple qreg declarations", lineno)
+            qreg = (m.group(1), int(m.group(2)))
+            continue
+        m = _REFERENCE_CREG_RE.match(stmt)
+        if m:
+            if creg is not None:
+                raise QasmError("multiple creg declarations", lineno)
+            creg = (m.group(1), int(m.group(2)))
+            continue
+        if qreg is None:
+            raise QasmError("statement before qreg declaration", lineno)
+        m = _REFERENCE_MEASURE_RE.match(stmt)
+        if m:
+            if creg is None:
+                raise QasmError("measure before creg declaration", lineno)
+            q = _reference_ref(m.group(1), qreg[0], qreg[1], lineno)
+            c = _reference_ref(m.group(2), creg[0], creg[1], lineno)
+            measured.append((q, c))
+            continue
+        parts = stmt.split(None, 1)
+        if len(parts) != 2 or parts[0] not in _GATE_ARITY:
+            raise QasmError(f"unsupported statement {stmt!r}", lineno)
+        kind, args = parts
+        qubits = tuple(_reference_ref(tok, qreg[0], qreg[1], lineno) for tok in args.split(","))
+        try:
+            ops.append(GateOp(kind, qubits))
+        except Exception as exc:
+            raise QasmError(str(exc), lineno) from exc
+    if qreg is None:
+        raise QasmError("no qreg declaration found")
+    try:
+        return Circuit(num_qubits=qreg[1], ops=tuple(ops), measured_qubits=tuple(measured))
+    except Exception as exc:
+        raise QasmError(str(exc)) from exc
+
+
+def _qasm_source(rng: random.Random) -> str:
+    """An exported flip-flop or register listing, some with X initialization or no measures."""
+    variant = rng.choice(list(CircuitVariant))
+    if rng.random() < 0.2:
+        circuit = build_qsr_circuit(variant)
+    else:
+        circuit = build_register(rng.randint(1, 3), variant)
+    if rng.random() < 0.15:
+        circuit = Circuit(circuit.num_qubits, circuit.ops)
+    raised = tuple(sorted(rng.sample(range(circuit.num_qubits), rng.randint(0, 3))))
+    return export_qasm(circuit, raised)
+
+
+_QASM_MUTATIONS = (
+    "semicolon_only", "gate_early", "register", "index", "arity", "repeat", "semicolon",
+    "comment", "second_register", "kind", "delete", "duplicate", "swap", "space", "text",
+)
+
+
+def _mutate_qasm(rng: random.Random, text: str) -> str:
+    """``text`` with one fault or one harmless change in one line."""
+    lines = text.split("\n")
+    statements = [i for i, line in enumerate(lines) if line.strip()]
+    gates = [i for i in statements if lines[i].split(None, 1)[0] in _GATE_ARITY]
+    refs = [i for i in statements if "[" in lines[i]]
+    at = rng.choice(statements)
+    op = rng.choice(_QASM_MUTATIONS)
+    if op in ("gate_early", "arity", "repeat", "kind") and gates:
+        at = rng.choice(gates)
+    elif op in ("register", "index") and refs:
+        at = rng.choice(refs)
+    line = lines[at]
+    if op == "semicolon_only":
+        lines.insert(rng.randint(0, len(lines)), rng.choice((";", " ;", ";  // empty")))
+    elif op == "gate_early":
+        qreg = next(i for i, line in enumerate(lines) if line.startswith("qreg"))
+        lines.insert(rng.choice((0, 1, qreg)), line if rng.random() < 0.5 else lines.pop(at))
+    elif op == "register":
+        name = re.findall(r"[A-Za-z_]\w*(?=\[)", line)
+        lines[at] = line.replace(f"{rng.choice(name)}[", rng.choice(("r[", "c[", "q[", "qq[")), 1)
+    elif op == "index":
+        spots = list(re.finditer(r"\[(\d+)\]", line))
+        spot = rng.choice(spots)
+        value = int(spot.group(1)) + rng.choice((-1, 1, 5, 20, 70))
+        lines[at] = f"{line[:spot.start()]}[{max(value, 0)}]{line[spot.end():]}"
+    elif op == "arity":
+        args = line[:-1].split(None, 1)[1].split(", ")
+        roll = rng.random()
+        if roll < 0.15:
+            args = []
+        elif roll < 0.55 or len(args) == 1:
+            args.append(f"q[{rng.randint(0, 40)}]")
+        else:
+            args.pop(rng.randrange(len(args)))
+        lines[at] = f"{line.split(None, 1)[0]} {', '.join(args)};"
+    elif op == "repeat":
+        kind, args = line[:-1].split(None, 1)
+        args = args.split(", ")
+        args[rng.randrange(len(args))] = rng.choice(args)
+        lines[at] = f"{kind} {', '.join(args)};"
+    elif op == "semicolon":
+        lines[at] = line.rstrip(";")
+    elif op == "comment":
+        cut = rng.randint(0, len(line))
+        lines[at] = line[:cut] + rng.choice(("//", " // note", "//;", "/ /")) + line[cut:]
+    elif op == "second_register":
+        size = rng.choice((1, 7, 17))
+        lines.insert(rng.randint(0, len(lines)),
+                     rng.choice((f"qreg q[{size}];", f"creg c[{size}];", f"qreg r[{size}];",
+                                 f"creg d[{size}];", f"qreg  q [ {size} ] ;")))
+    elif op == "kind":
+        parts = line.split(None, 1)
+        lines[at] = f"{rng.choice(('x', 'cx', 'ccx', 'swap', 'cswap', 'id', 'h', 'CX', 'measure'))} {parts[1]}"
+    elif op == "delete":
+        del lines[at]
+    elif op == "duplicate":
+        lines.insert(rng.randint(0, len(lines)), line)
+    elif op == "swap":
+        other = rng.choice(statements)
+        lines[at], lines[other] = lines[other], line
+    elif op == "space":
+        cut = rng.randint(0, len(line))
+        lines[at] = line[:cut] + rng.choice((" ", "\t", "  ")) + line[cut:]
+    else:
+        cut = rng.randrange(len(line))
+        lines[at] = line[:cut] + rng.choice(" ;[],q0x/>-c\t") + line[cut + 1:]
+    return "\n".join(lines)
+
+
+def _qasm_reading(parse, text: str):
+    """What ``parse`` makes of ``text``: the circuit and its export, or the error."""
+    try:
+        circuit = parse(text)
+    except QpnError as exc:
+        return (type(exc), str(exc), exc.line)
+    return (circuit, export_qasm(circuit))
+
+
+# Errors a gate statement can meet, from its references or its gate.
+QASM_GATE_CHECKS = (
+    "malformed register reference", "unknown register", "out of range for", "expects",
+    "must be distinct",
+)
+
+
+def qasm_mutation_suite(cases: int = 1000, seed: int = 413) -> Counter:
+    """``parse_qasm`` reads mutated listings as ``reference_parse_qasm`` does.
+
+    Each case exports a flip-flop or register circuit (some with X
+    initialization, some without measures), changes one line of it and
+    requires the same ``Circuit`` (its export included) or the same error:
+    type, message and line.  An error other than a ``QpnError`` escapes.
+    Returns how many cases were read as a circuit (``"accepted"``), met each
+    of ``QASM_GATE_CHECKS`` on a gate statement, or met another error.
+    """
+    rng = random.Random(seed)
+    outcomes: Counter = Counter()
+    for case in range(cases):
+        mutated = _mutate_qasm(rng, _qasm_source(rng))
+        want = _qasm_reading(reference_parse_qasm, mutated)
+        assert _qasm_reading(parse_qasm, mutated) == want, (case, mutated, want)
+        if isinstance(want[0], Circuit):
+            outcomes["accepted"] += 1
+            continue
+        stmt = mutated.splitlines()[want[2] - 1].split() if want[2] else []
+        check = next((c for c in QASM_GATE_CHECKS if c in want[1]), None)
+        if check and stmt and stmt[0] in _GATE_ARITY:
+            outcomes[check] += 1
+        else:
+            outcomes["other error"] += 1
     return outcomes
 
 

@@ -52,6 +52,14 @@ def test_trace_mutation_suite():
         assert outcomes[outcome] >= 5, (outcome, outcomes)
 
 
+def test_qasm_mutation_suite():
+    outcomes = prop_util.qasm_mutation_suite(1000)
+    assert sum(outcomes.values()) == 1000
+    assert outcomes["accepted"] >= 250, outcomes
+    for check in prop_util.QASM_GATE_CHECKS:
+        assert outcomes[check] >= 5, (check, outcomes)
+
+
 def test_quotient_enumeration_suite():
     assert prop_util.quotient_enumeration_suite(1000) == 1000
 

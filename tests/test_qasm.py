@@ -1,7 +1,7 @@
 import pytest
 
 from qpnbuf.errors import QasmError
-from qpnbuf.flipflop import CircuitVariant, build_qsr_circuit
+from qpnbuf.flipflop import CircuitVariant, build_qsr_circuit, build_register
 from qpnbuf.qasm import export_qasm, parse_qasm, significant_lines
 from qpnbuf.statevector import Circuit, ccx, cswap, cx, x
 
@@ -78,6 +78,14 @@ def test_round_trip_all_gate_kinds():
     assert parse_qasm(export_qasm(circuit)) == circuit
 
 
+@pytest.mark.parametrize("variant", list(CircuitVariant), ids=lambda v: v.value)
+def test_parsed_register_shares_the_built_gates(variant):
+    circuit = build_register(3, variant)
+    parsed = parse_qasm(export_qasm(circuit))
+    assert parsed == circuit
+    assert all(got is op for got, op in zip(parsed.ops, circuit.ops, strict=True))
+
+
 def test_parse_error_reports_line_number():
     bad = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nfoo q[0];\n'
     with pytest.raises(QasmError) as err:
@@ -104,6 +112,22 @@ def test_parse_rejects_unknown_register():
 def test_parse_requires_header():
     with pytest.raises(QasmError):
         parse_qasm("qreg q[1];\nx q[0];\n")
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ('OPENQASM 2.0;\ninclude "qelib1.inc";\n', "no qreg declaration found", None),
+    ("OPENQASM 2.0;\nqreg q[2];\n;\n", "line 3: unsupported statement ''", 3),
+    ("OPENQASM 2.0;\nx q[0];\nqreg q[2];\n", "line 2: statement before qreg declaration", 2),
+    ("x q[0];\nOPENQASM 2.0;\n", "line 1: missing OPENQASM 2.0 header", 1),
+    ("OPENQASM 2.0;\nqreg q[2];\ncx;\n", "line 3: unsupported statement 'cx'", 3),
+    ("OPENQASM 2.0;\nqreg q[2];\ncx q[1], q[1];\n",
+     "line 3: cx qubit indices must be distinct: (1, 1)", 3),
+])
+def test_parse_error_texts_and_lines(text, message, line):
+    with pytest.raises(QasmError) as err:
+        parse_qasm(text)
+    assert str(err.value) == message
+    assert err.value.line == line
 
 
 def test_export_rejects_bad_init_qubit():

@@ -20,9 +20,12 @@ from qpnbuf.statevector import (
     identity,
     probabilities,
     run_circuit,
+    shared_gate,
     tensor,
     x,
 )
+
+import prop_util
 
 PLUS = StateVector(1, [2**-0.5, 2**-0.5])
 
@@ -148,6 +151,80 @@ def test_sampling_determinism_on_superposition():
     assert hists[0] == hists[1]
     different = run_circuit(circuit, PLUS, shots=200, seed=43)[1]
     assert sum(hists[0].values()) == sum(different.values()) == 200
+
+
+@pytest.mark.parametrize("start", ["basis", "superposed"])
+@pytest.mark.parametrize("name, value", [
+    ("shots", 2.5), ("shots", "3"), ("shots", -1), ("shots", True), ("shots", None),
+    ("seed", -1), ("seed", None), ("seed", 1.0), ("seed", False), ("seed", np.float64(3)),
+])
+def test_run_circuit_rejects_bad_shots_and_seed(start, name, value):
+    # The draw-free basis path rejects exactly what the drawing path does.
+    circuit = Circuit(num_qubits=1, ops=(x(0),), measured_qubits=((0, 0),))
+    initial = basis_state(1, "0") if start == "basis" else PLUS
+    args = {"shots": 5, "seed": 7, name: value}
+    with pytest.raises(CircuitError) as err:
+        run_circuit(circuit, initial, **args)
+    assert str(err.value) == f"{name} must be a nonnegative int, got {value!r}"
+
+
+def test_run_circuit_takes_numpy_ints():
+    circuit = Circuit(num_qubits=1, ops=(), measured_qubits=((0, 0),))
+    hist = run_circuit(circuit, PLUS, shots=np.int64(50), seed=np.uint32(9))[1]
+    assert hist == run_circuit(circuit, PLUS, shots=50, seed=9)[1]
+
+
+def _histogram_case(name):
+    """(circuit, start) for one histogram edge case."""
+    rng = random.Random(name)
+    dense = prop_util._random_start(rng, 4, "dense")
+    swaps = (cx(0, 2), cswap(3, 1, 0), x(1))
+    return {
+        # Classical bits 1-4 are never written and read 0.
+        "gaps": (Circuit(4, swaps, ((0, 0), (2, 5))), dense),
+        # Only qubit 1 is measured: indices that differ elsewhere share a key.
+        "merged": (Circuit(4, swaps, ((1, 0),)), dense),
+        "unmeasured": (Circuit(4, swaps), dense),
+        "basis": (Circuit(4, swaps, ((3, 0), (0, 1), (2, 2))), basis_state(4, "1010")),
+        "wide": (Circuit(4, swaps, ((0, 70), (3, 2))), dense),
+        "wide_basis": (Circuit(4, swaps, ((0, 70), (3, 64))), basis_state(4, "0111")),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["gaps", "merged", "unmeasured", "basis", "wide", "wide_basis"])
+@pytest.mark.parametrize("shots", [0, 1, 300])
+def test_run_circuit_histogram_matches_dense_sampler(name, shots):
+    circuit, start = _histogram_case(name)
+    final, hist = run_circuit(circuit, start, shots, seed=17)
+    out = apply_all(start, circuit.ops).amplitudes
+    assert final.amplitude_bytes() == out.tobytes()
+    want = prop_util._dense_sampler(out, circuit.measured_qubits, circuit.num_clbits, shots, 17)
+    assert hist == want
+    assert list(hist) == sorted(hist)
+    assert sum(hist.values()) == shots
+    assert all(len(key) == circuit.num_clbits for key in hist)
+
+
+def test_shared_gate_equals_and_hashes_like_a_direct_gate():
+    shared = shared_gate("cx", (0, 1))
+    assert shared is shared_gate("cx", (0, 1)) is cx(0, 1)
+    direct = GateOp("cx", (0, 1))
+    assert direct is not shared
+    assert direct == shared and shared == direct
+    assert hash(direct) == hash(shared)
+
+
+@pytest.mark.parametrize("kind, qubits, message", [
+    ("cx", (2, 2), "cx qubit indices must be distinct: (2, 2)"),
+    ("ccx", (0, 1), "ccx expects 3 qubits, got 2"),
+    ("h", (0,), "unsupported gate kind 'h'"),
+    ("x", (-1,), "negative qubit index in (-1,)"),
+])
+def test_shared_gate_does_not_cache_errors(kind, qubits, message):
+    for _ in range(3):
+        with pytest.raises(GateError) as err:
+            shared_gate(kind, qubits)
+        assert str(err.value) == message
 
 
 def test_circuit_rejects_duplicate_clbits():
