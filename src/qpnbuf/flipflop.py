@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ConstructionError
 from .statevector import Circuit, GateOp, apply_all, basis_state, ccx, cswap, cx, shared_gate, x
@@ -225,6 +226,16 @@ def register_lane_qubits(lane: int) -> dict[int, int]:
     }
 
 
+@lru_cache(maxsize=64)
+def _lane_ops(variant: CircuitVariant, lane: int) -> tuple[GateOp, ...]:
+    """The flip-flop body of ``variant`` moved onto register lane ``lane``.
+
+    Registers of every width repeat the same lanes, so each is built once.
+    """
+    remap = register_lane_qubits(lane)
+    return tuple(shared_gate(op.kind, tuple(remap[q] for q in op.qubits)) for op in _BODIES[variant])
+
+
 def build_register(u: int, variant: CircuitVariant = CircuitVariant.NORMALIZED) -> Circuit:
     """Register of ``u`` flip-flops on disjoint 5-qubit lanes sharing S and R.
 
@@ -233,12 +244,12 @@ def build_register(u: int, variant: CircuitVariant = CircuitVariant.NORMALIZED) 
     """
     if u < 1:
         raise ConstructionError(f"register needs at least one flip-flop, got u={u}")
-    body = _BODIES[CircuitVariant(variant)]
+    variant = CircuitVariant(variant)
     ops: list[GateOp] = []
     measured: list[tuple[int, int]] = []
     for lane in range(u):
         remap = register_lane_qubits(lane)
-        ops.extend(shared_gate(op.kind, tuple(remap[q] for q in op.qubits)) for op in body)
+        ops.extend(_lane_ops(variant, lane))
         measured.append((remap[QPRIME_QUBIT], 2 * lane))
         measured.append((remap[Q_QUBIT], 2 * lane + 1))
     return Circuit(num_qubits=2 + LANE_QUBITS * u, ops=tuple(ops), measured_qubits=tuple(measured))

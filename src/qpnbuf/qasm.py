@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import GateError, QasmError
-from .statevector import _ARITY, Circuit, GateOp, shared_gate
+from .statevector import _ARITY, Circuit, GateOp, _is_index, shared_gate
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";'
 
@@ -36,6 +36,8 @@ def export_qasm(circuit: Circuit, initial_x_gates: tuple[int, ...] = ()) -> str:
         lines.append("")
         lines.append("// Initialization")
         for q in initial_x_gates:
+            if not _is_index(q):
+                raise QasmError(f"initialization qubit must be an int, got {q!r}")
             if not 0 <= q < circuit.num_qubits:
                 raise QasmError(f"initialization qubit {q} out of range")
             lines.append(f"x q[{q}];")
@@ -77,13 +79,17 @@ def parse_qasm(text: str) -> Circuit:
 
     Initialization X gates are ordinary leading ops in the result; QASM has
     no marker distinguishing them from the body.  Gates come from
-    ``shared_gate``, so the result shares them with other circuits.
+    ``shared_gate``, so the result shares them with other circuits, and a
+    gate statement's text is parsed once per call.
     """
     saw_version = False
     qreg: tuple[str, int] | None = None
     creg: tuple[str, int] | None = None
     ops: list[GateOp] = []
     measured: list[tuple[int, int]] = []
+    # Gate statements already parsed, by text.  Filled only once the qreg,
+    # which cannot change afterwards, is declared; errors are not kept.
+    gates: dict[str, GateOp] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//", 1)[0].strip()
@@ -92,6 +98,10 @@ def parse_qasm(text: str) -> Circuit:
         if not line.endswith(";"):
             raise QasmError(f"statement does not end with ';': {line!r}", lineno)
         stmt = line[:-1].strip()
+        gate = gates.get(stmt)
+        if gate is not None:
+            ops.append(gate)
+            continue
 
         # A gate statement first: none of the patterns below can match one.
         # A qreg is declared only after the header.
@@ -100,9 +110,10 @@ def parse_qasm(text: str) -> Circuit:
             kind, args = parts
             qubits = tuple(_parse_ref(tok, qreg[0], qreg[1], lineno) for tok in args.split(","))
             try:
-                ops.append(shared_gate(kind, qubits))
+                gate = gates[stmt] = shared_gate(kind, qubits)
             except GateError as exc:
                 raise QasmError(str(exc), lineno) from exc
+            ops.append(gate)
             continue
 
         if stmt.startswith("OPENQASM"):

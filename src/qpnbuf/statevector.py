@@ -32,6 +32,13 @@ NORM_TOL = 1e-12
 _ARITY = {"x": 1, "cx": 2, "ccx": 3, "swap": 2, "cswap": 3, "id": 1}
 
 
+def _is_index(value) -> bool:
+    """Whether ``value`` is an int or a NumPy integer; bools are not indices."""
+    return type(value) is int or (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    )
+
+
 @dataclass(frozen=True)
 class GateOp:
     """One gate: a kind from the supported set plus its qubit indices.
@@ -46,7 +53,16 @@ class GateOp:
     def __post_init__(self):
         if self.kind not in _ARITY:
             raise GateError(f"unsupported gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
+        try:
+            qubits = tuple(self.qubits)
+        except TypeError:
+            raise GateError(
+                f"{self.kind} qubits must be a sequence of ints, got {self.qubits!r}"
+            ) from None
+        for q in qubits:
+            if not _is_index(q):
+                raise GateError(f"{self.kind} qubit index must be an int, got {q!r}")
+        object.__setattr__(self, "qubits", tuple(map(int, qubits)))
         if len(self.qubits) != _ARITY[self.kind]:
             raise GateError(
                 f"{self.kind} expects {_ARITY[self.kind]} qubits, got {len(self.qubits)}"
@@ -59,7 +75,23 @@ class GateOp:
 
 # Gates are immutable values and circuits repeat them, so each distinct
 # (kind, qubits) is validated once and its circuits share one object.
-shared_gate = lru_cache(maxsize=4096)(GateOp)
+_cached_gate = lru_cache(maxsize=4096)(GateOp)
+
+
+def shared_gate(kind: str, qubits: tuple[int, ...]) -> GateOp:
+    """The shared ``GateOp(kind, qubits)``.
+
+    Only a tuple of plain ints reaches the cache: its keys compare ``1.0``
+    and ``True`` equal to ``1``, so any other index is validated by a new,
+    unshared ``GateOp``.
+    """
+    if type(qubits) is tuple:
+        for q in qubits:
+            if type(q) is not int:
+                break
+        else:
+            return _cached_gate(kind, qubits)
+    return GateOp(kind, qubits)
 
 
 def x(q: int) -> GateOp:
@@ -95,6 +127,9 @@ class StateVector:
     __slots__ = ("num_qubits", "_indices", "_values", "_dense", "_bytes")
 
     def __init__(self, num_qubits: int, amplitudes):
+        if not _is_index(num_qubits):
+            raise ConstructionError(f"num_qubits must be an int, got {num_qubits!r}")
+        num_qubits = int(num_qubits)
         if num_qubits < 1:
             raise ConstructionError("a state needs at least one qubit")
         amps = np.asarray(amplitudes, dtype=np.complex128).copy()
@@ -147,14 +182,25 @@ class StateVector:
             return np.arange(len(self._values))
         return self._indices
 
-    def _index_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """The support's indices and amplitudes in ascending index order."""
-        if len(self._values) == 1 << self.num_qubits:
-            # Scattering a full support into its dense view beats sorting it.
-            dense = self.amplitudes
-            return np.arange(len(dense)), dense
+    def _ordered_probabilities(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The support's ``|amplitude|**2`` in ascending index order, and its indices.
+
+        The indices are None for a full support, where a position is its
+        index.  Squaring is elementwise, so it runs on the support as held;
+        the result is a fresh array that callers may overwrite, and every
+        reduction over it sums in index order.
+        """
+        probs = np.abs(self._values)
+        np.square(probs, out=probs)
+        if self._indices is None:
+            return probs, None
+        if len(probs) == 1 << self.num_qubits:
+            # Scattering a full support into index order beats sorting it.
+            ordered = np.empty_like(probs)
+            ordered[self._indices] = probs
+            return ordered, None
         order = np.argsort(self._indices)
-        return self._indices[order], self._values[order]
+        return probs[order], self._indices[order]
 
     def __eq__(self, other):
         if not isinstance(other, StateVector):
@@ -180,7 +226,7 @@ class StateVector:
         return f"StateVector({self.num_qubits} qubits)"
 
     def norm(self) -> float:
-        return float(np.sum(np.abs(self._index_order()[1]) ** 2))
+        return float(self._ordered_probabilities()[0].sum())
 
     def is_basis_state(self, atol: float = NORM_TOL) -> bool:
         if len(self._values) == 1:  # a one-index support holds a unit amplitude
@@ -219,6 +265,10 @@ def basis_state(num_qubits: int, label: str) -> StateVector:
 
 
 def basis_state_from_index(num_qubits: int, index: int) -> StateVector:
+    if not _is_index(num_qubits):
+        raise ConstructionError(f"num_qubits must be an int, got {num_qubits!r}")
+    if not _is_index(index):
+        raise ConstructionError(f"basis index must be an int, got {index!r}")
     if num_qubits < 1:
         raise ConstructionError("a state needs at least one qubit")
     if num_qubits > _MAX_BASIS_QUBITS:
@@ -350,13 +400,13 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 def probabilities(state: StateVector, cutoff: float = 1e-12) -> list[tuple[str, float]]:
     """Bitstring/probability pairs above ``cutoff``, in basis-index order."""
-    indices, values = state._index_order()
-    probs = np.abs(values) ** 2
+    probs, indices = state._ordered_probabilities()
     keep = probs > cutoff
+    kept = np.flatnonzero(keep) if indices is None else indices[keep]
     width = state.num_qubits
     return [
         (format(i, f"0{width}b"), p)
-        for i, p in zip(indices[keep].tolist(), probs[keep].tolist())
+        for i, p in zip(kept.tolist(), probs[keep].tolist())
     ]
 
 
@@ -369,7 +419,12 @@ class Circuit:
     measured_qubits: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        if not _is_index(self.num_qubits):
+            raise ConstructionError(f"num_qubits must be an int, got {self.num_qubits!r}")
         object.__setattr__(self, "ops", tuple(self.ops))
+        for q, c in self.measured_qubits:
+            if not (_is_index(q) and _is_index(c)):
+                raise ConstructionError(f"measurement {(q, c)!r} must pair two ints")
         object.__setattr__(
             self, "measured_qubits", tuple((int(q), int(c)) for q, c in self.measured_qubits)
         )
@@ -394,7 +449,7 @@ class Circuit:
 
 def _count_argument(name: str, value) -> int:
     """``value`` as an int if it is a nonnegative integer (bools excluded)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+    if not _is_index(value) or value < 0:
         raise CircuitError(f"{name} must be a nonnegative int, got {value!r}")
     return int(value)
 
@@ -428,13 +483,20 @@ def run_circuit(
 
     # Inverse-CDF sampling never selects a zero probability, so drawing over
     # the index-ordered support gives the draws of the dense distribution.
-    indices, values = final._index_order()
-    probs = np.abs(values) ** 2
-    probs = probs / probs.sum()
-    draws = np.random.default_rng(seed).choice(len(probs), size=shots, p=probs)
+    # The draw is ``Generator.choice(len(cdf), shots, p=cdf)`` written out
+    # in place: one uniform PCG64 double per shot, searched in the CDF.
+    # ``choice``'s checks of ``p`` cannot fail here, since the constructor
+    # rejects NaN, inf and unnormalized states, so they are skipped.
+    cdf, indices = final._ordered_probabilities()
+    cdf /= cdf.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")
     positions, hits = np.unique(draws, return_counts=True)
+    if indices is not None:
+        positions = indices[positions]
     # Indices that differ only on unmeasured qubits share a key.
-    keys, merged = np.unique(_outcome_keys(circuit, indices[positions]), return_inverse=True)
+    keys, merged = np.unique(_outcome_keys(circuit, positions), return_inverse=True)
     totals = np.zeros(len(keys), dtype=np.int64)
     np.add.at(totals, merged, hits)
     return final, dict(zip(keys.astype(f"U{circuit.num_clbits}").tolist(), totals.tolist()))

@@ -476,6 +476,98 @@ def fused_kernel_suite(cases: int = 1000, seed: int = 412) -> int:
     return cases
 
 
+def _sampler_start(rng: random.Random, gen, n: int, kind: str) -> tuple[StateVector, np.ndarray]:
+    """A start state of ``kind`` and its dense amplitudes.
+
+    ``full`` comes from the constructor, ``shuffled`` is a full support in
+    random index order and ``partial`` a strict subset of the indices in
+    random order, both wrapped with ``_from_support``.  Support amplitudes
+    hold signed zeros and, in some cases, ``5e-324`` parts whose squares
+    underflow to zero.
+    """
+    if kind == "basis":
+        start = basis_state_from_index(n, rng.randrange(1 << n))
+        return start, np.array(start.amplitudes)
+    size = 1 << n if kind != "partial" else rng.randint(2, (1 << n) - 1)
+    values = gen.standard_normal(size) + 1j * gen.standard_normal(size)
+    zeros = gen.permutation(size)[: rng.randint(0, size - 1)]
+    values.real[zeros] = np.copysign(0.0, gen.standard_normal(len(zeros)))
+    values.imag[zeros] = np.copysign(0.0, gen.standard_normal(len(zeros)))
+    values /= np.sqrt(np.sum(np.abs(values) ** 2))
+    if len(zeros) and rng.random() < 0.5:
+        tiny = zeros[: rng.randint(1, len(zeros))]
+        values.real[tiny] = np.copysign(5e-324, gen.standard_normal(len(tiny)))
+    if kind == "full":
+        start = StateVector(n, values)
+        return start, np.array(start.amplitudes)
+    indices = gen.permutation(1 << n)[:size]
+    values.flags.writeable = False
+    dense = np.zeros(1 << n, dtype=np.complex128)
+    dense[indices] = values
+    return StateVector._from_support(n, indices, values), dense
+
+
+def sampler_suite(cases: int = 1000, seed: int = 414) -> int:
+    """``run_circuit``'s draws, ``norm`` and ``probabilities`` match dense references.
+
+    States of 1-16 qubits with full, shuffled full, partial or basis
+    supports (see ``_sampler_start``) go through 0-12 random gates, and
+    0-16 measured qubits land on classical bits with gaps.  The histogram
+    of 0-2,000 shots must be the one ``_dense_sampler`` draws with
+    ``Generator.choice`` over the dense final amplitudes and the same seed.
+    ``probabilities`` must equal the dense final's squared magnitudes above
+    the cutoff, and ``norm`` the sum of the dense final's squared
+    magnitudes in index order, over the whole vector for a full support
+    and over the support's images for a smaller one (a sum over the zeros
+    off the support may round differently).  Both are compared bit for bit
+    and before the dense view is built, and a full support that the gates
+    permuted must leave ``run_circuit`` without its dense view.
+    """
+    rng = random.Random(seed)
+    gen = np.random.default_rng(seed)
+    kinds = ("full", "shuffled", "partial", "basis")
+    drawn = 0
+    for case in range(cases):
+        kind = kinds[case % 4]
+        n = rng.randint(2 if kind == "partial" else 1, 16 if case % 8 < 4 else 11)
+        start, dense = _sampler_start(rng, gen, n, kind)
+        names = [k for k, a in _GATE_ARITY.items() if a <= n]
+        ops = []
+        for _ in range(rng.randint(0, 12)):
+            name = rng.choice(names)
+            ops.append(GateOp(name, tuple(rng.sample(range(n), _GATE_ARITY[name]))))
+        qubits = rng.sample(range(n), rng.randint(0, n))
+        clbits = rng.sample(range(len(qubits) + rng.randint(0, 3)), len(qubits))
+        circuit = Circuit(n, ops, tuple(zip(qubits, clbits)))
+        shots = rng.choice((0, 1, rng.randint(2, 200), rng.randint(2, 200), rng.randint(200, 2000)))
+        shot_seed = rng.randrange(1 << 32)
+        final, hist = run_circuit(circuit, start, shots, shot_seed)
+
+        if n >= 3:
+            images = _reference_images(ops, n)
+        else:
+            images = np.array([_reference_image(ops, i) for i in range(1 << n)])
+        out = np.zeros(1 << n, dtype=np.complex128)
+        out[images] = dense
+        if ops and kind in ("full", "shuffled"):
+            assert final._indices is not None and not hasattr(final, "_dense"), case
+        mags = np.abs(out) ** 2
+        if kind in ("full", "shuffled"):
+            assert final.norm() == float(mags.sum()), case
+        else:
+            support = np.sort(images[start._indices])
+            assert final.norm() == float(mags[support].sum()), case
+        keep = np.flatnonzero(mags > 1e-12)
+        want = list(zip([format(i, f"0{n}b") for i in keep.tolist()], mags[keep].tolist()))
+        assert probabilities(final) == want, case
+        assert final.amplitude_bytes() == out.tobytes(), case
+        want = _dense_sampler(out, circuit.measured_qubits, circuit.num_clbits, shots, shot_seed)
+        assert hist == want, case
+        drawn += len(final._values) > 1 and shots > 0 and bool(qubits)
+    assert drawn >= cases // 2, drawn
+    return cases
+
+
 def _reversal_payload(rng: random.Random, width: int) -> StateVector:
     """A basis, uniform (X-invariant, so a CX target stays a product) or random state."""
     kind = rng.choice(("basis", "uniform", "random", "random"))

@@ -37,6 +37,10 @@ def test_fused_kernel_suite():
     assert prop_util.fused_kernel_suite(1000) == 1000
 
 
+def test_sampler_suite():
+    assert prop_util.sampler_suite(1000) == 1000
+
+
 def test_gated_reversal_suite():
     assert prop_util.gated_reversal_suite(1000) == 1000
 

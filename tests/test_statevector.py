@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 import tracemalloc
@@ -5,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpnbuf.errors import CircuitError, ConstructionError, GateError
+from qpnbuf.errors import CircuitError, ConstructionError, GateError, QasmError
+from qpnbuf.flipflop import LANE_QUBITS, CircuitVariant, build_register
+from qpnbuf.qasm import export_qasm
 from qpnbuf.statevector import (
     Circuit,
     GateOp,
@@ -227,6 +231,65 @@ def test_shared_gate_does_not_cache_errors(kind, qubits, message):
         assert str(err.value) == message
 
 
+def _cached_then(call):
+    """Fill the shared-gate cache with the int gate a bad call hashes like, then call."""
+    def run():
+        shared_gate("x", (1,))
+        shared_gate("cx", (1, 0))
+        return call()
+    return run
+
+
+_DENSE_2 = [0.5, 0.5, 0.5, 0.5]
+
+
+_BAD_INDEX_CASES = [
+    (lambda: GateOp("x", (1.7,)), GateError, "x qubit index must be an int, got 1.7"),
+    (lambda: GateOp("cx", (True, False)), GateError, "cx qubit index must be an int, got True"),
+    (lambda: GateOp("x", ("a",)), GateError, "x qubit index must be an int, got 'a'"),
+    (lambda: GateOp("x", 5), GateError, "x qubits must be a sequence of ints, got 5"),
+    (lambda: shared_gate("x", 5), GateError, "x qubits must be a sequence of ints, got 5"),
+    (_cached_then(lambda: shared_gate("x", (1.0,))), GateError,
+     "x qubit index must be an int, got 1.0"),
+    (_cached_then(lambda: shared_gate("cx", (True, False))), GateError,
+     "cx qubit index must be an int, got True"),
+    (_cached_then(lambda: x(True)), GateError, "x qubit index must be an int, got True"),
+    (lambda: Circuit(2, (), ((0.5, 1),)), ConstructionError,
+     "measurement (0.5, 1) must pair two ints"),
+    (lambda: Circuit(2, (), ((0, False),)), ConstructionError,
+     "measurement (0, False) must pair two ints"),
+    (lambda: Circuit(2.0), ConstructionError, "num_qubits must be an int, got 2.0"),
+    (lambda: export_qasm(Circuit(2), (1.5,)), QasmError,
+     "initialization qubit must be an int, got 1.5"),
+    (lambda: StateVector(True, [1, 0]), ConstructionError, "num_qubits must be an int, got True"),
+    (lambda: StateVector(1.5, [1, 0]), ConstructionError, "num_qubits must be an int, got 1.5"),
+    (lambda: StateVector("2", _DENSE_2), ConstructionError, "num_qubits must be an int, got '2'"),
+    (lambda: basis_state_from_index(2, 1.0), ConstructionError,
+     "basis index must be an int, got 1.0"),
+    (lambda: basis_state_from_index(True, 0), ConstructionError,
+     "num_qubits must be an int, got True"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", _BAD_INDEX_CASES,
+                         ids=[message for _, _, message in _BAD_INDEX_CASES])
+def test_index_arguments_must_be_ints(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_numpy_integer_indices_are_accepted():
+    gate = shared_gate("cx", (np.int64(1), np.uint8(0)))
+    assert gate == cx(1, 0) and type(gate.qubits[0]) is int
+    circuit = Circuit(np.int64(2), (gate,), ((np.int32(1), np.int16(0)),))
+    assert circuit.measured_qubits == ((1, 0),)
+    assert export_qasm(circuit, (np.int64(1),)) == export_qasm(circuit, (1,))
+    assert StateVector(np.int64(2), _DENSE_2) == StateVector(2, _DENSE_2)
+    assert basis_state_from_index(np.int64(3), np.int64(5)).basis_label() == "101"
+
+
 def test_circuit_rejects_duplicate_clbits():
     with pytest.raises(ConstructionError):
         Circuit(num_qubits=2, ops=(), measured_qubits=((0, 0), (1, 0)))
@@ -330,3 +393,42 @@ def test_amplitudes_are_cached_and_read_only():
     assert out.amplitudes is out.amplitudes
     assert not out.amplitudes.flags.writeable
     assert np.array_equal(out.amplitudes, [0, 0, 0, 1])
+
+
+def _dense_register_histograms():
+    """Sorted histograms of seeded dense u=1..3 registers, both variants."""
+    out = []
+    for u in (1, 2, 3):
+        for k, variant in enumerate((CircuitVariant.NORMALIZED, CircuitVariant.VERBATIM)):
+            gen = np.random.default_rng([u, k])
+            dim = 1 << (2 + LANE_QUBITS * u)
+            amps = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+            start = StateVector(2 + LANE_QUBITS * u, amps / np.sqrt(np.sum(np.abs(amps) ** 2)))
+            hist = run_circuit(build_register(u, variant), start, 700 + 97 * u, seed=31 * u + k)[1]
+            out.append(sorted(hist.items()))
+    return out
+
+
+def test_dense_register_histograms_are_pinned():
+    # The hash was computed with `Generator.choice` drawing the shots, so
+    # any other way of drawing them must reproduce its bytes.
+    text = json.dumps(_dense_register_histograms())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ab7f0afc3b55a2c1a1b5b07a003101fb2ca35e7751cd3e2104de29b86702d6f3"
+    )
+
+
+def test_draw_matches_choice_at_cdf_boundaries():
+    # The first probability of a two-amplitude state steps ulp by ulp
+    # across the seed's first uniform, on states normalized and off by
+    # less than the norm tolerance: the draw must pick what
+    # `Generator.choice` picks at every step.
+    circuit = Circuit(1, (), ((0, 0),))
+    for seed in range(40):
+        first = np.sqrt(np.random.default_rng(seed).random())
+        for step in range(-30, 31):
+            a0 = first + step * np.spacing(first)
+            for scale in (1.0, 1 + 4e-13, 1 - 4e-13):
+                start = StateVector(1, np.array([a0, np.sqrt(1 - a0 * a0)]) * np.sqrt(scale))
+                want = prop_util._dense_sampler(start.amplitudes, circuit.measured_qubits, 1, 1, seed)
+                assert run_circuit(circuit, start, 1, seed)[1] == want, (seed, step, scale)
