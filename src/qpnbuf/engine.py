@@ -20,7 +20,8 @@ used by guarded transitions as a selector.  An address of ``None`` is a
 free selector that matches any guard and is materialized (payload set to
 the guard's basis state) when consumed; building a net with free selectors
 is what makes exhaustive outcome enumeration explore every routing choice.
-Enumeration memoizes states on a key that leaves token identity out.
+Enumeration explores states as keys that leave token identity out and
+steps each key through the firing plans, without building markings.
 """
 
 from __future__ import annotations
@@ -881,61 +882,181 @@ def _push_run(runs: tuple, cls) -> tuple:
     return runs + ((cls, 1),)
 
 
+class _KeyPlan(NamedTuple):
+    """A firing plan compiled against a marking's place index, for stepping keys.
+
+    ``guard`` is (supply index, guard value, position of the supply among
+    the inputs); ``slots`` are (place index, staging flag); ``routes`` give
+    per input the (slot, drop) its entry goes to, or the data and the
+    ancillary (slot, drop) that split a pair entry.  ``drop`` is set where a
+    token leaves the guard-relevant places, so its class drops to its kind
+    or its amplitude bytes.
+    """
+
+    tid: str
+    inputs: tuple[int, ...]
+    inhibitors: tuple[int, ...]
+    guard: tuple[int, int, int] | None
+    slots: tuple[tuple[int, bool], ...]
+    routes: tuple[tuple[tuple[int, bool], ...], ...]
+    gate: tuple[GateOp, ...]
+
+
+def _class_is_data(cls) -> bool:
+    """The kind a token class records: a bool, amplitude bytes, or a triple led by a bool."""
+    return True if type(cls) is bytes else cls[0] if type(cls) is tuple else cls
+
+
+def _drop(cls):
+    """A guard-relevant class ``(kind, address, width or bytes)`` as held elsewhere."""
+    return cls[2] if type(cls[2]) is bytes else cls[0]
+
+
 def _quotient_keys(net: QPNet, marking: Marking):
-    """The count-space memo key of ``marking`` and a function deriving a child's key.
+    """The count-space memo key of ``marking``, the key plans and a payload table.
 
     The key holds, per place, the run-length encoded classes of its entries.
-    An entry's class is its tokens' classes: a token's kind; in a
-    guard-relevant place also its address and payload width; and for a data
-    token in a net with gates, which read amplitudes, its payload's
-    amplitude bytes instead.  That is all that enabledness (queue emptiness,
-    head selector addresses), ``fire`` (pair routing and staging fusion read
-    kinds, the guard range check reads free-selector widths, gates read data
-    payloads in consumption order) and signatures (token counts) read, so
-    states with equal keys have equal outcomes.
+    An entry's class is its tokens' classes.  A token's class is its kind; in
+    a guard-relevant place the triple (kind, address, payload width).  In a
+    net with gates, which read amplitudes, a data token's payload amplitude
+    bytes stand for its kind and width: its class is the bytes, or the triple
+    (kind, address, bytes) in a guard-relevant place.  That is all that
+    enabledness (queue emptiness, head selector addresses), ``fire`` (pair
+    routing and staging fusion read kinds, the guard range check reads
+    free-selector widths, gates read data payloads in consumption order)
+    and signatures (token counts) read, so states with equal keys have equal
+    outcomes, and ``_step`` derives a child's key from its parent's alone.
+    The key plans are the net's firing plans in id order, compiled against
+    the marking's place index; the table maps amplitude bytes to a payload
+    holding them.
     """
     index = {pid: i for i, pid in enumerate(marking.place_ids)}
     relevant = net.guard_relevant_places
     kinds = net.token_is_data  # two kinds, so a bool tells them apart
     gated = any(t.gate for t in net.transitions)
+    payloads: dict[bytes, StateVector] = {}
 
-    def token_class(pid: str, m: TokenMove):
-        if gated and kinds[m.token]:
-            return m.payload.amplitude_bytes()
+    def token_class(pid: str, tok: str):
+        payload, address = marking.payload(tok), marking.address(tok)
+        if gated and kinds[tok]:
+            raw = payload.amplitude_bytes()
+            payloads.setdefault(raw, payload)
+            return (True, address, raw) if pid in relevant else raw
         if pid in relevant:
-            return (kinds[m.token], m.address, m.payload.num_qubits)
-        return kinds[m.token]
+            return (kinds[tok], address, payload.num_qubits)
+        return kinds[tok]
 
-    def entry_class(pid: str, moves) -> tuple:
-        return tuple([token_class(pid, m) for m in moves])
-
-    def child_key(key: tuple, event: FiringEvent) -> tuple:
-        """The key after ``event``: pop consumed entries' heads, push produced tails."""
-        key = list(key)
-        for moves in event.consumed_entries():
-            i = index[moves[0].place]
-            runs = key[i]
-            cls, count = runs[0]
-            key[i] = ((cls, count - 1),) + runs[1:] if count > 1 else runs[1:]
-        for moves in event.produced_entries():
-            pid = moves[0].place
-            key[index[pid]] = _push_run(key[index[pid]], entry_class(pid, moves))
-        return tuple(key)
+    def key_plan(plan: _Plan) -> _KeyPlan:
+        guard = None
+        if plan.guard is not None:
+            supply, value = plan.guard
+            guard = (index[supply], value, plan.inputs.index(supply))
+        routes = tuple(
+            tuple((slot, src in relevant and plan.slots[slot][0] not in relevant)
+                  for slot in (route if type(route) is tuple else (route,)))
+            for src, route in zip(plan.inputs, plan.routes)
+        )
+        return _KeyPlan(plan.tid, tuple(index[pid] for pid in plan.inputs),
+                        tuple(index[pid] for pid in plan.inhibitors), guard,
+                        tuple((index[pid], staging) for pid, staging in plan.slots),
+                        routes, plan.gate)
 
     root = tuple(
-        tuple(
-            (cls, len(list(group)))
-            for cls, group in groupby(
-                entry_class(pid, [
-                    TokenMove(tok, pid, marking.payload(tok), marking.address(tok))
-                    for tok in entry
-                ])
-                for entry in entries
-            )
-        )
+        tuple((cls, len(list(group))) for cls, group in groupby(
+            tuple([token_class(pid, tok) for tok in entry]) for entry in entries))
         for pid, entries in marking.queues.items()
     )
-    return root, child_key
+    return root, tuple(map(key_plan, net._ordered)), payloads
+
+
+def _gate_classes(gate: tuple[GateOp, ...], entries: list, payloads: dict) -> list:
+    """``entries`` after ``gate`` acts on their data payloads, as ``fire`` applies it."""
+    data = [cls for entry in entries for cls in entry if _class_is_data(cls)]
+    if not data:
+        return entries
+    gated = iter(_gate_payloads(gate, [payloads[c if type(c) is bytes else c[2]] for c in data]))
+
+    def after(cls):
+        if not _class_is_data(cls):
+            return cls
+        state = next(gated)
+        raw = state.amplitude_bytes()
+        payloads.setdefault(raw, state)
+        return raw if type(cls) is bytes else (True, cls[1], raw)
+
+    return [tuple(map(after, entry)) for entry in entries]
+
+
+def _key_enables(plan: _KeyPlan, key: tuple) -> bool:
+    """``_is_enabled`` read off a key: the head selector's class holds its address."""
+    for i in plan.inputs:
+        if not key[i]:
+            return False
+    for i in plan.inhibitors:
+        if key[i]:
+            return False
+    if plan.guard is None:
+        return True
+    supply, value, _ = plan.guard
+    address = key[supply][0][0][0][1]
+    return address is None or address == value
+
+
+def _step(key: tuple, plan: _KeyPlan, payloads: dict) -> tuple | None:
+    """The key after firing ``plan``, mirroring ``fire`` on token classes.
+
+    None where ``fire`` raises an error that names token ids, which the key
+    does not hold: a guard too wide for its free selector, or a pair route
+    given an entry that is not a (data, ancillary) pair.
+    """
+    key = list(key)
+    entries = []
+    for i in plan.inputs:
+        runs = key[i]
+        cls, count = runs[0]
+        key[i] = ((cls, count - 1),) + runs[1:] if count > 1 else runs[1:]
+        entries.append(cls)
+
+    # Materialize a free selector as the guard's basis state.
+    if plan.guard is not None:
+        _, value, position = plan.guard
+        entry = entries[position]
+        kind, address, held = entry[0]  # held: width, or a gated data token's bytes
+        if address is None:
+            width = payloads[held].num_qubits if type(held) is bytes else held
+            if value >= (1 << width):
+                return None
+            if type(held) is bytes:
+                state = shared_basis_state(width, value)
+                held = state.amplitude_bytes()
+                payloads.setdefault(held, state)
+            entries[position] = ((kind, value, held),) + entry[1:]
+
+    if plan.gate:
+        entries = _gate_classes(plan.gate, entries, payloads)
+
+    # Deposit: route each entry (splitting a pair entry), then fuse a
+    # data+ancillary pair arriving together at a staging place.
+    deposits: list[list] = [[] for _ in plan.slots]
+    for entry, route in zip(entries, plan.routes):
+        if len(route) == 1:
+            slot, drop = route[0]
+            deposits[slot] += map(_drop, entry) if drop else entry
+            continue
+        if len(entry) != 2 or _class_is_data(entry[0]) == _class_is_data(entry[1]):
+            return None
+        for cls, (slot, drop) in zip(entry if _class_is_data(entry[0]) else entry[::-1], route):
+            deposits[slot].append(_drop(cls) if drop else cls)
+
+    for (i, staging), classes in zip(plan.slots, deposits):
+        if staging and len(classes) == 2:
+            first_is_data = _class_is_data(classes[0])
+            if first_is_data != _class_is_data(classes[1]):
+                key[i] = _push_run(key[i], tuple(classes if first_is_data else classes[::-1]))
+                continue
+        for cls in classes:
+            key[i] = _push_run(key[i], (cls,))
+    return tuple(key)
 
 
 def _unroll(cell) -> tuple[str, ...]:
@@ -954,42 +1075,47 @@ def enumerate_final_markings(
 
     Performs an exhaustive depth-first exploration of every enabled choice,
     in id order, deduplicating outcomes by distribution signature; each
-    signature keeps the first witness firing sequence found.  States with
-    equal memo keys share their explored suffixes: the key is the count-space
-    quotient of ``_quotient_keys``, derived from the parent's key and the
-    firing, and the result, witnesses included, is what a memo on full
-    marking identity gives.  The depth-first stack is an explicit list, so
-    long firing chains need no interpreter recursion.  Raises
-    ``ExplosionError`` once more than ``step_bound`` firings have been
-    explored.
+    signature keeps the first witness firing sequence found.  The
+    exploration runs in count space: a state is its ``_quotient_keys`` key,
+    whose enabled transitions and signature are read off the key, and a
+    firing is ``_step`` on the key, so no marking is built.  States with
+    equal keys share their explored suffixes, and the result, witnesses
+    included, is what a memo on full marking identity gives.  Where a step
+    meets an error that ``fire`` words with token ids, the firing sequence
+    to it is replayed with ``fire`` from ``marking``, which raises that
+    error.  The depth-first stack is an explicit list, so long firing
+    chains need no interpreter recursion.  Raises ``ExplosionError`` once
+    more than ``step_bound`` firings have been explored.
     """
-    root_key, child_key = _quotient_keys(net, marking)
+    marking.validate(net)
+    places = marking.place_ids
+    root, plans, payloads = _quotient_keys(net, marking)
     # Outcomes map each signature to its witness, held as shared (tid, rest)
     # cells (``None`` is the empty witness) and unrolled once at the end.
     memo: dict[tuple, dict] = {}
-    # One frame per state being expanded: [key, marking (dropped once its
-    # last enabled id has fired), enabled ids, index of the next id to fire,
-    # signatures found so far].
+    # One frame per state being expanded: [key, enabled plans, index of the
+    # next plan to fire, signatures found so far].
     stack: list[list] = []
     fired = 0
 
-    def visit(key: tuple, m: Marking) -> dict | None:
-        """The outcomes of ``m`` if known now; else push a frame and return None."""
+    def visit(key: tuple) -> dict | None:
+        """The outcomes of ``key`` if known now; else push a frame and return None."""
         if key in memo:
             return memo[key]
-        enabled = enabled_transitions(net, m)
+        enabled = [plan for plan in plans if _key_enables(plan, key)]
         if not enabled:
-            memo[key] = {distribution_signature(m): None}
+            counts = [sum([len(cls) * n for cls, n in runs]) for runs in key]
+            memo[key] = {tuple(zip(places, counts)): None}
             return memo[key]
-        stack.append([key, m, enabled, 0, {}])
+        stack.append([key, enabled, 0, {}])
         return None
 
-    outcome = visit(root_key, marking)
+    outcome = visit(root)
     while stack:
         frame = stack[-1]
-        key, m, enabled, index, result = frame
+        key, enabled, index, result = frame
         if outcome is not None:  # outcomes of the child reached by enabled[index - 1]
-            tid = enabled[index - 1]
+            tid = enabled[index - 1].tid
             for sig, suffix in outcome.items():
                 result.setdefault(sig, (tid, suffix))
         if index == len(enabled):
@@ -999,9 +1125,12 @@ def enumerate_final_markings(
         if fired >= step_bound:
             raise ExplosionError(step_bound, fired, len(memo), len(stack))
         fired += 1
-        frame[3] = index + 1
-        if index + 1 == len(enabled):
-            frame[1] = None
-        nxt, event = fire(net, m, enabled[index])
-        outcome = visit(child_key(key, event), nxt)
+        frame[2] = index + 1
+        child = _step(key, enabled[index], payloads)
+        if child is None:
+            replayed = marking
+            for f in stack:
+                replayed, _ = fire(net, replayed, f[1][f[2] - 1].tid)
+            raise AssertionError("replaying a failed step raised no error")
+        outcome = visit(child)
     return {sig: _unroll(cell) for sig, cell in sorted(outcome.items())}

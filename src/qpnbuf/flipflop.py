@@ -24,7 +24,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConstructionError
-from .statevector import Circuit, GateOp, apply_all, basis_state, ccx, cswap, cx, shared_gate, x
+from .statevector import (
+    Circuit,
+    GateOp,
+    _is_index,
+    apply_all,
+    basis_state,
+    ccx,
+    cswap,
+    cx,
+    shared_gate,
+    x,
+)
 
 S_QUBIT, R_QUBIT, FLAG_QUBIT, QPRIME_QUBIT, Q_QUBIT, ZERO_QUBIT, ONE_QUBIT = range(7)
 
@@ -242,6 +253,8 @@ def build_register(u: int, variant: CircuitVariant = CircuitVariant.NORMALIZED) 
     Lane ``i`` measures its Q' into classical bit 2i and its Q into 2i+1;
     ``u=1`` reproduces ``build_qsr_circuit`` exactly.
     """
+    if not _is_index(u):
+        raise ConstructionError(f"u must be an int, got {u!r}")
     if u < 1:
         raise ConstructionError(f"register needs at least one flip-flop, got u={u}")
     variant = CircuitVariant(variant)

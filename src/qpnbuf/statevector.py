@@ -51,6 +51,8 @@ class GateOp:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise ConstructionError(f"gate kind must be a str, got {self.kind!r}")
         if self.kind not in _ARITY:
             raise GateError(f"unsupported gate kind {self.kind!r}")
         try:
@@ -421,14 +423,26 @@ class Circuit:
     def __post_init__(self):
         if not _is_index(self.num_qubits):
             raise ConstructionError(f"num_qubits must be an int, got {self.num_qubits!r}")
-        object.__setattr__(self, "ops", tuple(self.ops))
-        for q, c in self.measured_qubits:
+        for name in ("ops", "measured_qubits"):
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:
+                raise ConstructionError(
+                    f"{name} must be a sequence, got {getattr(self, name)!r}"
+                ) from None
+        for pair in self.measured_qubits:
+            try:
+                q, c = pair
+            except (TypeError, ValueError):
+                raise ConstructionError(f"measurement {pair!r} must pair two ints") from None
             if not (_is_index(q) and _is_index(c)):
                 raise ConstructionError(f"measurement {(q, c)!r} must pair two ints")
         object.__setattr__(
             self, "measured_qubits", tuple((int(q), int(c)) for q, c in self.measured_qubits)
         )
         for op in self.ops:
+            if not isinstance(op, GateOp):
+                raise ConstructionError(f"circuit op must be a GateOp, got {op!r}")
             if max(op.qubits) >= self.num_qubits:
                 raise ConstructionError(
                     f"op {op.kind}{op.qubits} exceeds circuit width {self.num_qubits}"

@@ -1,5 +1,7 @@
+import random
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ import pytest
 from qpnbuf.buffers import (
     _identity_transition,
     build_cnot_example,
+    build_mimo,
     build_miso,
     build_priority,
     build_simo,
     build_siso,
 )
+from qpnbuf import engine
 from qpnbuf.engine import (
     AddressDriven,
     EagerOutputThenScript,
@@ -38,7 +42,9 @@ from qpnbuf.errors import (
     NotEnabledError,
     ReversalError,
 )
-from qpnbuf.statevector import basis_state
+from qpnbuf.statevector import basis_state, identity, x
+
+from prop_util import gated_relay_net, reference_enumerate
 
 
 def counts_of(marking, *places):
@@ -274,6 +280,140 @@ def test_enumeration_step_bound():
         "enumeration exceeded the step bound of 3 firings "
         "(3 firings explored, 1 distinct states memoized, stack depth 3)"
     )
+
+
+# Where the parent enumerator stopped: the same firing, states memoized and
+# stack depth, for pair entries (miso), two selector stages (mimo), gated
+# payloads in the key and a chain deeper than the recursion limit.
+@pytest.mark.parametrize("make, bound, stop", [
+    (lambda: build_miso((2, 2, 1), 3), 40, (40, 22, 4)),
+    (lambda: build_mimo((2, 2), 3, 3), 60, (60, 31, 6)),
+    (lambda: gated_relay_net(random.Random(6)), 20, (20, 15, 4)),
+    (lambda: build_siso(2000, 2000), 1500, (1500, 0, 1501)),
+], ids=["miso", "mimo", "gated-relay", "siso-2000"])
+def test_enumeration_stops_at_the_same_firing(make, bound, stop):
+    net, m0 = make()
+    with pytest.raises(ExplosionError) as info:
+        enumerate_final_markings(net, m0, step_bound=bound)
+    err = info.value
+    assert (err.fired, err.states, err.depth) == stop
+    assert str(err) == (
+        f"enumeration exceeded the step bound of {bound} firings ({stop[0]} firings "
+        f"explored, {stop[1]} distinct states memoized, stack depth {stop[2]})"
+    )
+
+
+def _counting_fire(monkeypatch):
+    """Route the engine's ``fire`` through a wrapper; the list collects fired ids."""
+    calls = []
+    real = engine.fire
+
+    def counted(net, marking, tid):
+        calls.append(tid)
+        return real(net, marking, tid)
+
+    monkeypatch.setattr(engine, "fire", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_simo(6, 5, 3),
+    lambda: build_mimo((2, 2), 3, 3),
+    lambda: gated_relay_net(random.Random(6)),
+], ids=["simo", "mimo", "gated-relay"])
+def test_enumeration_fires_no_marking(monkeypatch, make):
+    net, m0 = make()
+    expected = enumerate_final_markings(net, m0)
+    calls = _counting_fire(monkeypatch)
+    assert enumerate_final_markings(net, m0) == expected
+    assert calls == []
+
+
+def _wide_guard_net(gated: bool):
+    """Free 1-qubit selectors relayed by R into the supply of guards 0 (T1) and 2 (T2)."""
+    places = [Place("P_X", PlaceKind.INPUT), Place("P_I", PlaceKind.INPUT),
+              Place("P_A", PlaceKind.ANCILLARY), Place("P_A1", PlaceKind.ANCILLARY),
+              Place("P_O1", PlaceKind.OUTPUT), Place("P_O2", PlaceKind.OUTPUT)]
+    transitions = [_identity_transition("R", [("P_X", "x1")], {"x1": "P_A"})] + [
+        _identity_transition(f"T{g}", [("P_I", "x1"), ("P_A", "x2")],
+                             {"x1": f"P_O{g}", "x2": "P_A1"}, guard=guard)
+        for g, guard in ((1, 0), (2, 2))
+    ]
+    if gated:
+        transitions[1:] = [replace(t, gate=(x(0),)) for t in transitions[1:]]
+    tokens = [QToken(f"d{i}", TokenKind.DATA, basis_state(1, "0")) for i in (1, 2)] + [
+        QToken(f"z{i}", TokenKind.ANCILLARY, basis_state(1, "0")) for i in (1, 2)]
+    net = QPNet(places, transitions, tokens)
+    return net, net.initial_marking({"P_X": ["z1", "z2"], "P_I": ["d1", "d2"]})
+
+
+def _single_pair_net(gated: bool):
+    """T1 stages a fused (data, ancillary) pair, T2 a lone data token; T3 splits pairs."""
+    places = [Place("P_I", PlaceKind.INPUT), Place("P_Z", PlaceKind.ANCILLARY),
+              Place("P_S", PlaceKind.DATA_ANCILLARY), Place("P_A1", PlaceKind.ANCILLARY),
+              Place("P_O", PlaceKind.OUTPUT)]
+    transitions = [
+        _identity_transition("T1", [("P_I", "x1"), ("P_Z", "x2")], {"x1": "P_S", "x2": "P_S"}),
+        _identity_transition("T2", [("P_I", "x1")], {"x1": "P_S"}),
+        _identity_transition("T3", [("P_S", "x1")],
+                             {"x1": PairRoute(data_to="P_O", ancillary_to="P_A1")}),
+    ]
+    if gated:
+        transitions[2] = replace(transitions[2], gate=(x(0),))
+    tokens = [QToken(f"d{i}", TokenKind.DATA, basis_state(1, "0")) for i in (1, 2)] + [
+        QToken("z1", TokenKind.ANCILLARY, basis_state(1, "0"))]
+    net = QPNet(places, transitions, tokens)
+    return net, net.initial_marking({"P_I": ["d1", "d2"], "P_Z": ["z1"]})
+
+
+@pytest.mark.parametrize("make, message, path", [
+    (_wide_guard_net, "guard 2 does not fit selector z2's 1-qubit payload",
+     ["R", "R", "T1", "T2"]),
+    (_single_pair_net,
+     "transition T3: pair routing needs a (data, ancillary) entry, got ('d2',)",
+     ["T1", "T2", "T3", "T3"]),
+], ids=["guard-width", "pair-routing"])
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+def test_enumeration_replays_errors_that_name_tokens(monkeypatch, make, message, path, gated):
+    # The error comes after other firings, and names a token the quotient
+    # key does not hold: the failing step is replayed with ``fire`` along
+    # the depth-first path, and no other firing calls it.
+    net, m0 = make(gated)
+    with pytest.raises(ModelError) as reference:
+        reference_enumerate(net, m0)
+    assert str(reference.value) == message
+    calls = _counting_fire(monkeypatch)
+    with pytest.raises(ModelError) as info:
+        enumerate_final_markings(net, m0)
+    assert str(info.value) == message
+    assert calls == path
+
+
+def test_gated_data_selector_keeps_its_address_in_the_key():
+    # A data token d2 serves as the free selector of U0 (which flips its
+    # payload) or U1 (which leaves it): either way it reaches P_B as |1>,
+    # with address 0 or 1, and that address picks V0 or V1.  A key holding
+    # only a gated data token's amplitude bytes merges the two states and
+    # loses the P_O1 outcome.
+    places = [Place(pid, PlaceKind.INPUT) for pid in ("P_I", "P_M")] + [
+        Place(pid, PlaceKind.ANCILLARY) for pid in ("P_A", "P_B", "P_C")] + [
+        Place(pid, PlaceKind.OUTPUT) for pid in ("P_O0", "P_O1")]
+    transitions = [
+        replace(_identity_transition(f"U{g}", [("P_I", "x1"), ("P_A", "x2")],
+                                     {"x1": "P_M", "x2": "P_B"}, guard=g), gate=gate)
+        for g, gate in ((0, (x(0),)), (1, (identity(0),)))
+    ] + [
+        _identity_transition(f"V{g}", [("P_M", "x1"), ("P_B", "x2")],
+                             {"x1": f"P_O{g}", "x2": "P_C"}, guard=g)
+        for g in (0, 1)
+    ]
+    tokens = [QToken(f"d{i}", TokenKind.DATA, basis_state(1, "0")) for i in (1, 2)]
+    net = QPNet(places, transitions, tokens)
+    m0 = net.initial_marking({"P_I": ["d1"], "P_A": ["d2"]})
+    outcomes = enumerate_final_markings(net, m0)
+    assert list(outcomes.items()) == list(reference_enumerate(net, m0).items())
+    assert {(dict(sig)["P_O0"], dict(sig)["P_O1"]): w for sig, w in outcomes.items()} == {
+        (1, 0): ("U0", "V0"), (0, 1): ("U1", "V1")}
 
 
 def test_marking_validation_against_wrong_net():

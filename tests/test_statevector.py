@@ -280,6 +280,28 @@ def test_index_arguments_must_be_ints(call, error, message):
     assert str(err.value) == message
 
 
+_MALFORMED_SHAPE_CASES = [
+    (lambda: Circuit(2, (), ((0,),)), "measurement (0,) must pair two ints"),
+    (lambda: Circuit(2, (), (5,)), "measurement 5 must pair two ints"),
+    (lambda: Circuit(2, ((0, 1),)), "circuit op must be a GateOp, got (0, 1)"),
+    (lambda: Circuit(2, (x(0),), 5), "measured_qubits must be a sequence, got 5"),
+    (lambda: Circuit(2, 5), "ops must be a sequence, got 5"),
+    (lambda: GateOp(["x"], (0,)), "gate kind must be a str, got ['x']"),
+    (lambda: build_register(1.5), "u must be an int, got 1.5"),
+    (lambda: build_register(True), "u must be an int, got True"),
+    (lambda: build_register(0), "register needs at least one flip-flop, got u=0"),
+]
+
+
+@pytest.mark.parametrize("call, message", _MALFORMED_SHAPE_CASES,
+                         ids=[message for _, message in _MALFORMED_SHAPE_CASES])
+def test_malformed_circuits_and_registers_raise_construction_errors(call, message):
+    with pytest.raises(ConstructionError) as err:
+        call()
+    assert type(err.value) is ConstructionError
+    assert str(err.value) == message
+
+
 def test_numpy_integer_indices_are_accepted():
     gate = shared_gate("cx", (np.int64(1), np.uint8(0)))
     assert gate == cx(1, 0) and type(gate.qubits[0]) is int
