@@ -10,10 +10,13 @@ the concatenated data payloads through a gate sequence, and append the
 tokens at their routed destinations.  Every supported gate permutes basis
 states, so firing and unfiring are bit-exact on amplitudes.
 
-A net compiles each transition once into a firing plan, which ``fire`` and
-``unfire`` read.  Queues are persistent FIFOs with O(1) head pop and tail
-append (and their inverses), shared between markings; firing records are
-named tuples.
+A net compiles each transition once into a firing plan whose places are
+indices into ``QPNet.place_ids``; firing, unfiring, enabledness and
+enumeration's key stepping all read it.  A marking's queues are a list in
+the order of its place ids, which must be the net's: a marking of another
+net is a ``ModelError``.  Queues are persistent FIFOs with O(1) head pop
+and tail append (and their inverses), shared between markings; firing
+records are named tuples.
 
 Ancillary tokens may carry an *address*: the basis value of their payload,
 used by guarded transitions as a selector.  An address of ``None`` is a
@@ -156,20 +159,52 @@ def _tid_key(tid: str) -> tuple[str, int]:
 
 
 class _Plan(NamedTuple):
-    """A transition compiled for firing.
+    """A transition compiled for firing, its places as indices into ``QPNet.place_ids``.
 
-    ``slots`` are its deposit places in first-use order, each flagged if a
-    pair arriving there fuses; ``routes`` give per input the slot its entry
-    goes to, or the (data slot, ancillary slot) that split a pair entry.
+    ``guard`` is (selector supply, guard value, position of the supply among
+    the inputs).  ``slots`` are the deposit places in first-use order, each
+    flagged if a pair arriving there fuses; ``routes`` give per input the
+    slot its entry goes to, or the (data slot, ancillary slot) that split a
+    pair entry.  ``drops`` flag, in the shape of ``routes``, where a token
+    leaves the guard-relevant places, so that its enumeration class drops
+    to its kind or its amplitude bytes.
     """
 
     tid: str
-    inputs: tuple[str, ...]
-    inhibitors: tuple[str, ...]
-    guard: tuple[str, int] | None  # (selector place, guard value)
-    slots: tuple[tuple[str, bool], ...]
+    inputs: tuple[int, ...]
+    inhibitors: tuple[int, ...]
+    guard: tuple[int, int, int] | None
+    slots: tuple[tuple[int, bool], ...]
     routes: tuple[int | tuple[int, int], ...]
     gate: tuple[GateOp, ...]
+    drops: tuple[bool | tuple[bool, bool], ...] = ()
+
+
+def _guard_relevant(plans: list[_Plan]) -> frozenset[int]:
+    """Places whose tokens' addresses and widths can reach a guard.
+
+    The selector supply places, closed under: some plan routes an input's
+    entry from this place into a guard-relevant place.
+    """
+    relevant = {plan.guard[0] for plan in plans if plan.guard is not None}
+    grew = True
+    while grew:
+        grew = False
+        for plan in plans:
+            for src, route in zip(plan.inputs, plan.routes):
+                targets = (route,) if type(route) is int else route
+                if src not in relevant and any(plan.slots[s][0] in relevant for s in targets):
+                    relevant.add(src)
+                    grew = True
+    return frozenset(relevant)
+
+
+def _drops(plan: _Plan, relevant: frozenset[int]) -> tuple[bool | tuple[bool, bool], ...]:
+    def drop(src: int, slot: int) -> bool:
+        return src in relevant and plan.slots[slot][0] not in relevant
+
+    return tuple(drop(src, r) if type(r) is int else (drop(src, r[0]), drop(src, r[1]))
+                 for src, r in zip(plan.inputs, plan.routes))
 
 
 class QPNet:
@@ -183,32 +218,36 @@ class QPNet:
             if tok.id in self.tokens:
                 raise ModelError(f"duplicate token id {tok.id!r}")
             self.tokens[tok.id] = tok
-        self._places = {p.id: p for p in self.places}
-        if len(self._places) != len(self.places):
+        # Markings hold their queues in this order; plans index into it.
+        self.place_ids: tuple[str, ...] = tuple(p.id for p in self.places)
+        self._index = {pid: i for i, pid in enumerate(self.place_ids)}
+        if len(self._index) != len(self.places):
             raise ModelError("duplicate place ids")
-        self._transitions = {t.id: t for t in self.transitions}
-        if len(self._transitions) != len(self.transitions):
+        if len({t.id for t in self.transitions}) != len(self.transitions):
             raise ModelError("duplicate transition ids")
-        self._place_ids = self._places.keys()
-        self._plans = {t.id: self._compile(t) for t in self.transitions}
+        plans = [self._compile(t) for t in self.transitions]
+        self._relevant = _guard_relevant(plans)
+        self._plans = {plan.tid: plan._replace(drops=_drops(plan, self._relevant))
+                       for plan in plans}
         # enabled_transitions reports ids in this order.
         self._ordered = tuple(self._plans[tid] for tid in sorted(self._plans, key=_tid_key))
 
     def _compile(self, t: Transition) -> _Plan:
-        """Check a transition's wiring and compile it into its firing plan."""
+        """Check a transition's wiring and compile it into its firing plan (drops left out)."""
+        index = self._index
         for arc in t.input_arcs + t.output_arcs + t.inhibitor_arcs:
-            if arc.place not in self._places:
+            if arc.place not in index:
                 raise ModelError(f"transition {t.id}: unknown place {arc.place!r}")
         labels = [arc.label for arc in t.input_arcs]
         if len(set(labels)) != len(labels):
             raise ModelError(f"transition {t.id}: duplicate input arc labels")
-        inputs = tuple(arc.place for arc in t.input_arcs)
+        inputs = tuple(index[arc.place] for arc in t.input_arcs)
         if len(set(inputs)) != len(inputs):
             raise ModelError(f"transition {t.id}: two input arcs from one place")
         if set(t.routing) != set(labels):
             raise ModelError(f"transition {t.id}: routing must cover exactly the input arc labels")
         out_places = {arc.place for arc in t.output_arcs}
-        slots: dict[str, int] = {}
+        slots: dict[int, int] = {}
         routes = []
         for label in labels:
             dests = _destinations(t.routing[label])
@@ -218,29 +257,25 @@ class QPNet:
                         f"transition {t.id}: routing of {label!r} targets {pid!r}, "
                         "which is not an output-arc place"
                     )
-                slots.setdefault(pid, len(slots))
-            route = tuple(slots[pid] for pid in dests)
+                slots.setdefault(index[pid], len(slots))
+            route = tuple(slots[index[pid]] for pid in dests)
             routes.append(route if len(route) == 2 else route[0])
-        selector = next((p for p in inputs if self._places[p].kind is PlaceKind.ANCILLARY), None)
-        if t.address_guard is not None and selector is None:
+        position = next((n for n, i in enumerate(inputs)
+                         if self.places[i].kind is PlaceKind.ANCILLARY), None)
+        if t.address_guard is not None and position is None:
             raise ModelError(f"transition {t.id}: an address guard needs an ancillary input place")
         staging = PlaceKind.DATA_ANCILLARY
-        return _Plan(t.id, inputs, tuple(arc.place for arc in t.inhibitor_arcs),
-                     None if t.address_guard is None else (selector, t.address_guard),
-                     tuple((pid, self._places[pid].kind is staging) for pid in slots),
+        return _Plan(t.id, inputs, tuple(index[arc.place] for arc in t.inhibitor_arcs),
+                     None if t.address_guard is None
+                     else (inputs[position], t.address_guard, position),
+                     tuple((i, self.places[i].kind is staging) for i in slots),
                      tuple(routes), t.gate)
 
     def place(self, pid: str) -> Place:
         try:
-            return self._places[pid]
+            return self.places[self._index[pid]]
         except KeyError:
             raise ModelError(f"unknown place {pid!r}") from None
-
-    def transition(self, tid: str) -> Transition:
-        try:
-            return self._transitions[tid]
-        except KeyError:
-            raise ModelError(f"unknown transition {tid!r}") from None
 
     def _plan(self, tid: str) -> _Plan:
         try:
@@ -248,30 +283,9 @@ class QPNet:
         except KeyError:
             raise ModelError(f"unknown transition {tid!r}") from None
 
-    def is_output_side(self, t: Transition) -> bool:
+    def _is_output_side(self, plan: _Plan) -> bool:
         """True when every input place is a data/ancillary staging place."""
-        return all(
-            self._places[arc.place].kind is PlaceKind.DATA_ANCILLARY for arc in t.input_arcs
-        )
-
-    @cached_property
-    def guard_relevant_places(self) -> frozenset[str]:
-        """Places whose tokens' addresses and widths can reach a guard.
-
-        The selector supply places, closed under: some transition routes an
-        input label's entry from this place into a guard-relevant place.
-        """
-        relevant = {plan.guard[0] for plan in self._plans.values() if plan.guard is not None}
-        grew = True
-        while grew:
-            grew = False
-            for t in self.transitions:
-                for arc in t.input_arcs:
-                    dests = _destinations(t.routing[arc.label])
-                    if arc.place not in relevant and not relevant.isdisjoint(dests):
-                        relevant.add(arc.place)
-                        grew = True
-        return frozenset(relevant)
+        return all(self.places[i].kind is PlaceKind.DATA_ANCILLARY for i in plan.inputs)
 
     @cached_property
     def token_is_data(self) -> dict[str, bool]:
@@ -298,7 +312,7 @@ class QPNet:
 
     def initial_marking(self, assignment: dict[str, list[str]]) -> "Marking":
         """Marking at t=0 with each listed token queued singly, in order."""
-        queues: dict[str, tuple[Entry, ...]] = {p.id: () for p in self.places}
+        queues: dict[str, tuple[Entry, ...]] = dict.fromkeys(self.place_ids, ())
         seen: set[str] = set()
         for pid, toks in assignment.items():
             self.place(pid)
@@ -354,38 +368,47 @@ def _push_head(queue: Queue, entry: Entry) -> Queue:
 class Marking:
     """Immutable snapshot: queue contents, payload table, addresses, time.
 
-    A marking derived by ``fire`` or ``unfire`` shares with its parent every
-    queue the firing left alone, and the payload and address tables unless
-    the firing changed them.  Tables are held in token-id order, so the
-    content key needs no sorting.
+    Queues are held as a list aligned with the ``place_ids`` tuple, which a
+    net's firings accept only in the net's own place order.  A marking
+    derived by ``fire`` or ``unfire`` shares with its parent that tuple,
+    every queue the firing left alone, and the payload and address tables
+    unless the firing changed them.  Tables are held in token-id order, so
+    the content key needs no sorting.
     """
 
-    __slots__ = ("_queues", "_payloads", "_addresses", "_time", "_net")
+    __slots__ = ("_place_ids", "_queues", "_payloads", "_addresses", "_time", "_net")
 
     def __init__(self, queues, payloads, addresses, time):
-        held: dict[str, Queue] = {}
+        held: list[Queue] = []
         seen: set[str] = set()
-        for pid, entries in queues.items():
+        for entries in queues.values():
             entries = tuple(entries)
             for entry in entries:
                 for tok in entry:
                     if tok in seen:
                         raise ModelError(f"token {tok!r} appears in more than one place")
                     seen.add(tok)
-            held[pid] = [list(entries), 0, len(entries), entries]
-        self._fill(held, dict(sorted(payloads.items())), dict(sorted(addresses.items())),
-                   time, None)
+            held.append([list(entries), 0, len(entries), entries])
+        self._fill(tuple(queues), held, dict(sorted(payloads.items())),
+                   dict(sorted(addresses.items())), time, None)
 
-    def _fill(self, queues, payloads, addresses, time, net):
-        self._queues, self._payloads, self._addresses = queues, payloads, addresses
+    def _fill(self, place_ids, queues, payloads, addresses, time, net):
+        self._place_ids, self._queues = place_ids, queues
+        self._payloads, self._addresses = payloads, addresses
         self._time = time
         self._net = net  # the net this marking was last validated against
 
-    def _derive(self, net: QPNet, queues, payloads, addresses, time) -> "Marking":
-        """Successor built by a firing step; it conserves the token set."""
+    def _derive(self, queues, payloads, addresses, time) -> "Marking":
+        """Successor built by a firing step on this validated marking; it conserves the tokens."""
         child = object.__new__(Marking)
-        child._fill(queues, payloads, addresses, time, net if self._net is net else None)
+        child._fill(self._place_ids, queues, payloads, addresses, time, self._net)
         return child
+
+    def _queue(self, pid: str) -> Queue:
+        try:
+            return self._queues[self._place_ids.index(pid)]
+        except ValueError:
+            raise ModelError(f"unknown place {pid!r}") from None
 
     @property
     def time(self) -> int:
@@ -393,12 +416,12 @@ class Marking:
 
     @property
     def place_ids(self) -> tuple[str, ...]:
-        return tuple(self._queues)
+        return self._place_ids
 
     @property
     def queues(self) -> MappingProxyType:
         """Read-only view: place id to its tuple of entries, in place order."""
-        return MappingProxyType({pid: _entries(q) for pid, q in self._queues.items()})
+        return MappingProxyType(dict(zip(self._place_ids, map(_entries, self._queues))))
 
     @property
     def payloads(self) -> MappingProxyType:
@@ -411,15 +434,14 @@ class Marking:
         return MappingProxyType(self._addresses)
 
     def entries(self, pid: str) -> tuple[Entry, ...]:
-        return _entries(self._queues[pid])
+        return _entries(self._queue(pid))
 
     def entry_count(self, pid: str) -> int:
-        _, start, end, _ = self._queues[pid]
+        _, start, end, _ = self._queue(pid)
         return end - start
 
     def token_count(self, pid: str) -> int:
-        slots, start, end, _ = self._queues[pid]
-        return sum(map(len, slots[start:end]))
+        return sum(map(len, self.entries(pid)))
 
     def tokens_in(self, pid: str) -> tuple[str, ...]:
         return tuple(tok for entry in self.entries(pid) for tok in entry)
@@ -431,13 +453,13 @@ class Marking:
         return self._addresses[tok]
 
     def counts(self) -> dict[str, int]:
-        return {pid: self.token_count(pid) for pid in self._queues}
+        return {pid: sum(map(len, _entries(q))) for pid, q in zip(self._place_ids, self._queues)}
 
     def key(self) -> tuple:
         """Hashable content key (time excluded): queues, addresses and payloads."""
         payloads = self._payloads
         return (
-            tuple(self.queues.items()),
+            tuple(zip(self._place_ids, map(_entries, self._queues))),
             tuple((t, -1 if a is None else a) for t, a in self._addresses.items()),
             tuple(zip(payloads, map(StateVector.amplitude_bytes, payloads.values()))),
         )
@@ -451,11 +473,12 @@ class Marking:
         return hash((self.time, self.key()))
 
     def validate(self, net: QPNet):
+        """Check the marking holds the net's places, in its order, and its tokens."""
         if self._net is net:
             return
-        if self._queues.keys() != net._place_ids:
+        if self._place_ids != net.place_ids:
             raise ModelError("marking places disagree with the net")
-        tokens = {tok for entries in self.queues.values() for entry in entries for tok in entry}
+        tokens = {tok for queue in self._queues for entry in _entries(queue) for tok in entry}
         if tokens != net.tokens.keys():
             raise ModelError("marking tokens disagree with the net")
         self._net = net
@@ -540,18 +563,18 @@ class Trace:
         return tuple(rows)
 
 
-def _is_enabled(plan: _Plan, queues: dict[str, Queue], addresses: dict) -> bool:
-    for pid in plan.inputs:
-        _, start, end, _ = queues[pid]
+def _is_enabled(plan: _Plan, queues: list[Queue], addresses: dict) -> bool:
+    for i in plan.inputs:
+        _, start, end, _ = queues[i]
         if start == end:
             return False
-    for pid in plan.inhibitors:
-        _, start, end, _ = queues[pid]
+    for i in plan.inhibitors:
+        _, start, end, _ = queues[i]
         if start != end:
             return False
     if plan.guard is None:
         return True
-    supply, value = plan.guard
+    supply, value, _ = plan.guard
     slots, start, _, _ = queues[supply]
     addr = addresses[slots[start][0]]
     return addr is None or addr == value
@@ -617,27 +640,30 @@ def _gate_payloads(gate: tuple[GateOp, ...], payloads: list[StateVector]) -> lis
 
 def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
     """Fire a transition: consume head entries, transform, deposit, advance time."""
+    marking.validate(net)
     plan = net._plan(tid)
     queues, payloads, addresses = marking._queues, marking._payloads, marking._addresses
     if not _is_enabled(plan, queues, addresses):
         raise NotEnabledError(f"transition {tid} cannot fire")
 
     # Successor state shares every queue and table the firing leaves alone.
-    queues = dict(queues)
+    queues = list(queues)
+    place_ids = net.place_ids
     entries, consumed = [], []
-    for pid in plan.inputs:
-        slots, start, end, _ = queues[pid]
+    for i in plan.inputs:
+        slots, start, end, _ = queues[i]
         entry = slots[start]
         entries.append(entry)
-        queues[pid] = [slots, start + 1, end, None]
+        queues[i] = [slots, start + 1, end, None]
+        pid = place_ids[i]
         for tok in entry:
             consumed.append(_new(TokenMove, (tok, pid, payloads[tok], addresses[tok])))
 
     # Materialize a free selector: consuming it through a guard assigns the
     # guard's basis value as its address and payload.
     if plan.guard is not None:
-        supply, value = plan.guard
-        selector = entries[plan.inputs.index(supply)][0]
+        _, value, position = plan.guard
+        selector = entries[position][0]
         if addresses[selector] is None:
             width = payloads[selector].num_qubits
             if value >= (1 << width):
@@ -670,21 +696,22 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
         deposits[route[1]].append(ancillary)
 
     produced, produced_sizes = [], []
-    for (pid, staging), toks in zip(plan.slots, deposits):
+    for (i, staging), toks in zip(plan.slots, deposits):
         if staging and len(toks) == 2 and is_data[toks[0]] != is_data[toks[1]]:
             toks = toks if is_data[toks[0]] else toks[::-1]
-            queues[pid] = _push_tail(queues[pid], tuple(toks))
+            queues[i] = _push_tail(queues[i], tuple(toks))
             produced_sizes.append(2)
         else:
             for tok in toks:
-                queues[pid] = _push_tail(queues[pid], (tok,))
+                queues[i] = _push_tail(queues[i], (tok,))
                 produced_sizes.append(1)
+        pid = place_ids[i]
         for tok in toks:
             produced.append(_new(TokenMove, (tok, pid, payloads[tok], addresses[tok])))
 
     event = _new(FiringEvent, (marking.time, tid, tuple(consumed), tuple(produced),
                                tuple(map(len, entries)), tuple(produced_sizes)))
-    return marking._derive(net, queues, payloads, addresses, marking.time + 1), event
+    return marking._derive(queues, payloads, addresses, marking.time + 1), event
 
 
 def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
@@ -695,6 +722,7 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
     recorded states; its gates must take the recorded pre-firing payloads,
     which are restored, to the recorded post-firing ones.
     """
+    marking.validate(net)
     time, tid, consumed, produced, consumed_sizes, produced_sizes = event
     if marking.time != time + 1:
         raise ReversalError(f"marking time {marking.time} does not follow event time {time}")
@@ -712,9 +740,10 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
         raise ReversalError(f"{tid} consumes one entry per input arc: "
                             f"{len(plan.inputs)}, not {len(consumed_sizes)}")
     heads, start = [], 0
-    for pid, size in zip(plan.inputs, consumed_sizes):
+    for i, size in zip(plan.inputs, consumed_sizes):
         if size < 1:
             raise ReversalError("event has an empty entry")
+        pid = net.place_ids[i]
         stop = start + size
         heads.append(tuple(tokens[start:stop]))
         for m in consumed[start:stop]:
@@ -722,7 +751,7 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
                 raise ReversalError(f"{tid} consumes entry {len(heads)} from {pid}, not {m.place}")
         start = stop
 
-    queues, payloads, addresses = dict(marking._queues), marking._payloads, marking._addresses
+    queues, payloads, addresses = list(marking._queues), marking._payloads, marking._addresses
 
     # Produced entries must sit, in order, at the tails of their queues.
     stop = len(produced)
@@ -732,10 +761,11 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
         first = stop - size
         pid = produced[first].place
         entry = tuple(produced_tokens[first:stop])
-        slots, start, end, _ = queues.get(pid) or (None, 0, 0, None)
+        i = net._index.get(pid)
+        slots, start, end, _ = (None, 0, 0, None) if i is None else queues[i]
         if start == end or slots[end - 1] != entry:
             raise ReversalError(f"queue tail of {pid} does not match event entry {entry}")
-        queues[pid] = [slots, start, end - 1, None]
+        queues[i] = [slots, start, end - 1, None]
         for tok, _, payload, address in produced[first:stop]:
             held = payloads[tok]
             if held is not payload and held != payload or addresses[tok] != address:
@@ -763,10 +793,10 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
             addresses = {**addresses, tok: address}
 
     # Push the consumed entries back onto the heads of their input queues.
-    for pid, entry in zip(plan.inputs, heads):
-        queues[pid] = _push_head(queues[pid], entry)
+    for i, entry in zip(plan.inputs, heads):
+        queues[i] = _push_head(queues[i], entry)
 
-    return marking._derive(net, queues, payloads, addresses, time)
+    return marking._derive(queues, payloads, addresses, time)
 
 
 @dataclass(frozen=True)
@@ -815,6 +845,7 @@ def addresses_to_script(net: QPNet, addresses) -> tuple[str, ...]:
 
 def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
     """Drive the net with a scheduler and record the full trace."""
+    marking.validate(net)
     events: list[FiringEvent | SkippedSelection] = []
     current = marking
 
@@ -826,7 +857,7 @@ def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
     def drain(candidates_filter):
         while True:
             enabled = enabled_transitions(net, current)
-            pick = next((tid for tid in enabled if candidates_filter(net.transition(tid))), None)
+            pick = next((tid for tid in enabled if candidates_filter(net._plans[tid])), None)
             if pick is None:
                 return
             fire_one(pick)
@@ -847,9 +878,9 @@ def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
             scripted_step(i, tid, "error")
     elif isinstance(scheduler, EagerOutputThenScript):
         for i, tid in enumerate(scheduler.steps):
-            drain(net.is_output_side)
+            drain(net._is_output_side)
             scripted_step(i, tid, scheduler.on_blocked)
-        drain(net.is_output_side)
+        drain(net._is_output_side)
     elif isinstance(scheduler, AddressDriven):
         if scheduler.program is not None:
             guards = net.guard_map
@@ -862,8 +893,8 @@ def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
                         SkippedSelection(current.time, tid, f"selection {a} not firable")
                     )
         else:
-            drain(lambda t: t.address_guard is not None)
-        drain(lambda t: t.address_guard is None)
+            drain(lambda plan: plan.guard is not None)
+        drain(lambda plan: plan.guard is None)
     else:
         raise ModelError(f"unknown scheduler {scheduler!r}")
 
@@ -872,7 +903,7 @@ def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
 
 def distribution_signature(marking: Marking) -> tuple[tuple[str, int], ...]:
     """Per-place token counts, in the marking's place order."""
-    return tuple((pid, marking.token_count(pid)) for pid in marking.place_ids)
+    return tuple(marking.counts().items())
 
 
 def _push_run(runs: tuple, cls) -> tuple:
@@ -880,26 +911,6 @@ def _push_run(runs: tuple, cls) -> tuple:
     if runs and runs[-1][0] == cls:
         return runs[:-1] + ((cls, runs[-1][1] + 1),)
     return runs + ((cls, 1),)
-
-
-class _KeyPlan(NamedTuple):
-    """A firing plan compiled against a marking's place index, for stepping keys.
-
-    ``guard`` is (supply index, guard value, position of the supply among
-    the inputs); ``slots`` are (place index, staging flag); ``routes`` give
-    per input the (slot, drop) its entry goes to, or the data and the
-    ancillary (slot, drop) that split a pair entry.  ``drop`` is set where a
-    token leaves the guard-relevant places, so its class drops to its kind
-    or its amplitude bytes.
-    """
-
-    tid: str
-    inputs: tuple[int, ...]
-    inhibitors: tuple[int, ...]
-    guard: tuple[int, int, int] | None
-    slots: tuple[tuple[int, bool], ...]
-    routes: tuple[tuple[tuple[int, bool], ...], ...]
-    gate: tuple[GateOp, ...]
 
 
 def _class_is_data(cls) -> bool:
@@ -913,7 +924,7 @@ def _drop(cls):
 
 
 def _quotient_keys(net: QPNet, marking: Marking):
-    """The count-space memo key of ``marking``, the key plans and a payload table.
+    """The count-space memo key of a validated ``marking`` and a payload table.
 
     The key holds, per place, the run-length encoded classes of its entries.
     An entry's class is its tokens' classes.  A token's class is its kind; in
@@ -926,47 +937,29 @@ def _quotient_keys(net: QPNet, marking: Marking):
     free-selector widths, gates read data payloads in consumption order)
     and signatures (token counts) read, so states with equal keys have equal
     outcomes, and ``_step`` derives a child's key from its parent's alone.
-    The key plans are the net's firing plans in id order, compiled against
-    the marking's place index; the table maps amplitude bytes to a payload
-    holding them.
+    The table maps amplitude bytes to a payload holding them.
     """
-    index = {pid: i for i, pid in enumerate(marking.place_ids)}
-    relevant = net.guard_relevant_places
+    relevant = net._relevant
     kinds = net.token_is_data  # two kinds, so a bool tells them apart
-    gated = any(t.gate for t in net.transitions)
+    gated = any(plan.gate for plan in net._ordered)
     payloads: dict[bytes, StateVector] = {}
 
-    def token_class(pid: str, tok: str):
+    def token_class(i: int, tok: str):
         payload, address = marking.payload(tok), marking.address(tok)
         if gated and kinds[tok]:
             raw = payload.amplitude_bytes()
             payloads.setdefault(raw, payload)
-            return (True, address, raw) if pid in relevant else raw
-        if pid in relevant:
+            return (True, address, raw) if i in relevant else raw
+        if i in relevant:
             return (kinds[tok], address, payload.num_qubits)
         return kinds[tok]
 
-    def key_plan(plan: _Plan) -> _KeyPlan:
-        guard = None
-        if plan.guard is not None:
-            supply, value = plan.guard
-            guard = (index[supply], value, plan.inputs.index(supply))
-        routes = tuple(
-            tuple((slot, src in relevant and plan.slots[slot][0] not in relevant)
-                  for slot in (route if type(route) is tuple else (route,)))
-            for src, route in zip(plan.inputs, plan.routes)
-        )
-        return _KeyPlan(plan.tid, tuple(index[pid] for pid in plan.inputs),
-                        tuple(index[pid] for pid in plan.inhibitors), guard,
-                        tuple((index[pid], staging) for pid, staging in plan.slots),
-                        routes, plan.gate)
-
     root = tuple(
         tuple((cls, len(list(group))) for cls, group in groupby(
-            tuple([token_class(pid, tok) for tok in entry]) for entry in entries))
-        for pid, entries in marking.queues.items()
+            tuple([token_class(i, tok) for tok in entry]) for entry in _entries(queue)))
+        for i, queue in enumerate(marking._queues)
     )
-    return root, tuple(map(key_plan, net._ordered)), payloads
+    return root, payloads
 
 
 def _gate_classes(gate: tuple[GateOp, ...], entries: list, payloads: dict) -> list:
@@ -987,7 +980,7 @@ def _gate_classes(gate: tuple[GateOp, ...], entries: list, payloads: dict) -> li
     return [tuple(map(after, entry)) for entry in entries]
 
 
-def _key_enables(plan: _KeyPlan, key: tuple) -> bool:
+def _key_enables(plan: _Plan, key: tuple) -> bool:
     """``_is_enabled`` read off a key: the head selector's class holds its address."""
     for i in plan.inputs:
         if not key[i]:
@@ -1002,7 +995,7 @@ def _key_enables(plan: _KeyPlan, key: tuple) -> bool:
     return address is None or address == value
 
 
-def _step(key: tuple, plan: _KeyPlan, payloads: dict) -> tuple | None:
+def _step(key: tuple, plan: _Plan, payloads: dict) -> tuple | None:
     """The key after firing ``plan``, mirroring ``fire`` on token classes.
 
     None where ``fire`` raises an error that names token ids, which the key
@@ -1038,15 +1031,15 @@ def _step(key: tuple, plan: _KeyPlan, payloads: dict) -> tuple | None:
     # Deposit: route each entry (splitting a pair entry), then fuse a
     # data+ancillary pair arriving together at a staging place.
     deposits: list[list] = [[] for _ in plan.slots]
-    for entry, route in zip(entries, plan.routes):
-        if len(route) == 1:
-            slot, drop = route[0]
-            deposits[slot] += map(_drop, entry) if drop else entry
+    for entry, route, drop in zip(entries, plan.routes, plan.drops):
+        if type(route) is int:
+            deposits[route] += map(_drop, entry) if drop else entry
             continue
         if len(entry) != 2 or _class_is_data(entry[0]) == _class_is_data(entry[1]):
             return None
-        for cls, (slot, drop) in zip(entry if _class_is_data(entry[0]) else entry[::-1], route):
-            deposits[slot].append(_drop(cls) if drop else cls)
+        pair = entry if _class_is_data(entry[0]) else entry[::-1]
+        for cls, slot, dropped in zip(pair, route, drop):
+            deposits[slot].append(_drop(cls) if dropped else cls)
 
     for (i, staging), classes in zip(plan.slots, deposits):
         if staging and len(classes) == 2:
@@ -1088,8 +1081,8 @@ def enumerate_final_markings(
     more than ``step_bound`` firings have been explored.
     """
     marking.validate(net)
-    places = marking.place_ids
-    root, plans, payloads = _quotient_keys(net, marking)
+    places, plans = net.place_ids, net._ordered
+    root, payloads = _quotient_keys(net, marking)
     # Outcomes map each signature to its witness, held as shared (tid, rest)
     # cells (``None`` is the empty witness) and unrolled once at the end.
     memo: dict[tuple, dict] = {}

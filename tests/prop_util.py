@@ -39,7 +39,10 @@ from qpnbuf.engine import (
     TokenMove,
     Trace,
     Transition,
+    _key_enables,
+    _quotient_keys,
     _split_product,
+    _step,
     distribution_signature,
     enabled_transitions,
     enumerate_final_markings,
@@ -1535,22 +1538,66 @@ def quotient_enumeration_suite(cases: int = 300, seed: int = 409) -> int:
     assert {dict(sig)["P_O1"] for sig in got} == {0, 1}
     gated = Counter()
     for case in range(cases):
-        if case % 10 == 0:
-            net, marking = relay_net(
-                *(tuple(rng.choice((0, 1, None)) for _ in range(rng.randint(0, 2)))
-                  for _ in range(2)),
-                data=rng.randint(1, 3),
-            )
-        elif case % 5 == 2:
-            net, marking = gated_relay_net(rng)
-        else:
-            net, marking = _quotient_spec(rng).build()
+        net, marking = _random_net(rng, case)
         got = _enumeration(enumerate_final_markings, net, marking)
         assert got == _enumeration(reference_enumerate, net, marking), case
         if case % 5 == 2:
             gated[isinstance(got, str)] += 1
     assert cases < 50 or min(gated[True], gated[False]) >= cases // 50, gated
     return cases
+
+
+def _random_net(rng: random.Random, case: int):
+    """A relay net with random selector addresses, a gated relay net or a small buffer."""
+    if case % 10 == 0:
+        return relay_net(
+            *(tuple(rng.choice((0, 1, None)) for _ in range(rng.randint(0, 2))) for _ in range(2)),
+            data=rng.randint(1, 3),
+        )
+    if case % 5 == 2:
+        return gated_relay_net(rng)
+    return _quotient_spec(rng).build()
+
+
+def step_agreement_suite(cases: int = 1000, seed: int = 415) -> Counter:
+    """Stepping a state's quotient key through a plan agrees with ``fire``, firing by firing.
+
+    Each case walks a random net a few firings from its initial marking.  At
+    every state on the walk, the transitions ``_key_enables`` reads off the
+    quotient key must be the enabled ones, and for each, ``_step`` on the
+    key must give the key of ``fire``'s successor; where ``fire`` raises a
+    ``ModelError``, ``_step`` must return None or raise the same message.
+    The walk goes on from a random successor.  Returns the count of
+    agreeing firings and of raising ones.
+    """
+    rng = random.Random(seed)
+    outcomes = Counter()
+    for case in range(cases):
+        net, marking = _random_net(rng, case)
+        for _ in range(rng.randint(1, 6)):
+            key, payloads = _quotient_keys(net, marking)
+            plans = [plan for plan in net._ordered if _key_enables(plan, key)]
+            assert [plan.tid for plan in plans] == enabled_transitions(net, marking), case
+            children = []
+            for plan in plans:
+                try:
+                    child, _ = fire(net, marking, plan.tid)
+                except ModelError as exc:
+                    try:
+                        stepped = _step(key, plan, payloads)
+                    except ModelError as step_exc:
+                        assert str(step_exc) == str(exc), case
+                    else:
+                        assert stepped is None, case
+                    outcomes["raised"] += 1
+                    continue
+                assert _step(key, plan, payloads) == _quotient_keys(net, child)[0], case
+                outcomes["agreed"] += 1
+                children.append(child)
+            if not children:
+                break
+            marking = rng.choice(children)
+    return outcomes
 
 
 # Count-space capacity oracle: buffer dynamics as pure count vectors.

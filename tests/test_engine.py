@@ -28,6 +28,7 @@ from qpnbuf.engine import (
     Scripted,
     SkippedSelection,
     TokenKind,
+    Trace,
     addresses_to_script,
     distribution_signature,
     enabled_transitions,
@@ -42,7 +43,8 @@ from qpnbuf.errors import (
     NotEnabledError,
     ReversalError,
 )
-from qpnbuf.statevector import basis_state, identity, x
+from qpnbuf.scenario import emit_trace, parse_trace
+from qpnbuf.statevector import StateVector, basis_state, identity, x
 
 from prop_util import gated_relay_net, reference_enumerate
 
@@ -226,10 +228,7 @@ def test_run_quiescence_under_unbounded_scheduler():
         trace = run(net, m0, AddressDriven())
         total_tokens = sum(m0.token_count(p) for p in m0.place_ids)
         assert len(trace.firings()) <= total_tokens * len(net.transitions)
-        assert enabled_transitions(net, trace.final) == [] or all(
-            net.transition(t).address_guard is not None
-            for t in enabled_transitions(net, trace.final)
-        )
+        assert set(enabled_transitions(net, trace.final)) <= set(net.guard_map.values())
 
 
 def test_no_tokens_nothing_enabled():
@@ -418,9 +417,28 @@ def test_gated_data_selector_keeps_its_address_in_the_key():
 
 def test_marking_validation_against_wrong_net():
     net_a, m_a = build_siso(2, 1)
-    net_b, _ = build_simo(4, 3, 2)
-    with pytest.raises(ModelError):
-        enabled_transitions(net_b, m_a)
+    net_b, m_b = build_simo(4, 3, 2)
+    m1, event = fire(net_b, m_b, "T1")
+    for call in (lambda: enabled_transitions(net_b, m_a), lambda: fire(net_a, m_b, "T1"),
+                 lambda: unfire(net_a, m1, event)):
+        with pytest.raises(ModelError, match="^marking places disagree with the net$"):
+            call()
+
+
+def test_marking_in_another_place_order_is_rejected_and_round_trips():
+    net, m0 = build_siso(2, 2)
+    order = m0.place_ids[::-1]
+    reordered = Marking({pid: m0.entries(pid) for pid in order}, m0.payloads, m0.addresses,
+                        time=0)
+    for call in (lambda: fire(net, reordered, "T1"),
+                 lambda: enabled_transitions(net, reordered),
+                 lambda: enumerate_final_markings(net, reordered),
+                 lambda: run(net, reordered, Scripted(("T1",)))):
+        with pytest.raises(ModelError, match="^marking places disagree with the net$"):
+            call()
+    parsed = parse_trace(emit_trace(Trace(reordered, (), reordered)))
+    assert parsed.initial.place_ids == parsed.final.place_ids == order
+    assert parsed.initial == reordered and parsed.final == reordered
 
 
 def test_initial_marking_requires_every_token_placed():
@@ -566,6 +584,76 @@ def test_net_rejects_two_input_arcs_from_one_place():
     t1 = _identity_transition("T1", [("P_I", "x1"), ("P_I", "x2")], {"x1": "P_O", "x2": "P_O"})
     with pytest.raises(ModelError, match="^transition T1: two input arcs from one place$"):
         QPNet(places, [t1], [QToken("d1", TokenKind.DATA, basis_state(1, "0"))])
+
+
+# Every wiring, token and marking check, by type and exact message.
+
+_WIRING_PLACES = (Place("P_I", PlaceKind.INPUT), Place("P_A", PlaceKind.ANCILLARY),
+                  Place("P_O", PlaceKind.OUTPUT))
+
+
+def _wiring_net(transitions=(), places=_WIRING_PLACES, tokens=("d1",)):
+    return QPNet(places, transitions,
+                 [QToken(tok, TokenKind.DATA, basis_state(1, "0")) for tok in tokens])
+
+
+def _transition(inputs=(("P_I", "x1"),), **changes):
+    return replace(_identity_transition("T1", list(inputs), {"x1": "P_O"}), **changes)
+
+
+def _marking_missing_a_token():
+    net, m0 = build_siso(2, 1)
+    queues = {pid: m0.entries(pid) for pid in m0.place_ids}
+    queues["P_I"] = queues["P_I"][:1]
+    enabled_transitions(net, Marking(queues, m0.payloads, m0.addresses, time=0))
+
+
+def _shared_guard():
+    t1 = _identity_transition("T1", [("P_I", "x1"), ("P_A", "x2")],
+                              {"x1": "P_O", "x2": "P_O"}, guard=0)
+    return _wiring_net([t1, replace(t1, id="T2")]).guard_map
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: _wiring_net(tokens=("d1", "d1")), ModelError, "duplicate token id 'd1'"),
+    (lambda: _wiring_net(places=_WIRING_PLACES * 2), ModelError, "duplicate place ids"),
+    (lambda: _wiring_net([_transition(), _transition()]), ModelError,
+     "duplicate transition ids"),
+    (lambda: _wiring_net([_transition(inputs=[("P_X", "x1")])]), ModelError,
+     "transition T1: unknown place 'P_X'"),
+    (lambda: _wiring_net([_transition(inputs=[("P_I", "x1"), ("P_A", "x1")])]), ModelError,
+     "transition T1: duplicate input arc labels"),
+    (lambda: _wiring_net([_transition(inputs=[("P_I", "x1"), ("P_A", "x2")])]), ModelError,
+     "transition T1: routing must cover exactly the input arc labels"),
+    (lambda: _wiring_net([_transition(output_arcs=())]), ModelError,
+     "transition T1: routing of 'x1' targets 'P_O', which is not an output-arc place"),
+    (lambda: _wiring_net([_transition(address_guard=0)]), ModelError,
+     "transition T1: an address guard needs an ancillary input place"),
+    (lambda: QToken("d1", TokenKind.DATA, basis_state(1, "0"), address=0), ModelError,
+     "token d1: only ancillary tokens carry addresses"),
+    (lambda: QToken("z1", TokenKind.ANCILLARY, StateVector(1, [2**-0.5, 2**-0.5]), address=0),
+     ModelError,
+     "token z1: address requires a basis-state payload, superposed selectors are not supported"),
+    (lambda: QToken("z1", TokenKind.ANCILLARY, basis_state(1, "1"), address=0), ModelError,
+     "token z1: address 0 disagrees with payload |1>"),
+    (lambda: _wiring_net().initial_marking({"P_X": []}), ModelError, "unknown place 'P_X'"),
+    (lambda: _wiring_net().initial_marking({"P_I": ["d9"]}), ModelError, "unknown token 'd9'"),
+    (lambda: _wiring_net().initial_marking({"P_I": ["d1"], "P_A": ["d1"]}), ModelError,
+     "token 'd1' assigned to more than one place"),
+    (lambda: build_siso(1, 1)[1].entries("P_X"), ModelError, "unknown place 'P_X'"),
+    (_marking_missing_a_token, ModelError, "marking tokens disagree with the net"),
+    (_shared_guard, ModelError, "guard value 0 is used by both T1 and T2"),
+    (lambda: addresses_to_script(build_simo(2, 2, 2)[0], [0, 5]), ModelError,
+     "no transition is guarded by address 5"),
+], ids=["token-ids", "place-ids", "transition-ids", "unknown-place", "input-labels",
+        "routing-cover", "routing-target", "guard-selector", "data-address",
+        "superposed-address", "address-payload", "marking-place", "unknown-token", "token-twice",
+        "marking-entries", "marking-tokens", "shared-guard", "unknown-address"])
+def test_wiring_and_token_checks(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 # Forged events that would duplicate, lose or fuse tokens.

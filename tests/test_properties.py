@@ -68,6 +68,11 @@ def test_quotient_enumeration_suite():
     assert prop_util.quotient_enumeration_suite(1000) == 1000
 
 
+def test_step_agreement_suite():
+    outcomes = prop_util.step_agreement_suite(1000)
+    assert outcomes["agreed"] >= 1000 and outcomes["raised"] >= 5, outcomes
+
+
 def test_generator_covers_all_kinds():
     rng = random.Random(7)
     kinds = {prop_util.random_spec(rng).kind for _ in range(200)}

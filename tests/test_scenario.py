@@ -6,7 +6,7 @@ import prop_util
 
 from qpnbuf.buffers import build_cnot_example, build_siso, run_scenario
 from qpnbuf.cli import _DEMO_SCENARIOS
-from qpnbuf.engine import AddressDriven, Scripted, run
+from qpnbuf.engine import AddressDriven, Scripted, run, unfire
 from qpnbuf.errors import ScenarioError
 from qpnbuf.scenario import (
     ScenarioDoc,
@@ -442,3 +442,32 @@ def test_demo_trace_round_trip(name):
     assert emit_trace(parsed) == text
     assert parsed.table == trace.table
     assert parsed.firing_transitions() == trace.firing_transitions()
+
+
+# A parsed trace's markings share no queue with the events' markings, so
+# unfiring from its final copies each queue it pushes a head onto.
+_KIND_SCENARIOS = {
+    "siso": _DEMO_SCENARIOS["siso-4b"][0],
+    "simo": _DEMO_SCENARIOS["simo-4c"][0],
+    "miso": '{"kind": "miso", "r": [2, 1], "m": 3, "addresses": [0, 1, 0]}',
+    "mimo": '{"kind": "mimo", "r": [2, 1], "outputs": 2, "m": 3,'
+            ' "input_addresses": [1, 0, 0], "output_addresses": [0, 1, 1]}',
+    "priority": _DEMO_SCENARIOS["priority-4d"][0],
+}
+
+
+@pytest.mark.parametrize("name", ["fig2-example", *_KIND_SCENARIOS])
+def test_parsed_trace_unfires_from_its_final_to_its_initial(name):
+    if name == "fig2-example":
+        net, marking = build_cnot_example()
+        trace = run(net, marking, Scripted(("T1",)))
+    else:
+        doc = parse_scenario(_KIND_SCENARIOS[name])
+        net, marking = doc.build()
+        trace = run(net, marking, doc.build_scheduler(net))
+    parsed = parse_trace(emit_trace(trace))
+    assert parsed.firings()
+    marking = parsed.final
+    for event in reversed(parsed.firings()):
+        marking = unfire(net, marking, event)
+    assert marking == parsed.initial
