@@ -15,12 +15,19 @@ Selector (address) tokens pick among guarded transitions.  Builders accept
 an explicit address program to reproduce a concrete run; without one the
 selectors are left free, which makes enumeration explore every routing
 choice.
+
+A builder declares each part of its net once.  A transition is a list of
+routes, each taking the head of one place to another place (or, split by a
+``PairRoute``, to two); ``_transition`` makes the arcs and routing the
+engine reads.  Tokens are declared as queues, one list per place: data
+tokens d1, d2, ... in place order, then the ancillary supplies, and
+``_instance`` builds the net and its initial marking from those queues.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from itertools import islice
 from typing import NamedTuple
 
 from .engine import (
@@ -97,67 +104,58 @@ def address_fault(program, choices: int, count: int) -> tuple[str, str] | None:
     return None
 
 
-def _selector_width(choices: int) -> int:
-    return max(1, (choices - 1).bit_length())
+def _transition(tid, routes, guard=None, inhibitors=(), gate=()) -> Transition:
+    """A transition that takes the head of each source place to its destination.
 
-
-def _identity_transition(tid, inputs, routing, guard=None, inhibitors=()):
-    """Wire an identity transition from (place, label) pairs and a routing map."""
-    input_arcs = tuple(
-        Arc(place=p, transition=tid, direction="in", label=lbl) for p, lbl in inputs
-    )
+    ``routes`` pairs each input place, in arc order, with a destination: a
+    place, or a ``PairRoute`` that splits a fused pair.  The arc labels and
+    the routing the engine reads are made here.
+    """
+    routing = {f"x{i + 1}": dest for i, (_, dest) in enumerate(routes)}
     out_places = dict.fromkeys(p for dest in routing.values() for p in _destinations(dest))
-    output_arcs = tuple(
-        Arc(place=p, transition=tid, direction="out", label=f"f{i + 1}")
-        for i, p in enumerate(out_places)
-    )
-    inhibitor_arcs = tuple(
-        Arc(place=p, transition=tid, direction="in", label=f"inh{i + 1}")
-        for i, p in enumerate(inhibitors)
-    )
     return Transition(
         id=tid,
-        input_arcs=input_arcs,
-        output_arcs=output_arcs,
+        input_arcs=tuple(Arc(src, tid, "in", lbl) for (src, _), lbl in zip(routes, routing)),
+        output_arcs=tuple(Arc(p, tid, "out", f"f{i + 1}") for i, p in enumerate(out_places)),
         routing=routing,
-        inhibitor_arcs=inhibitor_arcs,
+        inhibitor_arcs=tuple(Arc(p, tid, "in", f"inh{i + 1}") for i, p in enumerate(inhibitors)),
+        gate=tuple(gate),
         address_guard=guard,
     )
 
 
-def _data_tokens(ids, payloads: dict[str, StateVector] | None):
+def _data_queues(counts: dict[str, int], payloads) -> dict[str, list[QToken]]:
+    """Data tokens d1, d2, ... queued in order, ``counts[place]`` of them in each place."""
     payloads = payloads or {}
+    ids = [f"d{i + 1}" for i in range(sum(counts.values()))]
     unknown = sorted(payloads.keys() - set(ids))
     if unknown:
         raise SpecError(f"payload for {unknown[0]!r}, which is not a data token of this instance")
-    return [
-        QToken(tid, TokenKind.DATA, payloads.get(tid, shared_basis_state(1, 0))) for tid in ids
-    ]
+    zero = shared_basis_state(1, 0)
+    tokens = iter([QToken(tid, TokenKind.DATA, payloads.get(tid, zero)) for tid in ids])
+    return {place: list(islice(tokens, count)) for place, count in counts.items()}
 
 
-def _selector_tokens(prefix, count, choices, addresses):
-    """Ancillary selector tokens; seeded with addresses or left free."""
-    width = _selector_width(choices)
+def _ancillas(prefix, count, choices=1, addresses=None) -> list[QToken]:
+    """Ancillary tokens <prefix>1, <prefix>2, ...: selectors of ``choices`` choices.
+
+    Selectors are seeded with the address program, or left free past its end.
+    """
     if addresses is not None:
         fault = address_fault(addresses, choices, count)
         if fault is not None:
             raise SpecError(fault[0])
+    width = max(1, (choices - 1).bit_length())
     program = tuple(addresses or ())
     program += (None,) * (count - len(program))
-    return [
-        QToken(f"{prefix}{i + 1}", TokenKind.ANCILLARY, shared_basis_state(width, a or 0),
-               address=a)
-        for i, a in enumerate(program)
-    ]
+    return [QToken(f"{prefix}{i + 1}", TokenKind.ANCILLARY, shared_basis_state(width, a or 0), a)
+            for i, a in enumerate(program)]
 
 
-def _input_queues(r):
-    """Data token ids d1, d2, ... and the input queues holding them, ``r[j]`` in P_I(j+1)."""
-    assignment, counter = {}, 1
-    for j, count in enumerate(r):
-        assignment[f"P_I{j + 1}"] = [f"d{counter + i}" for i in range(count)]
-        counter += count
-    return [tok for toks in assignment.values() for tok in toks], assignment
+def _instance(places, transitions, queues: dict[str, list[QToken]]) -> tuple[QPNet, Marking]:
+    """The net and its initial marking: each place holds its queue's tokens, in order."""
+    net = QPNet(places, transitions, [tok for toks in queues.values() for tok in toks])
+    return net, net.initial_marking({p: [tok.id for tok in toks] for p, toks in queues.items()})
 
 
 def _check_inputs(kind, r, m) -> int:
@@ -169,13 +167,6 @@ def _check_inputs(kind, r, m) -> int:
     if any(c < 0 for c in r):
         raise SpecError(f"input counts must be nonnegative, got {r}")
     return len(r)
-
-
-def _plain_ancillas(prefix, count):
-    return [
-        QToken(f"{prefix}{i + 1}", TokenKind.ANCILLARY, shared_basis_state(1, 0))
-        for i in range(count)
-    ]
 
 
 def build_siso(
@@ -193,17 +184,10 @@ def build_siso(
         Place("P_A1", PlaceKind.ANCILLARY),
         Place("P_O", PlaceKind.OUTPUT),
     ]
-    t1 = _identity_transition(
-        "T1",
-        inputs=[("P_I", "x1"), ("P_A", "x2")],
-        routing={"x1": "P_O", "x2": "P_A1"},
-    )
-    tokens = _data_tokens([f"d{i + 1}" for i in range(n)], payloads) + _plain_ancillas("z", m)
-    net = QPNet(places, [t1], tokens)
-    marking = net.initial_marking(
-        {"P_I": [f"d{i + 1}" for i in range(n)], "P_A": [f"z{j + 1}" for j in range(m)]}
-    )
-    return net, marking
+    t1 = _transition("T1", [("P_I", "P_O"), ("P_A", "P_A1")])
+    queues = _data_queues({"P_I": n}, payloads)
+    queues["P_A"] = _ancillas("z", m)
+    return _instance(places, [t1], queues)
 
 
 def build_simo(
@@ -227,21 +211,12 @@ def build_simo(
         Place("P_A1", PlaceKind.ANCILLARY),
     ] + [Place(f"P_O{j + 1}", PlaceKind.OUTPUT) for j in range(k)]
     transitions = [
-        _identity_transition(
-            f"T{j + 1}",
-            inputs=[("P_I", "x1"), ("P_A", "x2")],
-            routing={"x1": f"P_O{j + 1}", "x2": "P_A1"},
-            guard=j,
-        )
+        _transition(f"T{j + 1}", [("P_I", f"P_O{j + 1}"), ("P_A", "P_A1")], guard=j)
         for j in range(k)
     ]
-    tokens = _data_tokens([f"d{i + 1}" for i in range(n)], payloads)
-    tokens += _selector_tokens("z", m, k, addresses)
-    net = QPNet(places, transitions, tokens)
-    marking = net.initial_marking(
-        {"P_I": [f"d{i + 1}" for i in range(n)], "P_A": [f"z{j + 1}" for j in range(m)]}
-    )
-    return net, marking
+    queues = _data_queues({"P_I": n}, payloads)
+    queues["P_A"] = _ancillas("z", m, k, addresses)
+    return _instance(places, transitions, queues)
 
 
 def build_miso(
@@ -264,27 +239,15 @@ def build_miso(
         Place("P_O", PlaceKind.OUTPUT),
     ]
     transitions = [
-        _identity_transition(
-            f"T{j + 1}",
-            inputs=[(f"P_I{j + 1}", "x1"), ("P_A", "x2")],
-            routing={"x1": "P_DA", "x2": "P_DA"},
-            guard=j,
-        )
+        _transition(f"T{j + 1}", [(f"P_I{j + 1}", "P_DA"), ("P_A", "P_DA")], guard=j)
         for j in range(k)
     ]
     transitions.append(
-        _identity_transition(
-            f"T{k + 1}",
-            inputs=[("P_DA", "x1")],
-            routing={"x1": PairRoute(data_to="P_O", ancillary_to="P_A1")},
-        )
+        _transition(f"T{k + 1}", [("P_DA", PairRoute(data_to="P_O", ancillary_to="P_A1"))])
     )
-    ids, assignment = _input_queues(r)
-    tokens = _data_tokens(ids, payloads) + _selector_tokens("z", m, k, addresses)
-    net = QPNet(places, transitions, tokens)
-    assignment["P_A"] = [f"z{j + 1}" for j in range(m)]
-    marking = net.initial_marking(assignment)
-    return net, marking
+    queues = _data_queues({f"P_I{j + 1}": count for j, count in enumerate(r)}, payloads)
+    queues["P_A"] = _ancillas("z", m, k, addresses)
+    return _instance(places, transitions, queues)
 
 
 def build_mimo(
@@ -315,35 +278,21 @@ def build_mimo(
         + [Place(f"P_O{j + 1}", PlaceKind.OUTPUT) for j in range(outputs)]
     )
     transitions = [
-        _identity_transition(
-            f"T{j + 1}",
-            inputs=[(f"P_I{j + 1}", "x1"), ("P_A1", "x2")],
-            routing={"x1": "P_DA", "x2": "P_DA"},
-            guard=j,
-        )
+        _transition(f"T{j + 1}", [(f"P_I{j + 1}", "P_DA"), ("P_A1", "P_DA")], guard=j)
         for j in range(k)
     ]
     transitions += [
-        _identity_transition(
+        _transition(
             f"T{k + j + 1}",
-            inputs=[("P_DA", "x1"), ("P_A2", "x2")],
-            routing={
-                "x1": PairRoute(data_to=f"P_O{j + 1}", ancillary_to="P_A3"),
-                "x2": "P_A3",
-            },
+            [("P_DA", PairRoute(data_to=f"P_O{j + 1}", ancillary_to="P_A3")), ("P_A2", "P_A3")],
             guard=j,
         )
         for j in range(outputs)
     ]
-    ids, assignment = _input_queues(r)
-    tokens = _data_tokens(ids, payloads)
-    tokens += _selector_tokens("w", m, k, input_addresses)
-    tokens += _selector_tokens("z", m, outputs, output_addresses)
-    net = QPNet(places, transitions, tokens)
-    assignment["P_A1"] = [f"w{j + 1}" for j in range(m)]
-    assignment["P_A2"] = [f"z{j + 1}" for j in range(m)]
-    marking = net.initial_marking(assignment)
-    return net, marking
+    queues = _data_queues({f"P_I{j + 1}": count for j, count in enumerate(r)}, payloads)
+    queues["P_A1"] = _ancillas("w", m, k, input_addresses)
+    queues["P_A2"] = _ancillas("z", m, outputs, output_addresses)
+    return _instance(places, transitions, queues)
 
 
 def build_priority(
@@ -373,43 +322,17 @@ def build_priority(
         Place("P_A2", PlaceKind.ANCILLARY),
         Place("P_O", PlaceKind.OUTPUT),
     ]
+    deliver = PairRoute(data_to="P_O", ancillary_to="P_A2")
     transitions = [
-        _identity_transition(
-            "T1",
-            inputs=[("P_I1", "x1"), ("P_A", "x2")],
-            routing={"x1": "P_DA1", "x2": "P_DA1"},
-        ),
-        _identity_transition(
-            "T2",
-            inputs=[("P_I2", "x1"), ("P_A1", "x2")],
-            routing={"x1": "P_DA2", "x2": "P_DA2"},
-        ),
-        _identity_transition(
-            "T3",
-            inputs=[("P_DA1", "x1")],
-            routing={"x1": PairRoute(data_to="P_O", ancillary_to="P_A2")},
-            inhibitors=["P_DA2"],
-        ),
-        _identity_transition(
-            "T4",
-            inputs=[("P_DA2", "x1")],
-            routing={"x1": PairRoute(data_to="P_O", ancillary_to="P_A2")},
-        ),
+        _transition("T1", [("P_I1", "P_DA1"), ("P_A", "P_DA1")]),
+        _transition("T2", [("P_I2", "P_DA2"), ("P_A1", "P_DA2")]),
+        _transition("T3", [("P_DA1", deliver)], inhibitors=["P_DA2"]),
+        _transition("T4", [("P_DA2", deliver)]),
     ]
-    low_ids = [f"d{i + 1}" for i in range(r_low)]
-    high_ids = [f"d{r_low + i + 1}" for i in range(r_high)]
-    tokens = _data_tokens(low_ids + high_ids, payloads)
-    tokens += _plain_ancillas("w", m_low) + _plain_ancillas("z", m_high)
-    net = QPNet(places, transitions, tokens)
-    marking = net.initial_marking(
-        {
-            "P_I1": low_ids,
-            "P_I2": high_ids,
-            "P_A": [f"w{j + 1}" for j in range(m_low)],
-            "P_A1": [f"z{j + 1}" for j in range(m_high)],
-        }
-    )
-    return net, marking
+    queues = _data_queues({"P_I1": r_low, "P_I2": r_high}, payloads)
+    queues["P_A"] = _ancillas("w", m_low)
+    queues["P_A1"] = _ancillas("z", m_high)
+    return _instance(places, transitions, queues)
 
 
 def build_cnot_example() -> tuple[QPNet, Marking]:
@@ -425,22 +348,19 @@ def build_cnot_example() -> tuple[QPNet, Marking]:
         Place("P2", PlaceKind.INPUT),
         Place("P3", PlaceKind.OUTPUT),
     ]
-    t1 = replace(
-        _identity_transition(
-            "T1", inputs=[("P1", "x"), ("P2", "y")], routing={"x": "P3", "y": "P3"}
-        ),
-        gate=(cx(1, 0),),
-    )
-    tokens = [
-        QToken("a", TokenKind.DATA, basis_state(1, "1")),
-        QToken("b", TokenKind.DATA, basis_state(1, "1")),
-        QToken("c", TokenKind.DATA, plus),
-        QToken("d", TokenKind.DATA, basis_state(1, "0")),
-        QToken("e", TokenKind.DATA, basis_state(1, "1")),
-    ]
-    net = QPNet(places, [t1], tokens)
-    marking = net.initial_marking({"P1": ["a", "b", "c"], "P2": ["d", "e"]})
-    return net, marking
+    t1 = _transition("T1", [("P1", "P3"), ("P2", "P3")], gate=[cx(1, 0)])
+    queues = {
+        "P1": [
+            QToken("a", TokenKind.DATA, basis_state(1, "1")),
+            QToken("b", TokenKind.DATA, basis_state(1, "1")),
+            QToken("c", TokenKind.DATA, plus),
+        ],
+        "P2": [
+            QToken("d", TokenKind.DATA, basis_state(1, "0")),
+            QToken("e", TokenKind.DATA, basis_state(1, "1")),
+        ],
+    }
+    return _instance(places, [t1], queues)
 
 
 @dataclass(frozen=True)
@@ -481,23 +401,22 @@ class BufferSpec:
                 raise SpecError(f"{self.kind} spec needs {name}")
         return globals()[f"build_{self.kind}"](*args)
 
+    def build_scheduler(self, net: QPNet) -> Scheduler:
+        """The scheduler a run of ``net`` takes: its selector addresses, or plain draining."""
+        return AddressDriven(program=self.addresses)
 
-def run_scenario(
-    spec: BufferSpec, scheduler: Scheduler | Callable[[QPNet], Scheduler] | None = None
-) -> Trace:
+
+def run_scenario(spec: BufferSpec, scheduler: Scheduler | None = None) -> Trace:
     """Build the net, seed the tokens, and run it to a trace.
 
-    ``scheduler`` may be a function of the built net.  Without one the net
-    is driven by its selector addresses (or plain draining when nothing is
-    guarded).  A domain error during the run is re-raised with the kind
-    named in its message; its type and attributes (``step`` and the like)
-    are kept.
+    Without a scheduler the run takes the spec's own, ``spec.build_scheduler``
+    of the built net.  A domain error during the run is re-raised with the
+    kind named in its message; its type and attributes (``step`` and the
+    like) are kept.
     """
     net, marking = spec.build()
     if scheduler is None:
-        scheduler = AddressDriven(program=spec.addresses)
-    elif callable(scheduler):
-        scheduler = scheduler(net)
+        scheduler = spec.build_scheduler(net)
     try:
         return run(net, marking, scheduler)
     except QpnError as exc:

@@ -187,7 +187,7 @@ def _cmd_buffer(args) -> int:
         places = shown or marking.place_ids
         _write_output(_signature_output(signatures, places, args.format), args.out)
     else:
-        trace = run_scenario(doc, doc.build_scheduler)
+        trace = run_scenario(doc)
         _write_output(_trace_output(trace, args.format), args.out)
     return 0
 

@@ -137,12 +137,8 @@ _BODIES = {
 
 
 def build_qsr_circuit(variant: CircuitVariant) -> Circuit:
-    """7-qubit flip-flop circuit measuring Q' into c0 and Q into c1."""
-    return Circuit(
-        num_qubits=7,
-        ops=_BODIES[CircuitVariant(variant)],
-        measured_qubits=((QPRIME_QUBIT, 0), (Q_QUBIT, 1)),
-    )
+    """7-qubit flip-flop circuit measuring Q' into c0 and Q into c1: a one-lane register."""
+    return build_register(1, variant)
 
 
 def initial_x_gates(inputs: QsrInputs) -> tuple[int, ...]:
@@ -251,7 +247,7 @@ def build_register(u: int, variant: CircuitVariant = CircuitVariant.NORMALIZED) 
     """Register of ``u`` flip-flops on disjoint 5-qubit lanes sharing S and R.
 
     Lane ``i`` measures its Q' into classical bit 2i and its Q into 2i+1;
-    ``u=1`` reproduces ``build_qsr_circuit`` exactly.
+    lane 0 holds the flip-flop's own qubits, so ``u=1`` is the flip-flop.
     """
     if not _is_index(u):
         raise ConstructionError(f"u must be an int, got {u!r}")

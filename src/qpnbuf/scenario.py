@@ -33,7 +33,6 @@ from dataclasses import dataclass, fields
 
 from .buffers import KIND_TABLE, KINDS, BufferSpec, address_fault
 from .engine import (
-    AddressDriven,
     EagerOutputThenScript,
     FiringEvent,
     Marking,
@@ -82,7 +81,7 @@ class ScenarioDoc(BufferSpec):
             return EagerOutputThenScript(
                 steps=addresses_to_script(net, self.addresses), on_blocked="skip"
             )
-        return AddressDriven(program=self.addresses)
+        return super().build_scheduler(net)
 
 
 def _int_field(value, name, minimum=0) -> int:

@@ -7,18 +7,24 @@ oracle re-implements the buffer token dynamics as pure count bookkeeping
 count state to validate ancillary consumption on all maximal runs.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import marshal
 import random
 import re
 from collections import Counter, deque
-from dataclasses import fields, replace
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
+from qpnbuf import cli
 from qpnbuf.buffers import (
+    KIND_TABLE,
     BufferSpec,
-    _identity_transition,
+    _transition,
     build_cnot_example,
     build_miso,
     build_simo,
@@ -55,6 +61,7 @@ from qpnbuf.flipflop import CircuitVariant, build_qsr_circuit, build_register
 from qpnbuf.qasm import export_qasm, parse_qasm
 from qpnbuf.scenario import (
     SCENARIO_SCHEMA,
+    SCHEDULERS,
     TRACE_SCHEMA,
     ScenarioDoc,
     _expect,
@@ -1133,6 +1140,91 @@ def trace_mutation_suite(cases: int = 1000, seed: int = 410) -> Counter:
     return outcomes
 
 
+# Scenario documents through the CLI: one-fault mutations of the demos and
+# of small random scenarios, run by ``main`` as ``buffer run`` or
+# ``buffer enumerate``.
+
+# Values a mutation writes into a scenario.  Integers stay small, so that
+# no mutated instance is large enough to take long or allocate much.
+_SCENARIO_MUTANTS = (
+    None, True, False, 0.5, 1.0, "", "x", "d1", "T1", "siso", "scripted", "01",
+    [], {}, [1], [0, 1], [[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.0, 0.0]],
+)
+_SCENARIO_KEYS = ("n", "m", "k", "r", "outputs", "addresses", "script", "scheduler",
+                  "enumerate", "payloads", "extra")
+
+
+def _scenario_source(rng: random.Random) -> dict:
+    """A scenario document: a CLI demo, or a small random buffer with random run settings."""
+    if rng.random() < 0.25:
+        return json.loads(rng.choice(list(cli._DEMO_SCENARIOS.values()))[0])
+    spec = _quotient_spec(rng)
+    doc = json.loads(emit_scenario(ScenarioDoc(**{f.name: getattr(spec, f.name)
+                                                  for f in fields(BufferSpec)})))
+    for name in KIND_TABLE[spec.kind].programs:
+        if doc.get(name) == []:
+            del doc[name]
+    doc["scheduler"] = rng.choice(SCHEDULERS)
+    if doc["scheduler"] != "address-driven" and rng.random() < 0.8:
+        doc["script"] = [f"T{rng.randint(1, 5)}" for _ in range(rng.randint(0, 6))]
+    doc["enumerate"] = rng.random() < 0.2
+    return doc
+
+
+def _mutate_scenario(rng: random.Random, doc) -> str:
+    """The text of ``doc`` with one fault: a value, key or list item changed, or the text cut."""
+    slots = list(_slots(doc))
+    numbers = [slot for slot in slots if type(slot[0][slot[1]]) is int and not slot[2]]
+    outside = [slot for slot in slots if not slot[2]]
+    op = rng.choice(("int", "int", "int", "mutant", "delete", "duplicate", "add_key", "text"))
+    if op == "int" and numbers:
+        container, key, _ = rng.choice(numbers)
+    else:
+        container, key, _ = rng.choice(outside if rng.random() < 0.85 else slots)
+    if op == "int":
+        container[key] = rng.randint(-2, 12)
+    elif op == "delete":
+        del container[key]
+    elif op == "duplicate" and isinstance(container, list):
+        container.insert(rng.randint(0, len(container)), container[key])
+    elif op == "add_key" and isinstance(container, dict):
+        container[rng.choice(_SCENARIO_KEYS)] = rng.choice(_SCENARIO_MUTANTS)
+    elif op == "text":
+        text = json.dumps(doc, indent=1)
+        cut = rng.randrange(len(text))
+        return text[:cut] + rng.choice(("", "}", "]", ",", '"', "x", "0", " ")) + text[cut + 1:]
+    else:
+        container[key] = rng.choice(_SCENARIO_MUTANTS)
+    return json.dumps(doc, indent=1)
+
+
+def scenario_mutation_suite(directory, cases: int = 1000, seed: int = 416) -> tuple[Counter, str]:
+    """Mutated scenario documents through ``main``: an exit code of 0, 1 or 2, never a traceback.
+
+    Each case makes one fault in a scenario document (a demo, or a small
+    random buffer of any kind), writes it to a file in ``directory`` and
+    runs it as ``buffer run`` or ``buffer enumerate``, in JSON or table
+    format.  An error other than a ``QpnError`` escapes ``main`` and so
+    this suite.  Returns how many cases gave each exit code, and a sha256
+    over every case's exit code, output and error output.
+    """
+    rng = random.Random(seed)
+    path = Path(directory) / "scenario.json"
+    codes: Counter = Counter()
+    digest = hashlib.sha256()
+    for case in range(cases):
+        path.write_text(_mutate_scenario(rng, _scenario_source(rng)))
+        argv = ["buffer", rng.choice(("run", "enumerate")), "--scenario", str(path),
+                "--format", rng.choice(("json", "table"))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (case, code, err.getvalue())
+        codes[code] += 1
+        digest.update(json.dumps([code, out.getvalue(), err.getvalue()]).encode())
+    return codes, digest.hexdigest()
+
+
 # QASM reading: the reader before it took gate statements first, and
 # one-fault mutations of exported register and flip-flop listings.
 
@@ -1450,12 +1542,11 @@ def relay_net(x_addresses=(0,), y_addresses=(1,), data: int = 1):
         Place("P_O2", PlaceKind.OUTPUT),
     ]
     transitions = [
-        _identity_transition("TX", [("P_X", "x1")], {"x1": "P_Q"}),
-        _identity_transition("TY", [("P_Y", "x1")], {"x1": "P_Q"}),
-        _identity_transition("TQ", [("P_Q", "x1")], {"x1": "P_A"}, inhibitors=["P_X", "P_Y"]),
+        _transition("TX", [("P_X", "P_Q")]),
+        _transition("TY", [("P_Y", "P_Q")]),
+        _transition("TQ", [("P_Q", "P_A")], inhibitors=["P_X", "P_Y"]),
     ] + [
-        _identity_transition(f"T{g + 1}", [("P_I", "x1"), ("P_A", "x2")],
-                             {"x1": f"P_O{g + 1}", "x2": "P_A1"}, guard=g)
+        _transition(f"T{g + 1}", [("P_I", f"P_O{g + 1}"), ("P_A", "P_A1")], guard=g)
         for g in (0, 1)
     ]
     selectors = {}
@@ -1496,11 +1587,9 @@ def gated_relay_net(rng: random.Random):
         gate.append(GateOp(kind, tuple(rng.sample(range(total), _GATE_ARITY[kind]))))
     places = [Place(pid, PlaceKind.INPUT) for pid in ("P1", "P2", "P3", "P5")]
     transitions = [
-        _identity_transition("T1", [("P1", "x1")], {"x1": "P3"}),
-        _identity_transition("T2", [("P2", "x1")], {"x1": "P3"}),
-        replace(_identity_transition("T3", [("P3", "x1"), ("P5", "x2")],
-                                     {"x1": "P_O", "x2": "P_O"}, inhibitors=["P1", "P2"]),
-                gate=tuple(gate)),
+        _transition("T1", [("P1", "P3")]),
+        _transition("T2", [("P2", "P3")]),
+        _transition("T3", [("P3", "P_O"), ("P5", "P_O")], inhibitors=["P1", "P2"], gate=gate),
     ]
     counts = {"P1": rng.randint(1, 3), "P2": rng.randint(1, 3), "P5": rng.randint(1, 4)}
     tokens, assignment = [], {}

@@ -1,6 +1,12 @@
+import inspect
+import json
+
 import pytest
 
+from qpnbuf import buffers
 from qpnbuf.buffers import (
+    KIND_TABLE,
+    KINDS,
     BufferSpec,
     build_mimo,
     build_miso,
@@ -19,6 +25,7 @@ from qpnbuf.engine import (
     fire,
     run,
 )
+from qpnbuf.cli import main
 from qpnbuf.errors import NotEnabledError, SpecError
 from qpnbuf.statevector import basis_state
 
@@ -350,3 +357,51 @@ def test_data_payloads_intact_at_quiescence():
     trace = run(net, m0, AddressDriven())
     for tok, payload in payloads.items():
         assert trace.final.payload(tok) == payload
+
+
+# Builder errors, each with its exact message: through the builder, and
+# through ``main`` where a scenario document can reach it.  A document the
+# parser already rejects exits 2; one that reaches the builder exits 1.
+
+
+@pytest.mark.parametrize("build, message, document, code, stderr", [
+    (lambda: build_simo(3, 1, 2, addresses=(0, 1)),
+     "address program has 2 entries for 1 selectors",
+     {"kind": "simo", "n": 3, "m": 1, "k": 2, "addresses": [0, 1]}, 2,
+     "address program has 2 entries for 1 selectors (field: addresses)"),
+    (lambda: build_miso((1, 1), 0), "miso requires m >= 1, got m=0",
+     {"kind": "miso", "r": [1, 1], "m": 0}, 1, "miso requires m >= 1, got m=0"),
+    (lambda: build_mimo((1, 1), 2, 0), "mimo requires m >= 1, got m=0",
+     {"kind": "mimo", "r": [1, 1], "outputs": 2, "m": 0}, 1, "mimo requires m >= 1, got m=0"),
+    (lambda: build_miso((2, -1), 1), "input counts must be nonnegative, got (2, -1)",
+     None, None, None),
+    (lambda: build_simo(2, 3, 2), "simo requires 0 <= m <= n, got n=2, m=3",
+     {"kind": "simo", "n": 2, "m": 3, "k": 2}, 1, "simo requires 0 <= m <= n, got n=2, m=3"),
+    (lambda: build_simo(2, 1, 1), "simo requires k >= 2 outputs, got k=1",
+     {"kind": "simo", "n": 2, "m": 1, "k": 1}, 1, "simo requires k >= 2 outputs, got k=1"),
+    (lambda: build_mimo((1, 1), 1, 1), "mimo requires at least 2 output places, got 1",
+     {"kind": "mimo", "r": [1, 1], "outputs": 1, "m": 1}, 1,
+     "mimo requires at least 2 output places, got 1"),
+    (lambda: build_priority(1, 1, -1, 1), "m_low must be nonnegative, got -1",
+     None, None, None),
+], ids=["address-entries", "miso-capacity", "mimo-capacity", "negative-input-count",
+        "simo-capacity", "simo-outputs", "mimo-outputs", "priority-negative"])
+def test_builder_errors(build, message, document, code, stderr, capsys, tmp_path):
+    with pytest.raises(SpecError) as info:
+        build()
+    assert type(info.value) is SpecError
+    assert str(info.value) == message
+    if document is None:
+        return
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(document))
+    assert main(["buffer", "run", "--scenario", str(scenario)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {stderr}\n")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_builders_take_their_kind_table_arguments_in_order(kind):
+    # BufferSpec.build passes a kind's arguments to its builder by position.
+    parameters = inspect.signature(getattr(buffers, f"build_{kind}")).parameters
+    assert tuple(parameters) == KIND_TABLE[kind].arguments

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qpnbuf.buffers import (
-    _identity_transition,
+    _transition,
     build_cnot_example,
     build_mimo,
     build_miso,
@@ -18,6 +18,7 @@ from qpnbuf.buffers import (
 from qpnbuf import engine
 from qpnbuf.engine import (
     AddressDriven,
+    Arc,
     EagerOutputThenScript,
     Marking,
     PairRoute,
@@ -29,6 +30,7 @@ from qpnbuf.engine import (
     SkippedSelection,
     TokenKind,
     Trace,
+    Transition,
     addresses_to_script,
     distribution_signature,
     enabled_transitions,
@@ -333,13 +335,11 @@ def _wide_guard_net(gated: bool):
     places = [Place("P_X", PlaceKind.INPUT), Place("P_I", PlaceKind.INPUT),
               Place("P_A", PlaceKind.ANCILLARY), Place("P_A1", PlaceKind.ANCILLARY),
               Place("P_O1", PlaceKind.OUTPUT), Place("P_O2", PlaceKind.OUTPUT)]
-    transitions = [_identity_transition("R", [("P_X", "x1")], {"x1": "P_A"})] + [
-        _identity_transition(f"T{g}", [("P_I", "x1"), ("P_A", "x2")],
-                             {"x1": f"P_O{g}", "x2": "P_A1"}, guard=guard)
+    transitions = [_transition("R", [("P_X", "P_A")])] + [
+        _transition(f"T{g}", [("P_I", f"P_O{g}"), ("P_A", "P_A1")], guard=guard,
+                    gate=(x(0),) if gated else ())
         for g, guard in ((1, 0), (2, 2))
     ]
-    if gated:
-        transitions[1:] = [replace(t, gate=(x(0),)) for t in transitions[1:]]
     tokens = [QToken(f"d{i}", TokenKind.DATA, basis_state(1, "0")) for i in (1, 2)] + [
         QToken(f"z{i}", TokenKind.ANCILLARY, basis_state(1, "0")) for i in (1, 2)]
     net = QPNet(places, transitions, tokens)
@@ -352,13 +352,11 @@ def _single_pair_net(gated: bool):
               Place("P_S", PlaceKind.DATA_ANCILLARY), Place("P_A1", PlaceKind.ANCILLARY),
               Place("P_O", PlaceKind.OUTPUT)]
     transitions = [
-        _identity_transition("T1", [("P_I", "x1"), ("P_Z", "x2")], {"x1": "P_S", "x2": "P_S"}),
-        _identity_transition("T2", [("P_I", "x1")], {"x1": "P_S"}),
-        _identity_transition("T3", [("P_S", "x1")],
-                             {"x1": PairRoute(data_to="P_O", ancillary_to="P_A1")}),
+        _transition("T1", [("P_I", "P_S"), ("P_Z", "P_S")]),
+        _transition("T2", [("P_I", "P_S")]),
+        _transition("T3", [("P_S", PairRoute(data_to="P_O", ancillary_to="P_A1"))],
+                    gate=(x(0),) if gated else ()),
     ]
-    if gated:
-        transitions[2] = replace(transitions[2], gate=(x(0),))
     tokens = [QToken(f"d{i}", TokenKind.DATA, basis_state(1, "0")) for i in (1, 2)] + [
         QToken("z1", TokenKind.ANCILLARY, basis_state(1, "0"))]
     net = QPNet(places, transitions, tokens)
@@ -398,12 +396,10 @@ def test_gated_data_selector_keeps_its_address_in_the_key():
         Place(pid, PlaceKind.ANCILLARY) for pid in ("P_A", "P_B", "P_C")] + [
         Place(pid, PlaceKind.OUTPUT) for pid in ("P_O0", "P_O1")]
     transitions = [
-        replace(_identity_transition(f"U{g}", [("P_I", "x1"), ("P_A", "x2")],
-                                     {"x1": "P_M", "x2": "P_B"}, guard=g), gate=gate)
+        _transition(f"U{g}", [("P_I", "P_M"), ("P_A", "P_B")], guard=g, gate=gate)
         for g, gate in ((0, (x(0),)), (1, (identity(0),)))
     ] + [
-        _identity_transition(f"V{g}", [("P_M", "x1"), ("P_B", "x2")],
-                             {"x1": f"P_O{g}", "x2": "P_C"}, guard=g)
+        _transition(f"V{g}", [("P_M", f"P_O{g}"), ("P_B", "P_C")], guard=g)
         for g in (0, 1)
     ]
     tokens = [QToken(f"d{i}", TokenKind.DATA, basis_state(1, "0")) for i in (1, 2)]
@@ -554,8 +550,7 @@ def test_unfire_rejects_gated_event_whose_gate_does_not_give_its_payloads():
 def test_fire_rejects_guard_wider_than_free_selector():
     places = [Place("P_I", PlaceKind.INPUT), Place("P_A", PlaceKind.ANCILLARY),
               Place("P_A1", PlaceKind.ANCILLARY), Place("P_O", PlaceKind.OUTPUT)]
-    t1 = _identity_transition("T1", [("P_I", "x1"), ("P_A", "x2")],
-                              {"x1": "P_O", "x2": "P_A1"}, guard=2)
+    t1 = _transition("T1", [("P_I", "P_O"), ("P_A", "P_A1")], guard=2)
     tokens = [QToken("d1", TokenKind.DATA, basis_state(1, "0")),
               QToken("z1", TokenKind.ANCILLARY, basis_state(1, "0"))]
     net = QPNet(places, [t1], tokens)
@@ -568,8 +563,7 @@ def test_fire_rejects_guard_wider_than_free_selector():
 def test_fire_rejects_pair_route_of_a_single_token():
     places = [Place("P_I", PlaceKind.INPUT), Place("P_A1", PlaceKind.ANCILLARY),
               Place("P_O", PlaceKind.OUTPUT)]
-    t1 = _identity_transition("T1", [("P_I", "x1")],
-                              {"x1": PairRoute(data_to="P_O", ancillary_to="P_A1")})
+    t1 = _transition("T1", [("P_I", PairRoute(data_to="P_O", ancillary_to="P_A1"))])
     net = QPNet(places, [t1], [QToken("d1", TokenKind.DATA, basis_state(1, "0"))])
     m0 = net.initial_marking({"P_I": ["d1"]})
     with pytest.raises(
@@ -581,7 +575,7 @@ def test_fire_rejects_pair_route_of_a_single_token():
 
 def test_net_rejects_two_input_arcs_from_one_place():
     places = [Place("P_I", PlaceKind.INPUT), Place("P_O", PlaceKind.OUTPUT)]
-    t1 = _identity_transition("T1", [("P_I", "x1"), ("P_I", "x2")], {"x1": "P_O", "x2": "P_O"})
+    t1 = _transition("T1", [("P_I", "P_O"), ("P_I", "P_O")])
     with pytest.raises(ModelError, match="^transition T1: two input arcs from one place$"):
         QPNet(places, [t1], [QToken("d1", TokenKind.DATA, basis_state(1, "0"))])
 
@@ -597,8 +591,11 @@ def _wiring_net(transitions=(), places=_WIRING_PLACES, tokens=("d1",)):
                  [QToken(tok, TokenKind.DATA, basis_state(1, "0")) for tok in tokens])
 
 
-def _transition(inputs=(("P_I", "x1"),), **changes):
-    return replace(_identity_transition("T1", list(inputs), {"x1": "P_O"}), **changes)
+def _wired(inputs=(("P_I", "x1"),), **changes):
+    """T1 from (place, label) input arcs with x1 routed to P_O, built from the engine's types."""
+    t1 = Transition("T1", tuple(Arc(p, "T1", "in", label) for p, label in inputs),
+                    (Arc("P_O", "T1", "out", "f1"),), {"x1": "P_O"})
+    return replace(t1, **changes)
 
 
 def _marking_missing_a_token():
@@ -609,25 +606,24 @@ def _marking_missing_a_token():
 
 
 def _shared_guard():
-    t1 = _identity_transition("T1", [("P_I", "x1"), ("P_A", "x2")],
-                              {"x1": "P_O", "x2": "P_O"}, guard=0)
+    t1 = _transition("T1", [("P_I", "P_O"), ("P_A", "P_O")], guard=0)
     return _wiring_net([t1, replace(t1, id="T2")]).guard_map
 
 
 @pytest.mark.parametrize("make, error, message", [
     (lambda: _wiring_net(tokens=("d1", "d1")), ModelError, "duplicate token id 'd1'"),
     (lambda: _wiring_net(places=_WIRING_PLACES * 2), ModelError, "duplicate place ids"),
-    (lambda: _wiring_net([_transition(), _transition()]), ModelError,
+    (lambda: _wiring_net([_wired(), _wired()]), ModelError,
      "duplicate transition ids"),
-    (lambda: _wiring_net([_transition(inputs=[("P_X", "x1")])]), ModelError,
+    (lambda: _wiring_net([_wired(inputs=[("P_X", "x1")])]), ModelError,
      "transition T1: unknown place 'P_X'"),
-    (lambda: _wiring_net([_transition(inputs=[("P_I", "x1"), ("P_A", "x1")])]), ModelError,
+    (lambda: _wiring_net([_wired(inputs=[("P_I", "x1"), ("P_A", "x1")])]), ModelError,
      "transition T1: duplicate input arc labels"),
-    (lambda: _wiring_net([_transition(inputs=[("P_I", "x1"), ("P_A", "x2")])]), ModelError,
+    (lambda: _wiring_net([_wired(inputs=[("P_I", "x1"), ("P_A", "x2")])]), ModelError,
      "transition T1: routing must cover exactly the input arc labels"),
-    (lambda: _wiring_net([_transition(output_arcs=())]), ModelError,
+    (lambda: _wiring_net([_wired(output_arcs=())]), ModelError,
      "transition T1: routing of 'x1' targets 'P_O', which is not an output-arc place"),
-    (lambda: _wiring_net([_transition(address_guard=0)]), ModelError,
+    (lambda: _wiring_net([_wired(address_guard=0)]), ModelError,
      "transition T1: an address guard needs an ancillary input place"),
     (lambda: QToken("d1", TokenKind.DATA, basis_state(1, "0"), address=0), ModelError,
      "token d1: only ancillary tokens carry addresses"),

@@ -56,6 +56,18 @@ def test_trace_mutation_suite():
         assert outcomes[outcome] >= 5, (outcome, outcomes)
 
 
+# Every case's exit code, output and error output, as the suite read them
+# when it was written.
+SCENARIO_MUTATION_SHA = "d2fd639c659f539a0099b5cae1405dbab17e2c8ba6d14630cbb1375898be9a17"
+
+
+def test_scenario_mutation_suite(tmp_path):
+    codes, digest = prop_util.scenario_mutation_suite(tmp_path, 1000)
+    assert sum(codes.values()) == 1000
+    assert set(codes) == {0, 1, 2} and min(codes.values()) >= 50, codes
+    assert digest == SCENARIO_MUTATION_SHA
+
+
 def test_qasm_mutation_suite():
     outcomes = prop_util.qasm_mutation_suite(1000)
     assert sum(outcomes.values()) == 1000

@@ -430,7 +430,7 @@ def _demo_trace(name):
         net, marking = build_cnot_example()
         return run(net, marking, Scripted(("T1",)))
     doc = parse_scenario(_DEMO_SCENARIOS[name][0])
-    return run_scenario(doc, doc.build_scheduler)
+    return run_scenario(doc)
 
 
 @pytest.mark.parametrize("name", ["fig2-example", "siso-4b", "simo-4c", "priority-4d"])
