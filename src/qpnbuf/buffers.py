@@ -410,9 +410,9 @@ def run_scenario(spec: BufferSpec, scheduler: Scheduler | None = None) -> Trace:
     """Build the net, seed the tokens, and run it to a trace.
 
     Without a scheduler the run takes the spec's own, ``spec.build_scheduler``
-    of the built net.  A domain error during the run is re-raised with the
-    kind named in its message; its type and attributes (``step`` and the
-    like) are kept.
+    of the built net.  A domain error during the run is re-raised, the same
+    object with the kind named in its message, so its type and attributes
+    (``step`` and the like) are kept.
     """
     net, marking = spec.build()
     if scheduler is None:
@@ -420,6 +420,5 @@ def run_scenario(spec: BufferSpec, scheduler: Scheduler | None = None) -> Trace:
     try:
         return run(net, marking, scheduler)
     except QpnError as exc:
-        wrapped = type(exc).__new__(type(exc), f"in {spec.kind} scenario: {exc}")
-        wrapped.__dict__.update(vars(exc))
-        raise wrapped from exc
+        exc.args = (f"in {spec.kind} scenario: {exc}",)
+        raise

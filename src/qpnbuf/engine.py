@@ -229,7 +229,7 @@ class QPNet:
         self._relevant = _guard_relevant(plans)
         self._plans = {plan.tid: plan._replace(drops=_drops(plan, self._relevant))
                        for plan in plans}
-        # enabled_transitions reports ids in this order.
+        # enabled_transitions and run's drains scan plans in this order.
         self._ordered = tuple(self._plans[tid] for tid in sorted(self._plans, key=_tid_key))
 
     def _compile(self, t: Transition) -> _Plan:
@@ -551,15 +551,14 @@ class Trace:
     @cached_property
     def table(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(time, per-place token counts in ``places`` order): t=0, then one row per firing."""
-        places = self.places
-        counts = self.initial.counts()
-        rows = [(0, tuple(counts[p] for p in places))]
+        counts = self.initial.counts()  # in ``places`` order
+        rows = [(0, tuple(counts.values()))]
         for event in self.firings():
-            for move in event.consumed:
-                counts[move.place] -= 1
-            for move in event.produced:
-                counts[move.place] += 1
-            rows.append((event.time + 1, tuple(counts[p] for p in places)))
+            for _, place, _, _ in event.consumed:
+                counts[place] -= 1
+            for _, place, _, _ in event.produced:
+                counts[place] += 1
+            rows.append((event.time + 1, tuple(counts.values())))
         return tuple(rows)
 
 
@@ -594,8 +593,6 @@ def _split_product(state: StateVector, widths: list[int]) -> list[StateVector]:
     separable non-basis states split via SVD.  An entangled joint state
     cannot be attributed to individual tokens and is rejected.
     """
-    if sum(widths) != state.num_qubits:
-        raise ModelError("payload widths disagree with the joint state")
     if len(widths) == 1:
         return [state]
     if state.is_basis_state():
@@ -718,9 +715,10 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
     """Undo the most recent firing, restoring the pre-firing marking exactly.
 
     The event must move each token once, consume one entry per input place in
-    input order, and leave its produced entries at the queue tails with the
-    recorded states; its gates must take the recorded pre-firing payloads,
-    which are restored, to the recorded post-firing ones.
+    input order, produce each token where the plan routes it, and leave its
+    produced entries at the queue tails with the recorded states; its gates
+    must take the recorded pre-firing payloads, which are restored, to the
+    recorded post-firing ones.
     """
     marking.validate(net)
     time, tid, consumed, produced, consumed_sizes, produced_sizes = event
@@ -751,6 +749,19 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
                 raise ReversalError(f"{tid} consumes entry {len(heads)} from {pid}, not {m.place}")
         start = stop
 
+    # Each token must be produced where the plan routes it: a whole entry to
+    # its slot's place, or a (data, ancillary) pair split between two.
+    is_data = net.token_is_data
+    produced_at = {m.token: m.place for m in produced}
+    for entry, route in zip(heads, plan.routes):
+        if type(route) is not int and (len(entry) != 2 or is_data[entry[0]] == is_data[entry[1]]):
+            raise ReversalError(f"{tid} splits only a (data, ancillary) entry, not {entry}")
+        for tok in entry:
+            pid = net.place_ids[plan.slots[route if type(route) is int
+                                           else route[not is_data[tok]]][0]]
+            if produced_at[tok] != pid:
+                raise ReversalError(f"{tid} routes {tok} to {pid}, not {produced_at[tok]}")
+
     queues, payloads, addresses = list(marking._queues), marking._payloads, marking._addresses
 
     # Produced entries must sit, in order, at the tails of their queues.
@@ -761,8 +772,8 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
         first = stop - size
         pid = produced[first].place
         entry = tuple(produced_tokens[first:stop])
-        i = net._index.get(pid)
-        slots, start, end, _ = (None, 0, 0, None) if i is None else queues[i]
+        i = net._index[pid]
+        slots, start, end, _ = queues[i]
         if start == end or slots[end - 1] != entry:
             raise ReversalError(f"queue tail of {pid} does not match event entry {entry}")
         queues[i] = [slots, start, end - 1, None]
@@ -775,7 +786,6 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
     # Check the gate forward, through the same ``_gate_payloads`` as ``fire``:
     # run backward, the split's rounding and phase choice would not reproduce
     # a superposed payload exactly.
-    is_data = net.token_is_data
     data_moves = [m for m in consumed if is_data[m.token]] if plan.gate else []
     if data_moves:
         post = {m.token: m.payload for m in produced}
@@ -849,24 +859,21 @@ def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
     events: list[FiringEvent | SkippedSelection] = []
     current = marking
 
+    def enabled(plan: _Plan) -> bool:
+        return _is_enabled(plan, current._queues, current._addresses)
+
     def fire_one(tid: str):
         nonlocal current
         current, event = fire(net, current, tid)
         events.append(event)
 
     def drain(candidates_filter):
-        while True:
-            enabled = enabled_transitions(net, current)
-            pick = next((tid for tid in enabled if candidates_filter(net._plans[tid])), None)
-            if pick is None:
-                return
-            fire_one(pick)
-
-    def enabled(tid: str) -> bool:
-        return _is_enabled(net._plan(tid), current._queues, current._addresses)
+        candidates = [plan for plan in net._ordered if candidates_filter(plan)]
+        while (pick := next((plan for plan in candidates if enabled(plan)), None)) is not None:
+            fire_one(pick.tid)
 
     def scripted_step(index: int, tid: str, on_blocked: str):
-        if enabled(tid):
+        if enabled(net._plan(tid)):
             fire_one(tid)
         elif on_blocked == "skip":
             events.append(SkippedSelection(current.time, tid, "not enabled"))
@@ -886,7 +893,7 @@ def run(net: QPNet, marking: Marking, scheduler: Scheduler) -> Trace:
             guards = net.guard_map
             for a in scheduler.program:
                 tid = guards.get(a)
-                if tid is not None and enabled(tid):
+                if tid is not None and enabled(net._plans[tid]):
                     fire_one(tid)
                 else:
                     events.append(

@@ -68,6 +68,10 @@ class ScenarioDoc(BufferSpec):
         return BufferSpec(**{f.name: getattr(self, f.name) for f in fields(BufferSpec)})
 
     def build_scheduler(self, net) -> Scheduler:
+        known = {t.id for t in net.transitions}
+        for i, tid in enumerate(self.script or ()):
+            if tid not in known:
+                raise ScenarioError(f"unknown transition {tid!r}", field=f"script[{i}]")
         if self.scheduler == "scripted":
             return Scripted(steps=self.script or ())
         if self.scheduler == "eager-output-then-script":
@@ -490,8 +494,8 @@ def _moves(raw, where: str, seen: dict) -> tuple[TokenMove, ...]:
     return tuple(moves)
 
 
-def _replay_firing(event: FiringEvent, name: str, queues: dict, counts: list, column: dict):
-    """Move a firing's entries through the replayed queues and place counts.
+def _replay_firing(event: FiringEvent, name: str, queues: dict):
+    """Move a firing's entries through the replayed queues.
 
     The firing must produce the tokens it consumes, take each consumed entry
     from the head of its queue and put each produced one at the tail of a
@@ -523,10 +527,8 @@ def _replay_firing(event: FiringEvent, name: str, queues: dict, counts: list, co
             start += size
             if side == "produced":
                 queue.append(entry)
-                counts[column[place]] += size
             elif queue and queue[0] == entry:
                 queue.popleft()
-                counts[column[place]] -= size
             else:
                 return ScenarioError(
                     f"entry {entry} is not at the head of {place}", field=f"{name}.consumed"
@@ -540,8 +542,8 @@ def parse_trace(text: str) -> Trace:
     The document must agree with itself: each marking queues exactly the
     listed places, no token sits in two places, the events move entries
     from ``initial`` to exactly ``final``'s queues, and the count table is
-    the one the events give.  Each event is read, replayed on the initial
-    queues and counted as it comes.  Faults are reported in a fixed order:
+    the parsed trace's ``Trace.table``.  Each event is read and replayed on
+    the initial queues as it comes.  Faults are reported in a fixed order:
     a bad field of ``initial``, the events or ``final``; then the replay's
     first contradiction; then ``final``'s queues; then the table.
     """
@@ -556,9 +558,6 @@ def parse_trace(text: str) -> Trace:
     initial = _marking_from_json(raw["initial"], "initial", places, seen)
 
     queues = {pid: deque(initial.entries(pid)) for pid in places}
-    column = {pid: i for i, pid in enumerate(places)}
-    counts = [initial.token_count(pid) for pid in places]
-    table = [(0, tuple(counts))]
     broken = None  # the replay's first contradiction
     events: list[FiringEvent | SkippedSelection] = []
     for i, ev in enumerate(_expect(raw.get("events", []), list, "events")):
@@ -586,8 +585,7 @@ def parse_trace(text: str) -> Trace:
             raise ScenarioError(f"event misses key {exc.args[0]!r}", field=name) from exc
         events.append(event)
         if broken is None:
-            broken = _replay_firing(event, name, queues, counts, column)
-            table.append((time + 1, tuple(counts)))
+            broken = _replay_firing(event, name, queues)
 
     final = _marking_from_json(raw["final"], "final", places, seen)
     if broken is not None:
@@ -601,10 +599,9 @@ def parse_trace(text: str) -> Trace:
             raise ScenarioError("table row needs time and counts", field=f"table[{i}]")
         rows.append((_int_field(row["time"], f"table[{i}].time"),
                      _ints(row["counts"], f"table[{i}].counts")))
-    if rows != table:
-        raise ScenarioError("table disagrees with the places and events", field="table")
     trace = Trace(initial, tuple(events), final)
-    trace.__dict__["table"] = tuple(table)  # the cached ``Trace.table``, already counted
+    if tuple(rows) != trace.table:
+        raise ScenarioError("table disagrees with the places and events", field="table")
     return trace
 
 

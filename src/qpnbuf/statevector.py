@@ -282,26 +282,21 @@ def basis_state_from_index(num_qubits: int, index: int) -> StateVector:
     return StateVector._from_support(num_qubits, np.array([index], dtype=np.int64), _ONE)
 
 
-def _basis_permutation(op: GateOp, idx: np.ndarray) -> np.ndarray:
-    """Images of the basis indices ``idx`` under the gate."""
-    q = op.qubits
-    if op.kind == "id":
-        return idx
-    if op.kind == "x":
+def _basis_permutation(kind: str, q: tuple[int, ...], idx: np.ndarray) -> np.ndarray:
+    """Images of the basis indices ``idx`` under an x, cx, ccx, swap or else cswap on ``q``."""
+    if kind == "x":
         return idx ^ (1 << q[0])
-    if op.kind == "cx":
+    if kind == "cx":
         ctrl = (idx >> q[0]) & 1
         return idx ^ (ctrl << q[1])
-    if op.kind == "ccx":
+    if kind == "ccx":
         ctrl = ((idx >> q[0]) & (idx >> q[1])) & 1
         return idx ^ (ctrl << q[2])
-    if op.kind == "swap":
+    if kind == "swap":
         diff = ((idx >> q[0]) ^ (idx >> q[1])) & 1
         return idx ^ ((diff << q[0]) | (diff << q[1]))
-    if op.kind == "cswap":
-        diff = ((idx >> q[1]) ^ (idx >> q[2])) & ((idx >> q[0])) & 1
-        return idx ^ ((diff << q[1]) | (diff << q[2]))
-    raise GateError(f"unsupported gate kind {op.kind!r}")
+    diff = ((idx >> q[1]) ^ (idx >> q[2])) & ((idx >> q[0])) & 1
+    return idx ^ ((diff << q[1]) | (diff << q[2]))
 
 
 # The most qubits one fused run may touch, so a run's table has at most
@@ -316,7 +311,7 @@ def _fuse(ops: list[GateOp], qubits: set[int]):
     local = {q: i for i, q in enumerate(qubits)}
     image = np.arange(1 << len(qubits), dtype=np.int64)
     for op in ops:
-        image = _basis_permutation(GateOp(op.kind, tuple(local[q] for q in op.qubits)), image)
+        image = _basis_permutation(op.kind, tuple(local[q] for q in op.qubits), image)
     flips = image ^ np.arange(len(image), dtype=np.int64)
     chunks, table = [], np.zeros_like(flips)
     start = 0

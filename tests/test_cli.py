@@ -166,6 +166,46 @@ def test_buffer_run_unfirable_script_exit_1(capsys, tmp_path):
     assert "step 1" in err
 
 
+@pytest.mark.parametrize("scheduler", ["scripted", "eager-output-then-script"])
+def test_buffer_run_script_naming_an_unknown_transition_exit_2(capsys, tmp_path, scheduler):
+    # T1 is blocked at step 1, but the script is checked against the net
+    # before the run: an unknown id is a document error.
+    scenario = tmp_path / "scn.json"
+    scenario.write_text(json.dumps({"kind": "siso", "n": 1, "m": 1, "scheduler": scheduler,
+                                    "script": ["T1", "T1", "T5"]}))
+    code, out, err = run_cli(capsys, "buffer", "run", "--scenario", str(scenario))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown transition 'T5' (field: script[2])\n"
+
+
+def test_buffer_run_document_that_is_not_an_object_exit_2(capsys, tmp_path):
+    scenario = tmp_path / "scn.json"
+    scenario.write_text("[1]")
+    code, out, err = run_cli(capsys, "buffer", "run", "--scenario", str(scenario))
+    assert (code, out) == (2, "")
+    assert err == "error: scenario document must be a JSON object\n"
+
+
+def test_buffer_demo_without_a_name_exit_2(capsys):
+    code, out, err = run_cli(capsys, "buffer", "demo")
+    assert (code, out) == (2, "")
+    assert err == f"error: demo needs a name from {cli.DEMOS}\n"
+
+
+def test_module_runs_as_a_script(capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    result = subprocess.run([sys.executable, "-m", "qpnbuf.cli", "qsr", "table"],
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert main(["qsr", "table"]) == 0
+    assert (result.returncode, result.stdout, result.stderr) == (0, capsys.readouterr().out, "")
+
+
 def test_buffer_run_missing_scenario_exit_2(capsys):
     code, _, err = run_cli(capsys, "buffer", "run")
     assert code == 2

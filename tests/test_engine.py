@@ -706,6 +706,58 @@ def test_unfire_rejects_token_moved_twice():
         unfire(net, m1, forged)
 
 
+def _with_tails(marking, tails):
+    """``marking`` with the tail entry of each listed place replaced."""
+    queues = {pid: marking.entries(pid) for pid in marking.place_ids}
+    for pid, entry in tails.items():
+        queues[pid] = queues[pid][:-1] + (entry,)
+    return Marking(queues, marking.payloads, marking.addresses, time=marking.time)
+
+
+def _swap_produced_places(event):
+    first, second = event.produced
+    return event._replace(produced=(first._replace(place=second.place),
+                                    second._replace(place=first.place)))
+
+
+def test_unfire_rejects_tokens_produced_where_the_plan_does_not_route_them():
+    # siso's T1 routes d1 to P_O and z1 to P_A1; a marking and an event that
+    # agree with each other but swap the two must not unwind.
+    net, m0 = build_siso(2, 1)
+    m1, event = fire(net, m0, "T1")
+    forged = _with_tails(m1, {"P_O": ("z1",), "P_A1": ("d1",)})
+    with pytest.raises(ReversalError, match="^T1 routes d1 to P_O, not P_A1$"):
+        unfire(net, forged, _swap_produced_places(event))
+
+
+def test_unfire_rejects_a_pair_split_the_other_way():
+    # miso's T3 splits the staged (d1, z1) pair: data to P_O, selector to P_A1.
+    net, m0 = build_miso((1, 0), 1, addresses=(0,))
+    m1, _ = fire(net, m0, "T1")
+    m2, event = fire(net, m1, "T3")
+    assert [(m.token, m.place) for m in event.produced] == [("d1", "P_O"), ("z1", "P_A1")]
+    forged = _with_tails(m2, {"P_O": ("z1",), "P_A1": ("d1",)})
+    with pytest.raises(ReversalError, match="^T3 routes d1 to P_O, not P_A1$"):
+        unfire(net, forged, _swap_produced_places(event))
+
+
+def test_unfire_rejects_a_pair_route_given_a_single_token():
+    # Only d1 leaves the staging place: fire(T3) could not have made this
+    # event, since its pair route needs a (data, ancillary) entry.
+    net, m0 = build_miso((1, 0), 1, addresses=(0,))
+    m1, _ = fire(net, m0, "T1")
+    m2, event = fire(net, m1, "T3")
+    queues = {pid: m2.entries(pid) for pid in m2.place_ids}
+    queues["P_A1"], queues["P_DA"] = (), (("z1",),)
+    forged = Marking(queues, m2.payloads, m2.addresses, time=m2.time)
+    single = event._replace(consumed=event.consumed[:1], produced=event.produced[:1],
+                            consumed_entry_sizes=(1,), produced_entry_sizes=(1,))
+    with pytest.raises(
+        ReversalError, match=r"^T3 splits only a \(data, ancillary\) entry, not \('d1',\)$"
+    ):
+        unfire(net, forged, single)
+
+
 # Firing at depth: constant memory per call, linear chains.
 
 
@@ -758,3 +810,35 @@ def test_enumerate_siso_4000_chain():
     assert time.perf_counter() - start < 15.0
     assert list(outcomes) == [(("P_I", 0), ("P_A", 0), ("P_A1", 4000), ("P_O", 4000))]
     assert next(iter(outcomes.values())) == ("T1",) * 4000
+
+
+def test_marking_compares_only_with_markings():
+    _, m0 = build_siso(1, 1)
+    assert m0.__eq__(m0.key()) is NotImplemented
+    assert m0 != m0.key()
+
+
+def test_run_rejects_an_unknown_scheduler():
+    net, m0 = build_siso(1, 1)
+    with pytest.raises(ModelError) as info:
+        run(net, m0, "eager")
+    assert type(info.value) is ModelError
+    assert str(info.value) == "unknown scheduler 'eager'"
+
+
+def test_enumeration_through_a_gate_that_meets_no_data_token():
+    # T1's gate would act on data payloads, but T1 moves only the ancillary
+    # z1, so it leaves every payload alone, as fire does.
+    places = [Place("P_I", PlaceKind.INPUT), Place("P_A", PlaceKind.ANCILLARY),
+              Place("P_A1", PlaceKind.ANCILLARY), Place("P_O", PlaceKind.OUTPUT)]
+    t1 = _transition("T1", [("P_A", "P_A1")], gate=(x(0),))
+    t2 = _transition("T2", [("P_I", "P_O"), ("P_A1", "P_A")])
+    tokens = [QToken("d1", TokenKind.DATA, basis_state(1, "0")),
+              QToken("z1", TokenKind.ANCILLARY, basis_state(1, "1"))]
+    net = QPNet(places, [t1, t2], tokens)
+    m0 = net.initial_marking({"P_I": ["d1"], "P_A": ["z1"]})
+    m1, _ = fire(net, m0, "T1")
+    assert m1.payloads == m0.payloads
+    outcomes = enumerate_final_markings(net, m0)
+    assert outcomes == {(("P_I", 0), ("P_A", 0), ("P_A1", 1), ("P_O", 1)): ("T1", "T2", "T1")}
+    assert outcomes == reference_enumerate(net, m0)

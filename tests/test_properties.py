@@ -56,14 +56,13 @@ def test_trace_mutation_suite():
         assert outcomes[outcome] >= 5, (outcome, outcomes)
 
 
-# Every case's exit code, output and error output, as the suite read them
-# when it was written.
-SCENARIO_MUTATION_SHA = "d2fd639c659f539a0099b5cae1405dbab17e2c8ba6d14630cbb1375898be9a17"
+# Every case's exit code, output and error output.
+SCENARIO_MUTATION_SHA = "f8ac2090da43219cb748d4843fbe0dd9fc4a163bd59d6a09bf08e7d57166c326"
 
 
 def test_scenario_mutation_suite(tmp_path):
     codes, digest = prop_util.scenario_mutation_suite(tmp_path, 1000)
-    assert sum(codes.values()) == 1000
+    assert codes == {2: 659, 0: 283, 1: 58}
     assert set(codes) == {0, 1, 2} and min(codes.values()) >= 50, codes
     assert digest == SCENARIO_MUTATION_SHA
 

@@ -454,3 +454,37 @@ def test_draw_matches_choice_at_cdf_boundaries():
                 start = StateVector(1, np.array([a0, np.sqrt(1 - a0 * a0)]) * np.sqrt(scale))
                 want = prop_util._dense_sampler(start.amplitudes, circuit.measured_qubits, 1, 1, seed)
                 assert run_circuit(circuit, start, 1, seed)[1] == want, (seed, step, scale)
+
+
+# Every construction and comparison check, by type and exact message.
+
+
+def _assign_qubits():
+    PLUS.num_qubits = 2
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: StateVector(0, [1]), ConstructionError, "a state needs at least one qubit"),
+    (lambda: StateVector(1, [1, 0, 0]), ConstructionError,
+     "expected 2 amplitudes for 1 qubits, got shape (3,)"),
+    (_assign_qubits, AttributeError, "StateVector is immutable"),
+    (lambda: PLUS.basis_index(), GateError, "state is not a computational basis state"),
+    (lambda: basis_state_from_index(1, 2), ConstructionError,
+     "basis index 2 out of range for 1 qubits"),
+    (lambda: Circuit(1, (x(1),)), ConstructionError, "op x(1,) exceeds circuit width 1"),
+    (lambda: Circuit(2, (), ((2, 0),)), ConstructionError, "measured qubit 2 out of range"),
+    (lambda: Circuit(2, (), ((0, -1),)), ConstructionError, "classical bit -1 out of range"),
+], ids=["no-qubits", "shape", "immutable", "superposed-index", "index-range", "op-width",
+        "measured-qubit", "classical-bit"])
+def test_state_and_circuit_checks(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_state_compares_only_with_states_and_reprs_by_label_or_width():
+    assert PLUS.__eq__(0.5) is NotImplemented
+    assert PLUS != 0.5 and basis_state(1, "0") != "0"
+    assert repr(basis_state(2, "10")) == "StateVector(|10>)"
+    assert repr(PLUS) == "StateVector(1 qubits)"
