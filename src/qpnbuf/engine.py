@@ -12,11 +12,12 @@ states, so firing and unfiring are bit-exact on amplitudes.
 
 A net compiles each transition once into a firing plan whose places are
 indices into ``QPNet.place_ids``; firing, unfiring, enabledness and
-enumeration's key stepping all read it.  A marking's queues are a list in
-the order of its place ids, which must be the net's: a marking of another
-net is a ``ModelError``.  Queues are persistent FIFOs with O(1) head pop
-and tail append (and their inverses), shared between markings; firing
-records are named tuples.
+enumeration's key stepping all read it.  Firing, unfiring and key
+stepping deposit tokens through the plan's one memoized ``_layout``.  A
+marking's queues are a list in the order of its place ids, which must be
+the net's: a marking of another net is a ``ModelError``.  Queues are
+persistent FIFOs with O(1) head pop and tail append (and their inverses),
+shared between markings; firing records are named tuples.
 
 Ancillary tokens may carry an *address*: the basis value of their payload,
 used by guarded transitions as a selector.  An address of ``None`` is a
@@ -85,6 +86,8 @@ class QToken:
 
     def __post_init__(self):
         if self.address is not None:
+            if type(self.address) is not int:
+                raise ModelError(f"token {self.id}: address {self.address!r} is not an int")
             if self.kind is not TokenKind.ANCILLARY:
                 raise ModelError(f"token {self.id}: only ancillary tokens carry addresses")
             if not self.payload.is_basis_state():
@@ -162,22 +165,26 @@ class _Plan(NamedTuple):
     """A transition compiled for firing, its places as indices into ``QPNet.place_ids``.
 
     ``guard`` is (selector supply, guard value, position of the supply among
-    the inputs).  ``slots`` are the deposit places in first-use order, each
-    flagged if a pair arriving there fuses; ``routes`` give per input the
-    slot its entry goes to, or the (data slot, ancillary slot) that split a
-    pair entry.  ``drops`` flag, in the shape of ``routes``, where a token
-    leaves the guard-relevant places, so that its enumeration class drops
-    to its kind or its amplitude bytes.
+    the inputs).  ``routes`` give per input the place its entry goes to, or
+    the (data place, ancillary place) that split a pair entry; ``staging``
+    are the destinations where a pair arriving together fuses.  A ``blind``
+    plan has only plain routes and no staging destination, so its deposits
+    do not depend on token kinds.  ``relevant`` are the net's guard-relevant
+    places.  ``layouts`` memoizes ``_layout`` and ``steps`` memoizes the
+    classes ``_step`` deposits.
     """
 
     tid: str
     inputs: tuple[int, ...]
     inhibitors: tuple[int, ...]
     guard: tuple[int, int, int] | None
-    slots: tuple[tuple[int, bool], ...]
     routes: tuple[int | tuple[int, int], ...]
+    staging: frozenset[int]
+    blind: bool
     gate: tuple[GateOp, ...]
-    drops: tuple[bool | tuple[bool, bool], ...] = ()
+    layouts: dict
+    steps: dict
+    relevant: frozenset[int] = frozenset()
 
 
 def _guard_relevant(plans: list[_Plan]) -> frozenset[int]:
@@ -193,18 +200,10 @@ def _guard_relevant(plans: list[_Plan]) -> frozenset[int]:
         for plan in plans:
             for src, route in zip(plan.inputs, plan.routes):
                 targets = (route,) if type(route) is int else route
-                if src not in relevant and any(plan.slots[s][0] in relevant for s in targets):
+                if src not in relevant and not relevant.isdisjoint(targets):
                     relevant.add(src)
                     grew = True
     return frozenset(relevant)
-
-
-def _drops(plan: _Plan, relevant: frozenset[int]) -> tuple[bool | tuple[bool, bool], ...]:
-    def drop(src: int, slot: int) -> bool:
-        return src in relevant and plan.slots[slot][0] not in relevant
-
-    return tuple(drop(src, r) if type(r) is int else (drop(src, r[0]), drop(src, r[1]))
-                 for src, r in zip(plan.inputs, plan.routes))
 
 
 class QPNet:
@@ -227,13 +226,12 @@ class QPNet:
             raise ModelError("duplicate transition ids")
         plans = [self._compile(t) for t in self.transitions]
         self._relevant = _guard_relevant(plans)
-        self._plans = {plan.tid: plan._replace(drops=_drops(plan, self._relevant))
-                       for plan in plans}
+        self._plans = {plan.tid: plan._replace(relevant=self._relevant) for plan in plans}
         # enabled_transitions and run's drains scan plans in this order.
         self._ordered = tuple(self._plans[tid] for tid in sorted(self._plans, key=_tid_key))
 
     def _compile(self, t: Transition) -> _Plan:
-        """Check a transition's wiring and compile it into its firing plan (drops left out)."""
+        """Check a transition's wiring and compile it into its plan (``relevant`` left out)."""
         index = self._index
         for arc in t.input_arcs + t.output_arcs + t.inhibitor_arcs:
             if arc.place not in index:
@@ -247,8 +245,7 @@ class QPNet:
         if set(t.routing) != set(labels):
             raise ModelError(f"transition {t.id}: routing must cover exactly the input arc labels")
         out_places = {arc.place for arc in t.output_arcs}
-        slots: dict[int, int] = {}
-        routes = []
+        routes, staging = [], set()
         for label in labels:
             dests = _destinations(t.routing[label])
             for pid in dests:
@@ -257,19 +254,18 @@ class QPNet:
                         f"transition {t.id}: routing of {label!r} targets {pid!r}, "
                         "which is not an output-arc place"
                     )
-                slots.setdefault(index[pid], len(slots))
-            route = tuple(slots[index[pid]] for pid in dests)
+            route = tuple(index[pid] for pid in dests)
             routes.append(route if len(route) == 2 else route[0])
+            staging.update(i for i in route if self.places[i].kind is PlaceKind.DATA_ANCILLARY)
         position = next((n for n, i in enumerate(inputs)
                          if self.places[i].kind is PlaceKind.ANCILLARY), None)
         if t.address_guard is not None and position is None:
             raise ModelError(f"transition {t.id}: an address guard needs an ancillary input place")
-        staging = PlaceKind.DATA_ANCILLARY
+        blind = not staging and all(type(route) is int for route in routes)
         return _Plan(t.id, inputs, tuple(index[arc.place] for arc in t.inhibitor_arcs),
                      None if t.address_guard is None
                      else (inputs[position], t.address_guard, position),
-                     tuple((i, self.places[i].kind is staging) for i in slots),
-                     tuple(routes), t.gate)
+                     tuple(routes), frozenset(staging), blind, t.gate, {}, {})
 
     def place(self, pid: str) -> Place:
         try:
@@ -473,7 +469,10 @@ class Marking:
         return hash((self.time, self.key()))
 
     def validate(self, net: QPNet):
-        """Check the marking holds the net's places, in its order, and its tokens."""
+        """Check the marking holds the net's places, in its order, and its tokens.
+
+        Its payload and address tables must hold exactly those tokens.
+        """
         if self._net is net:
             return
         if self._place_ids != net.place_ids:
@@ -481,6 +480,8 @@ class Marking:
         tokens = {tok for queue in self._queues for entry in _entries(queue) for tok in entry}
         if tokens != net.tokens.keys():
             raise ModelError("marking tokens disagree with the net")
+        if self._payloads.keys() != tokens or self._addresses.keys() != tokens:
+            raise ModelError("marking payloads and addresses must cover exactly its tokens")
         self._net = net
 
 
@@ -629,10 +630,84 @@ def _split_product(state: StateVector, widths: list[int]) -> list[StateVector]:
 shared_basis_state = lru_cache(maxsize=256)(basis_state_from_index)
 
 
+def _kinds(net: QPNet, tokens) -> tuple[bool, ...]:
+    """The data flags of ``tokens``, as ``_layout`` reads them."""
+    is_data = net.token_is_data
+    return tuple([is_data[tok] for tok in tokens])
+
+
 def _gate_payloads(gate: tuple[GateOp, ...], payloads: list[StateVector]) -> list[StateVector]:
     """The data payloads, in consumption order, after ``gate`` acts on their product."""
     joint = apply_all(reduce(tensor, payloads), gate)
     return _split_product(joint, [p.num_qubits for p in payloads])
+
+
+def _transform(net: QPNet, plan: _Plan, entries: list[Entry], payloads: dict, addresses: dict):
+    """The payload and address tables after ``plan`` fires on consumed ``entries``.
+
+    Consuming a free selector through a guard assigns the guard's basis
+    value as its address and payload; the gate acts on the consumed data
+    payloads.  Tables are copied only where they change.
+    """
+    if plan.guard is not None:
+        _, value, position = plan.guard
+        selector = entries[position][0]
+        if addresses[selector] is None:
+            width = payloads[selector].num_qubits
+            if value >= (1 << width):
+                raise ModelError(
+                    f"guard {value} does not fit selector {selector}'s {width}-qubit payload"
+                )
+            addresses = {**addresses, selector: value}
+            payloads = {**payloads, selector: shared_basis_state(width, value)}
+    if plan.gate:
+        is_data = net.token_is_data
+        data_tokens = [tok for entry in entries for tok in entry if is_data[tok]]
+        if data_tokens:
+            gated = _gate_payloads(plan.gate, [payloads[tok] for tok in data_tokens])
+            payloads = {**payloads, **dict(zip(data_tokens, gated))}
+    return payloads, addresses
+
+
+def _layout(plan: _Plan, sizes: tuple[int, ...], kinds: tuple[bool, ...] | None):
+    """Where a firing of ``plan`` deposits the tokens it consumes, memoized on the plan.
+
+    ``sizes`` are the consumed entries' sizes and ``kinds`` the consumed
+    tokens' data flags, in consumption order; a ``blind`` plan does not
+    read ``kinds``, which may then be None.  An entry on a plain route goes
+    to its place one token per queue entry; a pair route splits a (data,
+    ancillary) entry between its two places; a data token and an ancillary
+    token that arrive alone together at a staging place fuse into one pair
+    entry, data first.  Returns, per produced entry in deposit order, its
+    place and the positions of its tokens among the consumed ones, and the
+    produced entry sizes; or, where a pair route is given an entry that is
+    not a (data, ancillary) pair, that input's position.
+    """
+    key = sizes if plan.blind else (sizes, kinds)
+    layout = plan.layouts.get(key)
+    if layout is not None:
+        return layout
+    deposits: dict[int, list[int]] = {}  # place to positions, places in first-use order
+    start = 0
+    for position, (size, route) in enumerate(zip(sizes, plan.routes)):
+        held = range(start, start + size)
+        start += size
+        if type(route) is int:
+            deposits.setdefault(route, []).extend(held)
+        elif size != 2 or kinds[held[0]] == kinds[held[1]]:
+            plan.layouts[key] = position
+            return position
+        else:
+            for i, p in zip(route, held if kinds[held[0]] else held[::-1]):
+                deposits.setdefault(i, []).append(p)
+    entries = []
+    for i, held in deposits.items():
+        if i in plan.staging and len(held) == 2 and kinds[held[0]] != kinds[held[1]]:
+            entries.append((i, tuple(held if kinds[held[0]] else held[::-1])))
+        else:
+            entries += [(i, (p,)) for p in held]
+    layout = plan.layouts[key] = (tuple(entries), tuple(len(held) for _, held in entries))
+    return layout
 
 
 def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
@@ -646,79 +721,46 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
     # Successor state shares every queue and table the firing leaves alone.
     queues = list(queues)
     place_ids = net.place_ids
-    entries, consumed = [], []
+    entries, tokens, consumed = [], [], []
     for i in plan.inputs:
         slots, start, end, _ = queues[i]
         entry = slots[start]
         entries.append(entry)
+        tokens += entry
         queues[i] = [slots, start + 1, end, None]
         pid = place_ids[i]
         for tok in entry:
             consumed.append(_new(TokenMove, (tok, pid, payloads[tok], addresses[tok])))
 
-    # Materialize a free selector: consuming it through a guard assigns the
-    # guard's basis value as its address and payload.
-    if plan.guard is not None:
-        _, value, position = plan.guard
-        selector = entries[position][0]
-        if addresses[selector] is None:
-            width = payloads[selector].num_qubits
-            if value >= (1 << width):
-                raise ModelError(
-                    f"guard {value} does not fit selector {selector}'s {width}-qubit payload"
-                )
-            addresses = {**addresses, selector: value}
-            payloads = {**payloads, selector: shared_basis_state(width, value)}
-
-    is_data = net.token_is_data
-    if plan.gate:
-        data_tokens = [tok for entry in entries for tok in entry if is_data[tok]]
-        if data_tokens:
-            gated = _gate_payloads(plan.gate, [payloads[tok] for tok in data_tokens])
-            payloads = {**payloads, **dict(zip(data_tokens, gated))}
-
-    # Deposit: route each entry to its slot (splitting a pair entry), then
-    # fuse a data+ancillary pair arriving together at a staging place.
-    deposits: list[list[str]] = [[] for _ in plan.slots]
-    for entry, route in zip(entries, plan.routes):
-        if type(route) is int:
-            deposits[route] += entry
-            continue
-        if len(entry) != 2 or is_data[entry[0]] == is_data[entry[1]]:
-            raise ModelError(
-                f"transition {tid}: pair routing needs a (data, ancillary) entry, got {entry}"
-            )
-        data, ancillary = entry if is_data[entry[0]] else entry[::-1]
-        deposits[route[0]].append(data)
-        deposits[route[1]].append(ancillary)
-
-    produced, produced_sizes = [], []
-    for (i, staging), toks in zip(plan.slots, deposits):
-        if staging and len(toks) == 2 and is_data[toks[0]] != is_data[toks[1]]:
-            toks = toks if is_data[toks[0]] else toks[::-1]
-            queues[i] = _push_tail(queues[i], tuple(toks))
-            produced_sizes.append(2)
-        else:
-            for tok in toks:
-                queues[i] = _push_tail(queues[i], (tok,))
-                produced_sizes.append(1)
+    payloads, addresses = _transform(net, plan, entries, payloads, addresses)
+    sizes = tuple(map(len, entries))
+    layout = _layout(plan, sizes, None if plan.blind else _kinds(net, tokens))
+    if type(layout) is int:
+        raise ModelError(f"transition {tid}: pair routing needs a (data, ancillary) entry, "
+                         f"got {entries[layout]}")
+    deposits, produced_sizes = layout
+    produced = []
+    for i, held in deposits:
+        entry = tuple([tokens[p] for p in held])
+        queues[i] = _push_tail(queues[i], entry)
         pid = place_ids[i]
-        for tok in toks:
+        for tok in entry:
             produced.append(_new(TokenMove, (tok, pid, payloads[tok], addresses[tok])))
 
     event = _new(FiringEvent, (marking.time, tid, tuple(consumed), tuple(produced),
-                               tuple(map(len, entries)), tuple(produced_sizes)))
+                               sizes, produced_sizes))
     return marking._derive(queues, payloads, addresses, marking.time + 1), event
 
 
 def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
     """Undo the most recent firing, restoring the pre-firing marking exactly.
 
-    The event must move each token once, consume one entry per input place in
-    input order, produce each token where the plan routes it, and leave its
-    produced entries at the queue tails with the recorded states; its gates
-    must take the recorded pre-firing payloads, which are restored, to the
-    recorded post-firing ones.
+    The event must be one that ``fire`` makes from the marking it restores:
+    each token moved once, one entry consumed per input place in input
+    order, the tokens produced as the plan's ``_layout`` deposits them, at
+    the queue tails, with the marking's states, which ``_transform`` makes
+    of the consumed ones; and the transition enabled in the restored
+    marking.  Any other event raises ``ReversalError``.
     """
     marking.validate(net)
     time, tid, consumed, produced, consumed_sizes, produced_sizes = event
@@ -749,64 +791,64 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
                 raise ReversalError(f"{tid} consumes entry {len(heads)} from {pid}, not {m.place}")
         start = stop
 
-    # Each token must be produced where the plan routes it: a whole entry to
-    # its slot's place, or a (data, ancillary) pair split between two.
-    is_data = net.token_is_data
+    # The event must deposit as ``fire`` does: each token where the plan
+    # routes it, its entries grouped and ordered as the plan's layout.
+    layout = _layout(plan, tuple(consumed_sizes), None if plan.blind else _kinds(net, tokens))
+    if type(layout) is int:
+        raise ReversalError(f"{tid} splits only a (data, ancillary) entry, not {heads[layout]}")
+    deposits, sizes = layout
+    expected = [tuple([tokens[p] for p in held]) for _, held in deposits]
     produced_at = {m.token: m.place for m in produced}
-    for entry, route in zip(heads, plan.routes):
-        if type(route) is not int and (len(entry) != 2 or is_data[entry[0]] == is_data[entry[1]]):
-            raise ReversalError(f"{tid} splits only a (data, ancillary) entry, not {entry}")
+    for (i, _), entry in zip(deposits, expected):
+        pid = net.place_ids[i]
         for tok in entry:
-            pid = net.place_ids[plan.slots[route if type(route) is int
-                                           else route[not is_data[tok]]][0]]
             if produced_at[tok] != pid:
                 raise ReversalError(f"{tid} routes {tok} to {pid}, not {produced_at[tok]}")
-
-    queues, payloads, addresses = list(marking._queues), marking._payloads, marking._addresses
-
-    # Produced entries must sit, in order, at the tails of their queues.
-    stop = len(produced)
-    for size in reversed(produced_sizes):
-        if size < 1:
+    if tuple(produced_sizes) != sizes or produced_tokens != [t for e in expected for t in e]:
+        if min(produced_sizes) < 1:
             raise ReversalError("event has an empty entry")
-        first = stop - size
-        pid = produced[first].place
-        entry = tuple(produced_tokens[first:stop])
-        i = net._index[pid]
+        got = [tuple(m.token for m in entry) for entry in event.produced_entries()]
+        raise ReversalError(f"{tid} produces the entries {expected}, not {got}")
+
+    # Produced entries must sit at the tails of their queues.
+    queues, payloads, addresses = list(marking._queues), marking._payloads, marking._addresses
+    for (i, _), entry in zip(reversed(deposits), reversed(expected)):
         slots, start, end, _ = queues[i]
         if start == end or slots[end - 1] != entry:
-            raise ReversalError(f"queue tail of {pid} does not match event entry {entry}")
+            raise ReversalError(
+                f"queue tail of {net.place_ids[i]} does not match event entry {entry}"
+            )
         queues[i] = [slots, start, end - 1, None]
-        for tok, _, payload, address in produced[first:stop]:
-            held = payloads[tok]
-            if held is not payload and held != payload or addresses[tok] != address:
-                raise ReversalError(f"token {tok} state does not match the event")
-        stop = first
 
-    # Check the gate forward, through the same ``_gate_payloads`` as ``fire``:
-    # run backward, the split's rounding and phase choice would not reproduce
-    # a superposed payload exactly.
-    data_moves = [m for m in consumed if is_data[m.token]] if plan.gate else []
-    if data_moves:
-        post = {m.token: m.payload for m in produced}
-        gated = _gate_payloads(plan.gate, [m.payload for m in data_moves])
-        for move, part in zip(data_moves, gated):
-            if part != post[move.token]:
-                raise ReversalError(
-                    f"gate does not take {move.token}'s recorded payload to its produced one"
-                )
-
+    restored, reassigned = payloads, addresses
     for tok, _, payload, address in consumed:
-        if payloads[tok] is not payload:
-            payloads = {**payloads, tok: payload}
-        if addresses[tok] != address:
-            addresses = {**addresses, tok: address}
+        if restored[tok] is not payload:
+            restored = {**restored, tok: payload}
+        if reassigned[tok] != address:
+            reassigned = {**reassigned, tok: address}
+
+    # Each produced state must be the marking's, and what ``fire`` makes of
+    # the consumed one.  The check runs forward, through the same
+    # ``_transform`` as ``fire``: run backward, a gate's split would not
+    # reproduce a superposed payload exactly.
+    made, assigned = _transform(net, plan, heads, restored, reassigned)
+    for tok, _, payload, address in produced:
+        if payloads[tok] is not payload and payloads[tok] != payload or addresses[tok] != address:
+            raise ReversalError(f"token {tok} state does not match the event")
+        if made[tok] is not payload and made[tok] != payload or assigned[tok] != address:
+            if plan.gate and net.token_is_data[tok]:
+                raise ReversalError(
+                    f"gate does not take {tok}'s recorded payload to its produced one"
+                )
+            raise ReversalError(f"{tid} does not take {tok}'s recorded state to its produced one")
 
     # Push the consumed entries back onto the heads of their input queues.
     for i, entry in zip(plan.inputs, heads):
         queues[i] = _push_head(queues[i], entry)
+    if not _is_enabled(plan, queues, reassigned):
+        raise ReversalError(f"{tid} is not enabled in the marking the event restores")
 
-    return marking._derive(queues, payloads, addresses, time)
+    return marking._derive(queues, restored, reassigned, time)
 
 
 @dataclass(frozen=True)
@@ -1035,28 +1077,33 @@ def _step(key: tuple, plan: _Plan, payloads: dict) -> tuple | None:
     if plan.gate:
         entries = _gate_classes(plan.gate, entries, payloads)
 
-    # Deposit: route each entry (splitting a pair entry), then fuse a
-    # data+ancillary pair arriving together at a staging place.
-    deposits: list[list] = [[] for _ in plan.slots]
-    for entry, route, drop in zip(entries, plan.routes, plan.drops):
-        if type(route) is int:
-            deposits[route] += map(_drop, entry) if drop else entry
-            continue
-        if len(entry) != 2 or _class_is_data(entry[0]) == _class_is_data(entry[1]):
-            return None
-        pair = entry if _class_is_data(entry[0]) else entry[::-1]
-        for cls, slot, dropped in zip(pair, route, drop):
-            deposits[slot].append(_drop(cls) if dropped else cls)
-
-    for (i, staging), classes in zip(plan.slots, deposits):
-        if staging and len(classes) == 2:
-            first_is_data = _class_is_data(classes[0])
-            if first_is_data != _class_is_data(classes[1]):
-                key[i] = _push_run(key[i], tuple(classes if first_is_data else classes[::-1]))
-                continue
-        for cls in classes:
-            key[i] = _push_run(key[i], (cls,))
+    entries = tuple(entries)
+    deposits = plan.steps.get(entries)
+    if deposits is None:
+        deposits = plan.steps[entries] = _deposited_classes(plan, entries)
+    if type(deposits) is int:
+        return None
+    for i, entry in deposits:
+        key[i] = _push_run(key[i], entry)
     return tuple(key)
+
+
+def _deposited_classes(plan: _Plan, entries: tuple) -> tuple | int:
+    """Per produced entry, its place and classes, as ``plan`` deposits consumed ``entries``.
+
+    A class drops to its kind or its amplitude bytes where its token leaves
+    the guard-relevant places.  Where ``_layout`` refuses the entries, the
+    input position it returns.
+    """
+    classes = [cls for entry in entries for cls in entry]
+    layout = _layout(plan, tuple(map(len, entries)), tuple(map(_class_is_data, classes)))
+    if type(layout) is int:
+        return layout
+    relevant = plan.relevant
+    sources = [i in relevant for i, entry in zip(plan.inputs, entries) for _ in entry]
+    return tuple((i, tuple(_drop(classes[p]) if sources[p] and i not in relevant else classes[p]
+                           for p in held))
+                 for i, held in layout[0])
 
 
 def _unroll(cell) -> tuple[str, ...]:

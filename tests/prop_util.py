@@ -35,6 +35,7 @@ from qpnbuf.engine import (
     Arc,
     FiringEvent,
     Marking,
+    PairRoute,
     Place,
     PlaceKind,
     QPNet,
@@ -56,7 +57,7 @@ from qpnbuf.engine import (
     run,
     unfire,
 )
-from qpnbuf.errors import ModelError, QasmError, QpnError, ScenarioError
+from qpnbuf.errors import ModelError, QasmError, QpnError, ReversalError, ScenarioError
 from qpnbuf.flipflop import CircuitVariant, build_qsr_circuit, build_register
 from qpnbuf.qasm import export_qasm, parse_qasm
 from qpnbuf.scenario import (
@@ -1686,6 +1687,131 @@ def step_agreement_suite(cases: int = 1000, seed: int = 415) -> Counter:
             if not children:
                 break
             marking = rng.choice(children)
+    return outcomes
+
+
+def _producing(marking: Marking, event, entries):
+    """``marking`` and ``event`` changed to produce ``entries``, lists of moves.
+
+    The event's produced entries come off the queue tails, and ``entries``
+    go on in their order, each in the place of its first move, with the
+    moves' states.
+    """
+    queues = {pid: list(marking.entries(pid)) for pid in marking.place_ids}
+    for entry in reversed(event.produced_entries()):
+        queues[entry[0].place].pop()
+    payloads, addresses = dict(marking.payloads), dict(marking.addresses)
+    for entry in entries:
+        queues[entry[0].place].append(tuple(m.token for m in entry))
+        for m in entry:
+            payloads[m.token], addresses[m.token] = m.payload, m.address
+    return (Marking(queues, payloads, addresses, time=marking.time),
+            event._replace(produced=tuple(m for entry in entries for m in entry),
+                           produced_entry_sizes=tuple(map(len, entries))))
+
+
+def _regrouped(rng: random.Random, net, marking, event):
+    """Produced moves in their order, consecutive moves to one place joined or split at random."""
+    entries = []
+    for m in event.produced:
+        if entries and entries[-1][-1].place == m.place and rng.random() < 0.5:
+            entries[-1].append(m)
+        else:
+            entries.append([m])
+    return _producing(marking, event, entries)
+
+
+def _reordered(rng: random.Random, net, marking, event):
+    """Produced entries in a random order."""
+    entries = [list(entry) for entry in event.produced_entries()]
+    rng.shuffle(entries)
+    return _producing(marking, event, entries)
+
+
+def _walk(rng: random.Random, net, marking, steps: int) -> Marking:
+    """``marking`` after up to ``steps`` random firings; a dead end or a raising one stops it."""
+    for _ in range(steps):
+        enabled = enabled_transitions(net, marking)
+        if not enabled:
+            break
+        try:
+            marking, _ = fire(net, marking, rng.choice(enabled))
+        except ModelError:
+            break
+    return marking
+
+
+def _shifted(rng: random.Random, net, marking, event):
+    """The event stamped as the last firing of a marking a few firings later."""
+    later = _walk(rng, net, marking, rng.randint(1, 3))
+    return later, event._replace(time=later.time - 1)
+
+
+def _relabelled(rng: random.Random, net, marking, event):
+    """The event as another transition's firing, each token produced where that one routes it.
+
+    A transition with the same input places is preferred; the routes are
+    read off its ``routing``.
+    """
+    fired = next(t for t in net.transitions if t.id == event.transition)
+    others = [t for t in net.transitions if t.id != fired.id]
+    if not others:
+        return marking, event
+    same = [t for t in others
+            if [a.place for a in t.input_arcs] == [a.place for a in fired.input_arcs]]
+    other = rng.choice(same or others)
+    dest = {}
+    for arc, entry in zip(other.input_arcs, event.consumed_entries()):
+        route = other.routing[arc.label]
+        for m in entry:
+            if isinstance(route, PairRoute):
+                data = net.tokens[m.token].kind is TokenKind.DATA
+                dest[m.token] = route.data_to if data else route.ancillary_to
+            else:
+                dest[m.token] = route
+    entries = [[m._replace(place=dest.get(m.token, m.place)) for m in entry]
+               for entry in event.produced_entries()]
+    forged, forged_event = _producing(marking, event, entries)
+    return forged, forged_event._replace(transition=other.id)
+
+
+FORGERIES = {"regroup": _regrouped, "reorder": _reordered, "shift": _shifted,
+             "relabel": _relabelled}
+
+
+def forged_event_suite(cases: int = 1000, seed: int = 417) -> Counter:
+    """``unfire`` either refuses a forged event or returns a marking it really follows.
+
+    Each case fires a random enabled transition of a random net a few
+    firings in, then forges the event and, where the forgery needs it, the
+    marking to agree: produced entries regrouped or reordered, the event
+    stamped as the last firing of a later marking, or relabelled as another
+    transition's firing.  ``unfire`` must raise ``ReversalError``, or return
+    a marking from which ``fire`` gives back the forged marking and the
+    forged event exactly.  Returns the count of each forgery's outcomes.
+    """
+    rng = random.Random(seed)
+    outcomes = Counter()
+    for case in range(cases):
+        net, marking = _random_net(rng, case)
+        marking = _walk(rng, net, marking, rng.randint(0, 3))
+        enabled = enabled_transitions(net, marking)
+        if not enabled:
+            continue
+        try:
+            after, event = fire(net, marking, rng.choice(enabled))
+        except ModelError:
+            continue
+        kind = rng.choice(sorted(FORGERIES))
+        forged, forged_event = FORGERIES[kind](rng, net, after, event)
+        try:
+            back = unfire(net, forged, forged_event)
+        except ReversalError:
+            outcomes[kind, "refused"] += 1
+            continue
+        again, again_event = fire(net, back, forged_event.transition)
+        assert again == forged and again_event == forged_event, (case, kind)
+        outcomes[kind, "unfired"] += 1
     return outcomes
 
 

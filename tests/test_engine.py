@@ -632,6 +632,10 @@ def _shared_guard():
      "token z1: address requires a basis-state payload, superposed selectors are not supported"),
     (lambda: QToken("z1", TokenKind.ANCILLARY, basis_state(1, "1"), address=0), ModelError,
      "token z1: address 0 disagrees with payload |1>"),
+    (lambda: QToken("z1", TokenKind.ANCILLARY, basis_state(1, "1"), address=1.0), ModelError,
+     "token z1: address 1.0 is not an int"),
+    (lambda: QToken("z1", TokenKind.ANCILLARY, basis_state(1, "1"), address=True), ModelError,
+     "token z1: address True is not an int"),
     (lambda: _wiring_net().initial_marking({"P_X": []}), ModelError, "unknown place 'P_X'"),
     (lambda: _wiring_net().initial_marking({"P_I": ["d9"]}), ModelError, "unknown token 'd9'"),
     (lambda: _wiring_net().initial_marking({"P_I": ["d1"], "P_A": ["d1"]}), ModelError,
@@ -643,8 +647,9 @@ def _shared_guard():
      "no transition is guarded by address 5"),
 ], ids=["token-ids", "place-ids", "transition-ids", "unknown-place", "input-labels",
         "routing-cover", "routing-target", "guard-selector", "data-address",
-        "superposed-address", "address-payload", "marking-place", "unknown-token", "token-twice",
-        "marking-entries", "marking-tokens", "shared-guard", "unknown-address"])
+        "superposed-address", "address-payload", "float-address", "bool-address",
+        "marking-place", "unknown-token", "token-twice", "marking-entries", "marking-tokens",
+        "shared-guard", "unknown-address"])
 def test_wiring_and_token_checks(make, error, message):
     with pytest.raises(error) as info:
         make()
@@ -756,6 +761,87 @@ def test_unfire_rejects_a_pair_route_given_a_single_token():
         ReversalError, match=r"^T3 splits only a \(data, ancillary\) entry, not \('d1',\)$"
     ):
         unfire(net, forged, single)
+
+
+def test_unfire_rejects_produced_entries_grouped_otherwise_than_the_plan():
+    # miso's T1 stages d1 and z1 as one fused pair; an event and a marking
+    # that agree on two single entries must not unwind, since firing T1
+    # from the restored marking fuses them again.
+    net, m0 = build_miso((1, 0), 1, addresses=(0,))
+    m1, event = fire(net, m0, "T1")
+    split = Marking({**m1.queues, "P_DA": (("d1",), ("z1",))}, m1.payloads, m1.addresses,
+                    time=m1.time)
+    with pytest.raises(
+        ReversalError, match=r"^T1 produces the entries \[\('d1', 'z1'\)\], "
+                             r"not \[\('d1',\), \('z1',\)\]$"
+    ):
+        unfire(net, split, event._replace(produced_entry_sizes=(1, 1)))
+
+
+def test_unfire_rejects_produced_entries_in_another_order():
+    # siso's T1 deposits d1, then z1; the two tails are in different places,
+    # so the marking agrees with the reordered event.
+    net, m0 = build_siso(2, 1)
+    m1, event = fire(net, m0, "T1")
+    with pytest.raises(
+        ReversalError, match=r"^T1 produces the entries \[\('d1',\), \('z1',\)\], "
+                             r"not \[\('z1',\), \('d1',\)\]$"
+    ):
+        unfire(net, m1, event._replace(produced=event.produced[::-1]))
+
+
+def test_unfire_rejects_an_event_inhibited_in_the_marking_it_restores():
+    # T3 delivers the low-priority pair; after T2 stages a high-priority pair,
+    # T3's deposits are still at their tails, but T3 is inhibited there.
+    net, m0 = build_priority(1, 1, 1, 1)
+    m1, _ = fire(net, m0, "T1")
+    m2, e3 = fire(net, m1, "T3")
+    m3, _ = fire(net, m2, "T2")
+    with pytest.raises(ReversalError,
+                       match="^T3 is not enabled in the marking the event restores$"):
+        unfire(net, m3, e3._replace(time=2))
+
+
+@pytest.mark.parametrize("addresses, message", [
+    # z1 is restored with address 0, and T2 is guarded by 1.
+    ((0, 1), "T2 is not enabled in the marking the event restores"),
+    # A free z1 is restored, which T2 would materialize as |1>, not |0>.
+    (None, "T2 does not take z1's recorded state to its produced one"),
+], ids=["seeded", "free"])
+def test_unfire_rejects_a_t1_event_relabelled_t2(addresses, message):
+    # simo's T1 and T2 differ only in their guard and data output.
+    net, m0 = build_simo(2, 2, 2, addresses=addresses)
+    m1, event = fire(net, m0, "T1")
+    moved = Marking({**m1.queues, "P_O1": (), "P_O2": (("d1",),)}, m1.payloads, m1.addresses,
+                    time=m1.time)
+    d1, z1 = event.produced
+    relabelled = event._replace(transition="T2", produced=(d1._replace(place="P_O2"), z1))
+    with pytest.raises(ReversalError, match=f"^{message}$"):
+        unfire(net, moved, relabelled)
+
+
+def test_unfire_rejects_an_event_that_changes_an_ungated_payload():
+    # siso's T1 has no gate, so it cannot take d1 from |1> to |0>.
+    net, m0 = build_siso(2, 1)
+    m1, event = fire(net, m0, "T1")
+    d1, z1 = event.consumed
+    forged = event._replace(consumed=(d1._replace(payload=basis_state(1, "1")), z1))
+    with pytest.raises(ReversalError,
+                       match="^T1 does not take d1's recorded state to its produced one$"):
+        unfire(net, m1, forged)
+
+
+def test_marking_tables_must_cover_exactly_its_tokens():
+    message = "^marking payloads and addresses must cover exactly its tokens$"
+    net, m0 = build_siso(2, 1)
+    with pytest.raises(ModelError, match=message):
+        fire(net, Marking(m0.queues, {}, {}, 0), "T1")
+    net, m0 = build_simo(2, 1, 2)
+    addresses = {tok: a for tok, a in m0.addresses.items() if tok != "z1"}
+    for call in (enabled_transitions, lambda net, m: run(net, m, AddressDriven()),
+                 enumerate_final_markings):
+        with pytest.raises(ModelError, match=message):
+            call(net, Marking(m0.queues, m0.payloads, addresses, 0))
 
 
 # Firing at depth: constant memory per call, linear chains.

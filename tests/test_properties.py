@@ -84,6 +84,12 @@ def test_step_agreement_suite():
     assert outcomes["agreed"] >= 1000 and outcomes["raised"] >= 5, outcomes
 
 
+def test_forged_event_suite():
+    outcomes = prop_util.forged_event_suite(1000)
+    for kind in prop_util.FORGERIES:
+        assert min(outcomes[kind, "refused"], outcomes[kind, "unfired"]) >= 10, outcomes
+
+
 def test_generator_covers_all_kinds():
     rng = random.Random(7)
     kinds = {prop_util.random_spec(rng).kind for _ in range(200)}
