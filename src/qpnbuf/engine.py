@@ -831,7 +831,10 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
     # the consumed one.  The check runs forward, through the same
     # ``_transform`` as ``fire``: run backward, a gate's split would not
     # reproduce a superposed payload exactly.
-    made, assigned = _transform(net, plan, heads, restored, reassigned)
+    try:
+        made, assigned = _transform(net, plan, heads, restored, reassigned)
+    except ModelError as exc:
+        raise ReversalError(f"{tid} cannot fire on the event's consumed states: {exc}") from exc
     for tok, _, payload, address in produced:
         if payloads[tok] is not payload and payloads[tok] != payload or addresses[tok] != address:
             raise ReversalError(f"token {tok} state does not match the event")
@@ -973,7 +976,7 @@ def _drop(cls):
 
 
 def _quotient_keys(net: QPNet, marking: Marking):
-    """The count-space memo key of a validated ``marking`` and a payload table.
+    """The count-space key of a validated ``marking`` and a payload table.
 
     The key holds, per place, the run-length encoded classes of its entries.
     An entry's class is its tokens' classes.  A token's class is its kind; in
@@ -1106,71 +1109,60 @@ def _deposited_classes(plan: _Plan, entries: tuple) -> tuple | int:
                  for i, held in layout[0])
 
 
-def _unroll(cell) -> tuple[str, ...]:
-    """A witness held as nested ``(tid, rest)`` cells, as a flat tuple."""
-    out = []
-    while cell is not None:
-        tid, cell = cell
-        out.append(tid)
-    return tuple(out)
-
-
 def enumerate_final_markings(
     net: QPNet, marking: Marking, step_bound: int = DEFAULT_STEP_BOUND
 ) -> dict[tuple[tuple[str, int], ...], tuple[str, ...]]:
     """All quiescent-state signatures reachable by maximal firing sequences.
 
     Performs an exhaustive depth-first exploration of every enabled choice,
-    in id order, deduplicating outcomes by distribution signature; each
-    signature keeps the first witness firing sequence found.  The
+    in id order, deduplicating outcomes by distribution signature.  The
     exploration runs in count space: a state is its ``_quotient_keys`` key,
     whose enabled transitions and signature are read off the key, and a
-    firing is ``_step`` on the key, so no marking is built.  States with
-    equal keys share their explored suffixes, and the result, witnesses
-    included, is what a memo on full marking identity gives.  Where a step
-    meets an error that ``fire`` words with token ids, the firing sequence
-    to it is replayed with ``fire`` from ``marking``, which raises that
-    error.  The depth-first stack is an explicit list, so long firing
-    chains need no interpreter recursion.  Raises ``ExplosionError`` once
-    more than ``step_bound`` firings have been explored.
+    firing is ``_step`` on the key, so no marking is built.  A finished
+    state (final, or with every enabled firing explored) is not explored
+    again; a state still open on the stack is, so a cycle runs into the
+    step bound.  Each signature's witness is the firing sequence to the
+    first final state found with it: a path found earlier is smaller in id
+    order, so this is the witness a memo on full marking identity gives.
+    Where a step meets an error that ``fire`` words with token ids, the
+    firing sequence to it is replayed with ``fire`` from ``marking``, which
+    raises that error.  The depth-first stack is an explicit list, so long
+    firing chains need no interpreter recursion.  Raises ``ExplosionError``
+    once more than ``step_bound`` firings have been explored.
     """
     marking.validate(net)
     places, plans = net.place_ids, net._ordered
     root, payloads = _quotient_keys(net, marking)
-    # Outcomes map each signature to its witness, held as shared (tid, rest)
-    # cells (``None`` is the empty witness) and unrolled once at the end.
-    memo: dict[tuple, dict] = {}
+    seen: set[tuple] = set()  # keys of finished states
+    found: dict[tuple, tuple[str, ...]] = {}  # signature to witness
     # One frame per state being expanded: [key, enabled plans, index of the
-    # next plan to fire, signatures found so far].
+    # next plan to fire].
     stack: list[list] = []
     fired = 0
 
-    def visit(key: tuple) -> dict | None:
-        """The outcomes of ``key`` if known now; else push a frame and return None."""
-        if key in memo:
-            return memo[key]
+    def visit(key: tuple) -> None:
+        """Record ``key``'s signature if it is final, or push a frame to expand it."""
+        if key in seen:
+            return
         enabled = [plan for plan in plans if _key_enables(plan, key)]
-        if not enabled:
-            counts = [sum([len(cls) * n for cls, n in runs]) for runs in key]
-            memo[key] = {tuple(zip(places, counts)): None}
-            return memo[key]
-        stack.append([key, enabled, 0, {}])
-        return None
+        if enabled:
+            stack.append([key, enabled, 0])
+            return
+        seen.add(key)
+        sig = tuple(zip(places, [sum([len(cls) * n for cls, n in runs]) for runs in key]))
+        if sig not in found:
+            found[sig] = tuple([f[1][f[2] - 1].tid for f in stack])
 
-    outcome = visit(root)
+    visit(root)
     while stack:
         frame = stack[-1]
-        key, enabled, index, result = frame
-        if outcome is not None:  # outcomes of the child reached by enabled[index - 1]
-            tid = enabled[index - 1].tid
-            for sig, suffix in outcome.items():
-                result.setdefault(sig, (tid, suffix))
+        key, enabled, index = frame
         if index == len(enabled):
             stack.pop()
-            memo[key] = outcome = result
+            seen.add(key)
             continue
         if fired >= step_bound:
-            raise ExplosionError(step_bound, fired, len(memo), len(stack))
+            raise ExplosionError(step_bound, fired, len(seen), len(stack))
         fired += 1
         frame[2] = index + 1
         child = _step(key, enabled[index], payloads)
@@ -1179,5 +1171,5 @@ def enumerate_final_markings(
             for f in stack:
                 replayed, _ = fire(net, replayed, f[1][f[2] - 1].tid)
             raise AssertionError("replaying a failed step raised no error")
-        outcome = visit(child)
-    return {sig: _unroll(cell) for sig, cell in sorted(outcome.items())}
+        visit(child)
+    return dict(sorted(found.items()))

@@ -49,8 +49,9 @@ class ExplosionError(QpnError):
     """State-space enumeration exceeded its firing budget.
 
     ``fired``, ``states`` and ``depth`` say how far it got: the firings
-    explored, the distinct states whose outcomes were memoized, and the
-    depth of the depth-first stack when the bound was reached.
+    explored, the distinct finished states (final, or with every enabled
+    firing explored), and the depth of the depth-first stack when the
+    bound was reached.
     """
 
     def __init__(self, step_bound: int, fired: int, states: int, depth: int):

@@ -283,15 +283,25 @@ def test_enumeration_step_bound():
     )
 
 
-# Where the parent enumerator stopped: the same firing, states memoized and
+def _two_place_cycle():
+    """T1: P1 -> P2 and T2: P2 -> P1 with one data token, which never quiesces."""
+    places = [Place("P1", PlaceKind.INPUT), Place("P2", PlaceKind.OUTPUT)]
+    transitions = [_transition("T1", [("P1", "P2")]), _transition("T2", [("P2", "P1")])]
+    net = QPNet(places, transitions, [QToken("d1", TokenKind.DATA, basis_state(1, "0"))])
+    return net, net.initial_marking({"P1": ["d1"]})
+
+
+# Where the parent enumerator stopped: the same firing, states finished and
 # stack depth, for pair entries (miso), two selector stages (mimo), gated
-# payloads in the key and a chain deeper than the recursion limit.
+# payloads in the key, a chain deeper than the recursion limit, and a cycle,
+# whose states stay open on the stack and so are expanded again.
 @pytest.mark.parametrize("make, bound, stop", [
     (lambda: build_miso((2, 2, 1), 3), 40, (40, 22, 4)),
     (lambda: build_mimo((2, 2), 3, 3), 60, (60, 31, 6)),
     (lambda: gated_relay_net(random.Random(6)), 20, (20, 15, 4)),
     (lambda: build_siso(2000, 2000), 1500, (1500, 0, 1501)),
-], ids=["miso", "mimo", "gated-relay", "siso-2000"])
+    (_two_place_cycle, 50, (50, 0, 51)),
+], ids=["miso", "mimo", "gated-relay", "siso-2000", "two-place-cycle"])
 def test_enumeration_stops_at_the_same_firing(make, bound, stop):
     net, m0 = make()
     with pytest.raises(ExplosionError) as info:
@@ -545,6 +555,19 @@ def test_unfire_rejects_gated_event_whose_gate_does_not_give_its_payloads():
         ReversalError, match="^gate does not take d's recorded payload to its produced one$"
     ):
         unfire(net, m1_forged, forged)
+
+
+def test_unfire_rejects_gated_event_whose_consumed_payloads_do_not_fire():
+    net, m0 = build_cnot_example()
+    m1, event = fire(net, m0, "T1")
+    # A superposed control entangles CNOT's output, which no firing splits.
+    a = event.consumed[0]._replace(payload=m0.payload("c"))
+    forged = event._replace(consumed=(a,) + event.consumed[1:])
+    with pytest.raises(ReversalError) as info:
+        unfire(net, m1, forged)
+    assert type(info.value) is ReversalError
+    assert str(info.value) == ("T1 cannot fire on the event's consumed states: "
+                               "gate entangled the payloads across token boundaries")
 
 
 def test_fire_rejects_guard_wider_than_free_selector():
