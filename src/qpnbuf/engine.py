@@ -12,12 +12,13 @@ states, so firing and unfiring are bit-exact on amplitudes.
 
 A net compiles each transition once into a firing plan whose places are
 indices into ``QPNet.place_ids``; firing, unfiring, enabledness and
-enumeration's key stepping all read it.  Firing, unfiring and key
-stepping deposit tokens through the plan's one memoized ``_layout``.  A
-marking's queues are a list in the order of its place ids, which must be
-the net's: a marking of another net is a ``ModelError``.  Queues are
-persistent FIFOs with O(1) head pop and tail append (and their inverses),
-shared between markings; firing records are named tuples.
+enumeration's key stepping all read it.  Firing and key stepping deposit
+tokens through the plan's one memoized ``_layout``; unfiring checks
+itself by firing forward.  A marking's queues are a list in the order of
+its place ids, which must be the net's: a marking of another net is a
+``ModelError``.  Queues are persistent FIFOs with O(1) head pop and tail
+append (and their inverses), shared between markings; firing records are
+named tuples.
 
 Ancillary tokens may carry an *address*: the basis value of their payload,
 used by guarded transitions as a selector.  An address of ``None`` is a
@@ -44,6 +45,7 @@ from .errors import (
     ExplosionError,
     ModelError,
     NotEnabledError,
+    QpnError,
     ReversalError,
 )
 from .statevector import (
@@ -630,12 +632,6 @@ def _split_product(state: StateVector, widths: list[int]) -> list[StateVector]:
 shared_basis_state = lru_cache(maxsize=256)(basis_state_from_index)
 
 
-def _kinds(net: QPNet, tokens) -> tuple[bool, ...]:
-    """The data flags of ``tokens``, as ``_layout`` reads them."""
-    is_data = net.token_is_data
-    return tuple([is_data[tok] for tok in tokens])
-
-
 def _gate_payloads(gate: tuple[GateOp, ...], payloads: list[StateVector]) -> list[StateVector]:
     """The data payloads, in consumption order, after ``gate`` acts on their product."""
     joint = apply_all(reduce(tensor, payloads), gate)
@@ -713,10 +709,14 @@ def _layout(plan: _Plan, sizes: tuple[int, ...], kinds: tuple[bool, ...] | None)
 def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
     """Fire a transition: consume head entries, transform, deposit, advance time."""
     marking.validate(net)
-    plan = net._plan(tid)
+    return _fire(net, marking, net._plan(tid))
+
+
+def _fire(net: QPNet, marking: Marking, plan: _Plan) -> tuple[Marking, FiringEvent]:
+    """``fire`` on a marking already validated against ``net``."""
     queues, payloads, addresses = marking._queues, marking._payloads, marking._addresses
     if not _is_enabled(plan, queues, addresses):
-        raise NotEnabledError(f"transition {tid} cannot fire")
+        raise NotEnabledError(f"transition {plan.tid} cannot fire")
 
     # Successor state shares every queue and table the firing leaves alone.
     queues = list(queues)
@@ -734,9 +734,10 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
 
     payloads, addresses = _transform(net, plan, entries, payloads, addresses)
     sizes = tuple(map(len, entries))
-    layout = _layout(plan, sizes, None if plan.blind else _kinds(net, tokens))
+    is_data = net.token_is_data
+    layout = _layout(plan, sizes, None if plan.blind else tuple([is_data[tok] for tok in tokens]))
     if type(layout) is int:
-        raise ModelError(f"transition {tid}: pair routing needs a (data, ancillary) entry, "
+        raise ModelError(f"transition {plan.tid}: pair routing needs a (data, ancillary) entry, "
                          f"got {entries[layout]}")
     deposits, produced_sizes = layout
     produced = []
@@ -747,26 +748,39 @@ def fire(net: QPNet, marking: Marking, tid: str) -> tuple[Marking, FiringEvent]:
         for tok in entry:
             produced.append(_new(TokenMove, (tok, pid, payloads[tok], addresses[tok])))
 
-    event = _new(FiringEvent, (marking.time, tid, tuple(consumed), tuple(produced),
+    event = _new(FiringEvent, (marking.time, plan.tid, tuple(consumed), tuple(produced),
                                sizes, produced_sizes))
     return marking._derive(queues, payloads, addresses, marking.time + 1), event
+
+
+# What a forward firing's event can differ in from the event it checks:
+# its time and transition are the event's by construction.
+_COMPARED = ("consumed moves", "produced moves", "consumed entry sizes", "produced entry sizes")
 
 
 def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
     """Undo the most recent firing, restoring the pre-firing marking exactly.
 
-    The event must be one that ``fire`` makes from the marking it restores:
-    each token moved once, one entry consumed per input place in input
-    order, the tokens produced as the plan's ``_layout`` deposits them, at
-    the queue tails, with the marking's states, which ``_transform`` makes
-    of the consumed ones; and the transition enabled in the restored
-    marking.  Any other event raises ``ReversalError``.
+    The rule: firing the event's transition from the restored marking
+    makes this event and this marking.  A candidate marking can be built
+    only when the event follows the marking's time, names a transition of
+    the net, consumes and produces the same tokens, each once, in
+    non-empty entries whose sizes add up, one consumed entry per input,
+    and each produced entry sits at the tail of its first move's place.
+    ``unfire`` then pops the produced entries off those tails, restores
+    the consumed states and pushes the consumed entries back on the heads
+    of the input places.  Firing forward from that candidate must give
+    back the event, and the marking must hold the event's produced
+    states; the queues then agree by construction.  Any other event
+    raises ``ReversalError``.
     """
     marking.validate(net)
     time, tid, consumed, produced, consumed_sizes, produced_sizes = event
     if marking.time != time + 1:
         raise ReversalError(f"marking time {marking.time} does not follow event time {time}")
-    plan = net._plan(tid)
+    plan = net._plans.get(tid)
+    if plan is None:
+        raise ReversalError(f"unknown transition {tid!r}")
     tokens = [m.token for m in consumed]
     produced_tokens = [m.token for m in produced]
     moved = set(tokens)
@@ -776,82 +790,53 @@ def unfire(net: QPNet, marking: Marking, event: FiringEvent) -> Marking:
         raise ReversalError("event moves a token twice")
     if sum(consumed_sizes) != len(consumed) or sum(produced_sizes) != len(produced):
         raise ReversalError("event entry sizes do not add up to its moves")
+    if min(1, *consumed_sizes, *produced_sizes) < 1:
+        raise ReversalError("event has an empty entry")
     if len(consumed_sizes) != len(plan.inputs):
         raise ReversalError(f"{tid} consumes one entry per input arc: "
                             f"{len(plan.inputs)}, not {len(consumed_sizes)}")
-    heads, start = [], 0
-    for i, size in zip(plan.inputs, consumed_sizes):
-        if size < 1:
-            raise ReversalError("event has an empty entry")
-        pid = net.place_ids[i]
-        stop = start + size
-        heads.append(tuple(tokens[start:stop]))
-        for m in consumed[start:stop]:
-            if m.place != pid:
-                raise ReversalError(f"{tid} consumes entry {len(heads)} from {pid}, not {m.place}")
-        start = stop
 
-    # The event must deposit as ``fire`` does: each token where the plan
-    # routes it, its entries grouped and ordered as the plan's layout.
-    layout = _layout(plan, tuple(consumed_sizes), None if plan.blind else _kinds(net, tokens))
-    if type(layout) is int:
-        raise ReversalError(f"{tid} splits only a (data, ancillary) entry, not {heads[layout]}")
-    deposits, sizes = layout
-    expected = [tuple([tokens[p] for p in held]) for _, held in deposits]
-    produced_at = {m.token: m.place for m in produced}
-    for (i, _), entry in zip(deposits, expected):
-        pid = net.place_ids[i]
-        for tok in entry:
-            if produced_at[tok] != pid:
-                raise ReversalError(f"{tid} routes {tok} to {pid}, not {produced_at[tok]}")
-    if tuple(produced_sizes) != sizes or produced_tokens != [t for e in expected for t in e]:
-        if min(produced_sizes) < 1:
-            raise ReversalError("event has an empty entry")
-        got = [tuple(m.token for m in entry) for entry in event.produced_entries()]
-        raise ReversalError(f"{tid} produces the entries {expected}, not {got}")
-
-    # Produced entries must sit at the tails of their queues.
+    # Pop the produced entries off the queue tails, last first.
     queues, payloads, addresses = list(marking._queues), marking._payloads, marking._addresses
-    for (i, _), entry in zip(reversed(deposits), reversed(expected)):
-        slots, start, end, _ = queues[i]
+    stop = len(produced)
+    for size in reversed(produced_sizes):
+        pid, entry = produced[stop - size].place, tuple(produced_tokens[stop - size:stop])
+        stop -= size
+        i = net._index.get(pid)
+        slots, start, end, _ = queues[i] if i is not None else ((), 0, 0, None)
         if start == end or slots[end - 1] != entry:
-            raise ReversalError(
-                f"queue tail of {net.place_ids[i]} does not match event entry {entry}"
-            )
+            raise ReversalError(f"queue tail of {pid} does not match event entry {entry}")
         queues[i] = [slots, start, end - 1, None]
 
+    # Restore the consumed states and push the consumed entries back on the heads.
     restored, reassigned = payloads, addresses
     for tok, _, payload, address in consumed:
         if restored[tok] is not payload:
             restored = {**restored, tok: payload}
         if reassigned[tok] != address:
             reassigned = {**reassigned, tok: address}
+    start = 0
+    for i, size in zip(plan.inputs, consumed_sizes):
+        queues[i] = _push_head(queues[i], tuple(tokens[start:start + size]))
+        start += size
+    candidate = marking._derive(queues, restored, reassigned, time)
 
-    # Each produced state must be the marking's, and what ``fire`` makes of
-    # the consumed one.  The check runs forward, through the same
-    # ``_transform`` as ``fire``: run backward, a gate's split would not
-    # reproduce a superposed payload exactly.
     try:
-        made, assigned = _transform(net, plan, heads, restored, reassigned)
-    except ModelError as exc:
-        raise ReversalError(f"{tid} cannot fire on the event's consumed states: {exc}") from exc
-    for tok, _, payload, address in produced:
-        if payloads[tok] is not payload and payloads[tok] != payload or addresses[tok] != address:
-            raise ReversalError(f"token {tok} state does not match the event")
-        if made[tok] is not payload and made[tok] != payload or assigned[tok] != address:
-            if plan.gate and net.token_is_data[tok]:
-                raise ReversalError(
-                    f"gate does not take {tok}'s recorded payload to its produced one"
-                )
-            raise ReversalError(f"{tid} does not take {tok}'s recorded state to its produced one")
-
-    # Push the consumed entries back onto the heads of their input queues.
-    for i, entry in zip(plan.inputs, heads):
-        queues[i] = _push_head(queues[i], entry)
-    if not _is_enabled(plan, queues, reassigned):
-        raise ReversalError(f"{tid} is not enabled in the marking the event restores")
-
-    return marking._derive(queues, restored, reassigned, time)
+        _, made = _fire(net, candidate, plan)
+    except QpnError as exc:
+        raise ReversalError(f"{tid} does not make this event from the marking it restores: "
+                            f"{exc}") from exc
+    if made == event:
+        for tok, _, payload, address in produced:
+            held = payloads[tok]
+            if held is not payload and held != payload or addresses[tok] != address:
+                break
+        else:
+            return candidate
+    differ = next((f"its {words} differ" for words, ours, theirs
+                   in zip(_COMPARED, made[2:], event[2:]) if ours != theirs),
+                  "the marking holds other produced states")
+    raise ReversalError(f"{tid} does not make this event from the marking it restores: {differ}")
 
 
 @dataclass(frozen=True)

@@ -1775,26 +1775,52 @@ def _relabelled(rng: random.Random, net, marking, event):
     return forged, forged_event._replace(transition=other.id)
 
 
+def _restated(rng: random.Random, net, marking, event):
+    """One moved data token given another basis state of its width, in the event and the marking.
+
+    An ungated firing carries the payload through, so ``fire`` still makes
+    the forged event; a gate acts on the new payload.
+    """
+    data = [m for m in event.produced if net.tokens[m.token].kind is TokenKind.DATA]
+    if not data:
+        return marking, event
+    tok, _, payload, _ = rng.choice(data)
+    held = payload.basis_index() if payload.is_basis_state() else None
+    state = basis_state_from_index(
+        payload.num_qubits, rng.choice([i for i in range(1 << payload.num_qubits) if i != held])
+    )
+
+    def restate(moves):
+        return tuple(m._replace(payload=state) if m.token == tok else m for m in moves)
+
+    forged = Marking(marking.queues, {**marking.payloads, tok: state}, marking.addresses,
+                     time=marking.time)
+    return forged, event._replace(consumed=restate(event.consumed),
+                                  produced=restate(event.produced))
+
+
 FORGERIES = {"regroup": _regrouped, "reorder": _reordered, "shift": _shifted,
-             "relabel": _relabelled}
+             "relabel": _relabelled, "restate": _restated}
 
 
 def forged_event_suite(cases: int = 1000, seed: int = 417) -> Counter:
     """``unfire`` either refuses a forged event or returns a marking it really follows.
 
-    Each case fires a random enabled transition of a random net a few
-    firings in, then forges the event and, where the forgery needs it, the
+    Each case fires a random enabled transition of a random net up to five
+    firings in (a gated relay net reaches its gate only after two to six
+    relays), then forges the event and, where the forgery needs it, the
     marking to agree: produced entries regrouped or reordered, the event
-    stamped as the last firing of a later marking, or relabelled as another
-    transition's firing.  ``unfire`` must raise ``ReversalError``, or return
-    a marking from which ``fire`` gives back the forged marking and the
-    forged event exactly.  Returns the count of each forgery's outcomes.
+    stamped as the last firing of a later marking, relabelled as another
+    transition's firing, or one moved data token given another basis
+    state.  ``unfire`` must raise ``ReversalError``, or return a marking
+    from which ``fire`` gives back the forged marking and the forged event
+    exactly.  Returns the count of each forgery's outcomes.
     """
     rng = random.Random(seed)
     outcomes = Counter()
     for case in range(cases):
         net, marking = _random_net(rng, case)
-        marking = _walk(rng, net, marking, rng.randint(0, 3))
+        marking = _walk(rng, net, marking, rng.randint(0, 5))
         enabled = enabled_transitions(net, marking)
         if not enabled:
             continue

@@ -85,7 +85,7 @@ def test_step_agreement_suite():
 
 
 def test_forged_event_suite():
-    outcomes = prop_util.forged_event_suite(1000)
+    outcomes = prop_util.forged_event_suite(2000)
     for kind in prop_util.FORGERIES:
         assert min(outcomes[kind, "refused"], outcomes[kind, "unfired"]) >= 10, outcomes
 
