@@ -12,9 +12,10 @@ states, so firing and unfiring are bit-exact on amplitudes.
 
 A net compiles each transition once into a firing plan whose places are
 indices into ``QPNet.place_ids``; firing, unfiring, enabledness and
-enumeration's key stepping all read it.  Firing and key stepping deposit
-tokens through the plan's one memoized ``_layout``; unfiring checks
-itself by firing forward.  A marking's queues are a list in the order of
+enumeration's key stepping all read it.  Firing and key stepping apply
+the guard and the gate through one ``_transform`` and deposit tokens
+through the plan's one memoized ``_layout``; unfiring checks itself by
+firing forward.  A marking's queues are a list in the order of
 its place ids, which must be the net's: a marking of another net is a
 ``ModelError``.  Queues are persistent FIFOs with O(1) head pop and tail
 append (and their inverses), shared between markings; firing records are
@@ -25,8 +26,9 @@ used by guarded transitions as a selector.  An address of ``None`` is a
 free selector that matches any guard and is materialized (payload set to
 the guard's basis state) when consumed; building a net with free selectors
 is what makes exhaustive outcome enumeration explore every routing choice.
-Enumeration explores states as keys that leave token identity out and
-steps each key through the firing plans, without building markings.
+Enumeration explores states as keys that leave token identity out: a key
+holds per place the ids of its tokens' classes, records in a table on the
+net, and steps through the firing plans without building markings.
 """
 
 from __future__ import annotations
@@ -171,9 +173,9 @@ class _Plan(NamedTuple):
     the (data place, ancillary place) that split a pair entry; ``staging``
     are the destinations where a pair arriving together fuses.  A ``blind``
     plan has only plain routes and no staging destination, so its deposits
-    do not depend on token kinds.  ``relevant`` are the net's guard-relevant
-    places.  ``layouts`` memoizes ``_layout`` and ``steps`` memoizes the
-    classes ``_step`` deposits.
+    do not depend on token kinds.  ``layouts`` memoizes ``_layout``, and
+    ``steps`` memoizes, per tuple of consumed entries as class ids (see
+    ``_class``), the classes ``_step`` deposits.
     """
 
     tid: str
@@ -186,7 +188,6 @@ class _Plan(NamedTuple):
     gate: tuple[GateOp, ...]
     layouts: dict
     steps: dict
-    relevant: frozenset[int] = frozenset()
 
 
 def _guard_relevant(plans: list[_Plan]) -> frozenset[int]:
@@ -228,12 +229,16 @@ class QPNet:
             raise ModelError("duplicate transition ids")
         plans = [self._compile(t) for t in self.transitions]
         self._relevant = _guard_relevant(plans)
-        self._plans = {plan.tid: plan._replace(relevant=self._relevant) for plan in plans}
+        self._plans = {plan.tid: plan for plan in plans}
+        self._gated = any(plan.gate for plan in plans)
+        # Enumeration's token classes: records by id, ids by tag (see ``_class``).
+        self._classes: list[tuple[bool, int | None, StateVector]] = []
+        self._class_ids: dict = {}
         # enabled_transitions and run's drains scan plans in this order.
         self._ordered = tuple(self._plans[tid] for tid in sorted(self._plans, key=_tid_key))
 
     def _compile(self, t: Transition) -> _Plan:
-        """Check a transition's wiring and compile it into its plan (``relevant`` left out)."""
+        """Check a transition's wiring and compile it into its plan."""
         index = self._index
         for arc in t.input_arcs + t.output_arcs + t.inhibitor_arcs:
             if arc.place not in index:
@@ -638,31 +643,39 @@ def _gate_payloads(gate: tuple[GateOp, ...], payloads: list[StateVector]) -> lis
     return _split_product(joint, [p.num_qubits for p in payloads])
 
 
-def _transform(net: QPNet, plan: _Plan, entries: list[Entry], payloads: dict, addresses: dict):
-    """The payload and address tables after ``plan`` fires on consumed ``entries``.
+def _transform(plan: _Plan, sizes: tuple[int, ...], kinds: tuple[bool, ...] | None,
+               addresses: list, payloads: list) -> int | None:
+    """Apply ``plan``'s guard and gate to the consumed tokens' states, in place.
 
-    Consuming a free selector through a guard assigns the guard's basis
-    value as its address and payload; the gate acts on the consumed data
-    payloads.  Tables are copied only where they change.
+    ``sizes`` are the consumed entries' sizes, and ``kinds``, ``addresses``
+    and ``payloads`` the consumed tokens' data flags and states, in
+    consumption order; ``kinds`` is read only by a gate.  Consuming a free
+    selector through a guard assigns the guard's basis value as its address
+    and payload; the gate acts on the data payloads.  Returns the
+    selector's input position where the guard does not fit its width.
     """
     if plan.guard is not None:
         _, value, position = plan.guard
-        selector = entries[position][0]
+        selector = sum(sizes[:position])
         if addresses[selector] is None:
             width = payloads[selector].num_qubits
             if value >= (1 << width):
-                raise ModelError(
-                    f"guard {value} does not fit selector {selector}'s {width}-qubit payload"
-                )
-            addresses = {**addresses, selector: value}
-            payloads = {**payloads, selector: shared_basis_state(width, value)}
+                return position
+            addresses[selector] = value
+            payloads[selector] = shared_basis_state(width, value)
     if plan.gate:
-        is_data = net.token_is_data
-        data_tokens = [tok for entry in entries for tok in entry if is_data[tok]]
-        if data_tokens:
-            gated = _gate_payloads(plan.gate, [payloads[tok] for tok in data_tokens])
-            payloads = {**payloads, **dict(zip(data_tokens, gated))}
-    return payloads, addresses
+        data = [p for p, is_data in enumerate(kinds) if is_data]
+        if data:
+            for p, state in zip(data, _gate_payloads(plan.gate, [payloads[p] for p in data])):
+                payloads[p] = state
+    return None
+
+
+def _updated(table: dict, tokens: list[str], values: list) -> dict:
+    """``table`` with ``tokens`` mapped to ``values``, copied only where one changes."""
+    if all(table[tok] is value for tok, value in zip(tokens, values)):
+        return table
+    return {**table, **dict(zip(tokens, values))}
 
 
 def _layout(plan: _Plan, sizes: tuple[int, ...], kinds: tuple[bool, ...] | None):
@@ -732,10 +745,19 @@ def _fire(net: QPNet, marking: Marking, plan: _Plan) -> tuple[Marking, FiringEve
         for tok in entry:
             consumed.append(_new(TokenMove, (tok, pid, payloads[tok], addresses[tok])))
 
-    payloads, addresses = _transform(net, plan, entries, payloads, addresses)
     sizes = tuple(map(len, entries))
     is_data = net.token_is_data
-    layout = _layout(plan, sizes, None if plan.blind else tuple([is_data[tok] for tok in tokens]))
+    kinds = None if plan.blind and not plan.gate else tuple([is_data[tok] for tok in tokens])
+    if plan.guard is not None or plan.gate:
+        states = [payloads[tok] for tok in tokens]
+        marks = [addresses[tok] for tok in tokens]
+        position = _transform(plan, sizes, kinds, marks, states)
+        if position is not None:
+            selector = entries[position][0]
+            raise ModelError(f"guard {plan.guard[1]} does not fit selector {selector}'s "
+                             f"{payloads[selector].num_qubits}-qubit payload")
+        payloads, addresses = _updated(payloads, tokens, states), _updated(addresses, tokens, marks)
+    layout = _layout(plan, sizes, kinds)
     if type(layout) is int:
         raise ModelError(f"transition {plan.tid}: pair routing needs a (data, ancillary) entry, "
                          f"got {entries[layout]}")
@@ -950,75 +972,48 @@ def _push_run(runs: tuple, cls) -> tuple:
     return runs + ((cls, 1),)
 
 
-def _class_is_data(cls) -> bool:
-    """The kind a token class records: a bool, amplitude bytes, or a triple led by a bool."""
-    return True if type(cls) is bytes else cls[0] if type(cls) is tuple else cls
+def _class(net: QPNet, place: int, kind: bool, address: int | None, payload: StateVector) -> int:
+    """The id of the class of a token of ``kind`` (data or not) held in ``place``.
 
-
-def _drop(cls):
-    """A guard-relevant class ``(kind, address, width or bytes)`` as held elsewhere."""
-    return cls[2] if type(cls[2]) is bytes else cls[0]
-
-
-def _quotient_keys(net: QPNet, marking: Marking):
-    """The count-space key of a validated ``marking`` and a payload table.
-
-    The key holds, per place, the run-length encoded classes of its entries.
-    An entry's class is its tokens' classes.  A token's class is its kind; in
-    a guard-relevant place the triple (kind, address, payload width).  In a
-    net with gates, which read amplitudes, a data token's payload amplitude
-    bytes stand for its kind and width: its class is the bytes, or the triple
-    (kind, address, bytes) in a guard-relevant place.  That is all that
-    enabledness (queue emptiness, head selector addresses), ``fire`` (pair
-    routing and staging fusion read kinds, the guard range check reads
-    free-selector widths, gates read data payloads in consumption order)
-    and signatures (token counts) read, so states with equal keys have equal
-    outcomes, and ``_step`` derives a child's key from its parent's alone.
-    The table maps amplitude bytes to a payload holding them.
+    A class keeps the token's kind; in a guard-relevant place, its address
+    and payload width; and, for a data token in a net with gates, its
+    payload amplitude bytes.  That is all that enabledness (queue emptiness,
+    head selector addresses), ``fire`` (pair routing and staging fusion
+    read kinds, the guard range check reads free-selector widths, gates
+    read data payloads in consumption order) and signatures (token counts)
+    read.  ``net._classes`` holds each class's record ``(kind, address,
+    payload)``, the states of the first token seen in it; key stepping
+    reads only what the class pins of them.
     """
-    relevant = net._relevant
-    kinds = net.token_is_data  # two kinds, so a bool tells them apart
-    gated = any(plan.gate for plan in net._ordered)
-    payloads: dict[bytes, StateVector] = {}
+    tag = (kind, address, payload.num_qubits) if place in net._relevant else kind
+    if kind and net._gated:
+        tag = (tag, payload.amplitude_bytes())
+    cid = net._class_ids.get(tag)
+    if cid is None:
+        cid = net._class_ids[tag] = len(net._classes)
+        net._classes.append((kind, address, payload))
+    return cid
 
-    def token_class(i: int, tok: str):
-        payload, address = marking.payload(tok), marking.address(tok)
-        if gated and kinds[tok]:
-            raw = payload.amplitude_bytes()
-            payloads.setdefault(raw, payload)
-            return (True, address, raw) if i in relevant else raw
-        if i in relevant:
-            return (kinds[tok], address, payload.num_qubits)
-        return kinds[tok]
 
-    root = tuple(
+def _quotient_keys(net: QPNet, marking: Marking) -> tuple:
+    """The count-space key of a validated ``marking``.
+
+    The key holds, per place, the run-length encoded classes of its entries;
+    an entry's class is the tuple of its tokens' class ids (see ``_class``).
+    States with equal keys have equal outcomes, and ``_step`` derives a
+    child's key from its parent's alone.
+    """
+    kinds, payloads, addresses = net.token_is_data, marking._payloads, marking._addresses
+    return tuple(
         tuple((cls, len(list(group))) for cls, group in groupby(
-            tuple([token_class(i, tok) for tok in entry]) for entry in _entries(queue)))
+            tuple([_class(net, i, kinds[tok], addresses[tok], payloads[tok]) for tok in entry])
+            for entry in _entries(queue)))
         for i, queue in enumerate(marking._queues)
     )
-    return root, payloads
 
 
-def _gate_classes(gate: tuple[GateOp, ...], entries: list, payloads: dict) -> list:
-    """``entries`` after ``gate`` acts on their data payloads, as ``fire`` applies it."""
-    data = [cls for entry in entries for cls in entry if _class_is_data(cls)]
-    if not data:
-        return entries
-    gated = iter(_gate_payloads(gate, [payloads[c if type(c) is bytes else c[2]] for c in data]))
-
-    def after(cls):
-        if not _class_is_data(cls):
-            return cls
-        state = next(gated)
-        raw = state.amplitude_bytes()
-        payloads.setdefault(raw, state)
-        return raw if type(cls) is bytes else (True, cls[1], raw)
-
-    return [tuple(map(after, entry)) for entry in entries]
-
-
-def _key_enables(plan: _Plan, key: tuple) -> bool:
-    """``_is_enabled`` read off a key: the head selector's class holds its address."""
+def _key_enables(plan: _Plan, key: tuple, classes: list) -> bool:
+    """``_is_enabled`` read off a key: ``classes`` holds the head selector's address."""
     for i in plan.inputs:
         if not key[i]:
             return False
@@ -1028,11 +1023,11 @@ def _key_enables(plan: _Plan, key: tuple) -> bool:
     if plan.guard is None:
         return True
     supply, value, _ = plan.guard
-    address = key[supply][0][0][0][1]
+    address = classes[key[supply][0][0][0]][1]
     return address is None or address == value
 
 
-def _step(key: tuple, plan: _Plan, payloads: dict) -> tuple | None:
+def _step(net: QPNet, key: tuple, plan: _Plan) -> tuple | None:
     """The key after firing ``plan``, mirroring ``fire`` on token classes.
 
     None where ``fire`` raises an error that names token ids, which the key
@@ -1046,29 +1041,10 @@ def _step(key: tuple, plan: _Plan, payloads: dict) -> tuple | None:
         cls, count = runs[0]
         key[i] = ((cls, count - 1),) + runs[1:] if count > 1 else runs[1:]
         entries.append(cls)
-
-    # Materialize a free selector as the guard's basis state.
-    if plan.guard is not None:
-        _, value, position = plan.guard
-        entry = entries[position]
-        kind, address, held = entry[0]  # held: width, or a gated data token's bytes
-        if address is None:
-            width = payloads[held].num_qubits if type(held) is bytes else held
-            if value >= (1 << width):
-                return None
-            if type(held) is bytes:
-                state = shared_basis_state(width, value)
-                held = state.amplitude_bytes()
-                payloads.setdefault(held, state)
-            entries[position] = ((kind, value, held),) + entry[1:]
-
-    if plan.gate:
-        entries = _gate_classes(plan.gate, entries, payloads)
-
     entries = tuple(entries)
     deposits = plan.steps.get(entries)
     if deposits is None:
-        deposits = plan.steps[entries] = _deposited_classes(plan, entries)
+        deposits = plan.steps[entries] = _deposited_classes(net, plan, entries)
     if type(deposits) is int:
         return None
     for i, entry in deposits:
@@ -1076,21 +1052,26 @@ def _step(key: tuple, plan: _Plan, payloads: dict) -> tuple | None:
     return tuple(key)
 
 
-def _deposited_classes(plan: _Plan, entries: tuple) -> tuple | int:
-    """Per produced entry, its place and classes, as ``plan`` deposits consumed ``entries``.
+def _deposited_classes(net: QPNet, plan: _Plan, entries: tuple) -> tuple | int:
+    """Per produced entry, its place and class ids, as ``plan`` fires on consumed ``entries``.
 
-    A class drops to its kind or its amplitude bytes where its token leaves
-    the guard-relevant places.  Where ``_layout`` refuses the entries, the
-    input position it returns.
+    The guard and the gate act on the class records as ``fire`` acts on
+    tokens, and each deposited token's class is taken again for its
+    destination.  Where the guard does not fit or ``_layout`` refuses the
+    entries, the input position they return.
     """
-    classes = [cls for entry in entries for cls in entry]
-    layout = _layout(plan, tuple(map(len, entries)), tuple(map(_class_is_data, classes)))
+    records = [net._classes[cid] for entry in entries for cid in entry]
+    sizes = tuple(map(len, entries))
+    kinds = tuple([kind for kind, _, _ in records])
+    addresses = [address for _, address, _ in records]
+    payloads = [payload for _, _, payload in records]
+    position = _transform(plan, sizes, kinds, addresses, payloads)
+    if position is not None:
+        return position
+    layout = _layout(plan, sizes, kinds)
     if type(layout) is int:
         return layout
-    relevant = plan.relevant
-    sources = [i in relevant for i, entry in zip(plan.inputs, entries) for _ in entry]
-    return tuple((i, tuple(_drop(classes[p]) if sources[p] and i not in relevant else classes[p]
-                           for p in held))
+    return tuple((i, tuple([_class(net, i, kinds[p], addresses[p], payloads[p]) for p in held]))
                  for i, held in layout[0])
 
 
@@ -1116,8 +1097,8 @@ def enumerate_final_markings(
     once more than ``step_bound`` firings have been explored.
     """
     marking.validate(net)
-    places, plans = net.place_ids, net._ordered
-    root, payloads = _quotient_keys(net, marking)
+    places, plans, classes = net.place_ids, net._ordered, net._classes
+    root = _quotient_keys(net, marking)
     seen: set[tuple] = set()  # keys of finished states
     found: dict[tuple, tuple[str, ...]] = {}  # signature to witness
     # One frame per state being expanded: [key, enabled plans, index of the
@@ -1129,7 +1110,7 @@ def enumerate_final_markings(
         """Record ``key``'s signature if it is final, or push a frame to expand it."""
         if key in seen:
             return
-        enabled = [plan for plan in plans if _key_enables(plan, key)]
+        enabled = [plan for plan in plans if _key_enables(plan, key, classes)]
         if enabled:
             stack.append([key, enabled, 0])
             return
@@ -1150,7 +1131,7 @@ def enumerate_final_markings(
             raise ExplosionError(step_bound, fired, len(seen), len(stack))
         fired += 1
         frame[2] = index + 1
-        child = _step(key, enabled[index], payloads)
+        child = _step(net, key, enabled[index])
         if child is None:
             replayed = marking
             for f in stack:

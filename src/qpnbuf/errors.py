@@ -57,7 +57,7 @@ class ExplosionError(QpnError):
     def __init__(self, step_bound: int, fired: int, states: int, depth: int):
         super().__init__(
             f"enumeration exceeded the step bound of {step_bound} firings "
-            f"({fired} firings explored, {states} distinct states memoized, "
+            f"({fired} firings explored, {states} distinct states finished, "
             f"stack depth {depth})"
         )
         self.fired = fired

@@ -1665,8 +1665,8 @@ def step_agreement_suite(cases: int = 1000, seed: int = 415) -> Counter:
     for case in range(cases):
         net, marking = _random_net(rng, case)
         for _ in range(rng.randint(1, 6)):
-            key, payloads = _quotient_keys(net, marking)
-            plans = [plan for plan in net._ordered if _key_enables(plan, key)]
+            key = _quotient_keys(net, marking)
+            plans = [plan for plan in net._ordered if _key_enables(plan, key, net._classes)]
             assert [plan.tid for plan in plans] == enabled_transitions(net, marking), case
             children = []
             for plan in plans:
@@ -1674,14 +1674,14 @@ def step_agreement_suite(cases: int = 1000, seed: int = 415) -> Counter:
                     child, _ = fire(net, marking, plan.tid)
                 except ModelError as exc:
                     try:
-                        stepped = _step(key, plan, payloads)
+                        stepped = _step(net, key, plan)
                     except ModelError as step_exc:
                         assert str(step_exc) == str(exc), case
                     else:
                         assert stepped is None, case
                     outcomes["raised"] += 1
                     continue
-                assert _step(key, plan, payloads) == _quotient_keys(net, child)[0], case
+                assert _step(net, key, plan) == _quotient_keys(net, child), case
                 outcomes["agreed"] += 1
                 children.append(child)
             if not children:

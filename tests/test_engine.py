@@ -49,7 +49,7 @@ from qpnbuf.errors import (
 from qpnbuf.scenario import emit_trace, parse_trace
 from qpnbuf.statevector import StateVector, basis_state, identity, x
 
-from prop_util import gated_relay_net, reference_enumerate
+from prop_util import gated_relay_net, reference_enumerate, relay_net
 
 
 def counts_of(marking, *places):
@@ -272,7 +272,7 @@ def test_enumeration_witnesses_replay():
 
 def test_enumeration_step_bound():
     # Three T1 firings reach the quiescent (3, 0) split, the only state
-    # memoized, with frames for the three markings above it still open.
+    # finished, with frames for the three markings above it still open.
     net, m0 = build_simo(4, 3, 2)
     with pytest.raises(ExplosionError) as info:
         enumerate_final_markings(net, m0, step_bound=3)
@@ -280,7 +280,7 @@ def test_enumeration_step_bound():
     assert (err.fired, err.states, err.depth) == (3, 1, 3)
     assert str(err) == (
         "enumeration exceeded the step bound of 3 firings "
-        "(3 firings explored, 1 distinct states memoized, stack depth 3)"
+        "(3 firings explored, 1 distinct states finished, stack depth 3)"
     )
 
 
@@ -294,15 +294,18 @@ def _two_place_cycle():
 
 # Where the parent enumerator stopped: the same firing, states finished and
 # stack depth, for pair entries (miso), two selector stages (mimo), gated
-# payloads in the key, a chain deeper than the recursion limit, and a cycle,
-# whose states stay open on the stack and so are expanded again.
+# payloads in the key, addressed and free selectors carried through a
+# guard-relevant place that is not a selector supply (relay), a chain deeper
+# than the recursion limit, and a cycle, whose states stay open on the stack
+# and so are expanded again.
 @pytest.mark.parametrize("make, bound, stop", [
     (lambda: build_miso((2, 2, 1), 3), 40, (40, 22, 4)),
     (lambda: build_mimo((2, 2), 3, 3), 60, (60, 31, 6)),
     (lambda: gated_relay_net(random.Random(6)), 20, (20, 15, 4)),
+    (lambda: relay_net((0, None), (1, None), data=3), 20, (20, 10, 9)),
     (lambda: build_siso(2000, 2000), 1500, (1500, 0, 1501)),
     (_two_place_cycle, 50, (50, 0, 51)),
-], ids=["miso", "mimo", "gated-relay", "siso-2000", "two-place-cycle"])
+], ids=["miso", "mimo", "gated-relay", "relay", "siso-2000", "two-place-cycle"])
 def test_enumeration_stops_at_the_same_firing(make, bound, stop):
     net, m0 = make()
     with pytest.raises(ExplosionError) as info:
@@ -311,8 +314,26 @@ def test_enumeration_stops_at_the_same_firing(make, bound, stop):
     assert (err.fired, err.states, err.depth) == stop
     assert str(err) == (
         f"enumeration exceeded the step bound of {bound} firings ({stop[0]} firings "
-        f"explored, {stop[1]} distinct states memoized, stack depth {stop[2]})"
+        f"explored, {stop[1]} distinct states finished, stack depth {stop[2]})"
     )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gated_relay_net(random.Random(6)),
+    lambda: build_mimo((2, 2), 3, 3),
+], ids=["gated-relay", "mimo-free-selectors"])
+def test_enumeration_reuses_the_nets_classes_and_step_memo(make):
+    # Class ids and the per-plan step memo live on the net: a second
+    # enumeration, and one from a second initial marking of the same net,
+    # read the ids and memo entries the first one made.
+    net, m0 = make()
+    expected = reference_enumerate(net, m0)
+    assert enumerate_final_markings(net, m0) == expected
+    classes = len(net._classes)
+    assert enumerate_final_markings(net, m0) == expected
+    assert len(net._classes) == classes
+    again = net.initial_marking({pid: list(m0.tokens_in(pid)) for pid in net.place_ids})
+    assert enumerate_final_markings(net, again) == reference_enumerate(net, again)
 
 
 def _counting_fire(monkeypatch):
