@@ -9,9 +9,10 @@ time in proportion to the support, not to 2^n.  ``apply_all`` fuses a gate
 list into runs that touch few qubits and maps the indices through one
 lookup table per run, not one pass per gate.  A state built from a dense
 vector has full support; a basis state has a support of one index, which
-stays one index under every gate.  Indices are int64, so a basis state may
-have up to 63 qubits; the dense views (``amplitudes``, ``amplitude_bytes``,
-equality and hashing) still allocate all 2^n amplitudes.
+stays one index under every gate and steps through the runs as a Python
+int.  Indices are int64, so a basis state may have up to 63 qubits; the
+dense views (``amplitudes``, ``amplitude_bytes``, equality and hashing)
+still allocate all 2^n amplitudes.
 
 Conventions: qubit 0 is the least significant bit of the basis index, and
 bitstrings are written most-significant qubit first.  ``tensor(a, b)`` puts
@@ -367,18 +368,26 @@ def apply_all(state: StateVector, ops) -> StateVector:
         )
     if not ops:
         return state
-    indices = state._indices
-    indices = np.arange(len(state._values)) if indices is None else indices.copy()
-    local, part = np.empty_like(indices), np.empty_like(indices)
-    for chunks, table in runs:
-        for i, (shift, mask) in enumerate(chunks):
-            bits = part if i else local
-            np.right_shift(indices, shift, out=bits)
-            np.bitwise_and(bits, mask, out=bits)
-            if i:
-                np.bitwise_or(local, part, out=local)
-        np.take(table, local, out=part, mode="clip")  # local < len(table) by its masks
-        np.bitwise_xor(indices, part, out=indices)
+    if len(state._values) == 1:  # one index, stepped as a Python int
+        index = state._indices.item(0)
+        for chunks, table in runs:
+            local = 0
+            for shift, mask in chunks:
+                local |= (index >> shift) & mask
+            index ^= table.item(local)
+        indices = np.array([index], dtype=np.int64)
+    else:
+        indices = np.arange(len(state._values)) if state._indices is None else state._indices.copy()
+        local, part = np.empty_like(indices), np.empty_like(indices)
+        for chunks, table in runs:
+            for i, (shift, mask) in enumerate(chunks):
+                bits = part if i else local
+                np.right_shift(indices, shift, out=bits)
+                np.bitwise_and(bits, mask, out=bits)
+                if i:
+                    np.bitwise_or(local, part, out=local)
+            np.take(table, local, out=part, mode="clip")  # local < len(table) by its masks
+            np.bitwise_xor(indices, part, out=indices)
     # The gates move each amplitude to its index's image and change none,
     # so the values array is shared as it is and the norm is unchanged.
     return StateVector._from_support(state.num_qubits, indices, state._values)
@@ -418,6 +427,8 @@ class Circuit:
     def __post_init__(self):
         if not _is_index(self.num_qubits):
             raise ConstructionError(f"num_qubits must be an int, got {self.num_qubits!r}")
+        if self.num_qubits < 0:
+            raise ConstructionError(f"num_qubits must be nonnegative, got {self.num_qubits}")
         for name in ("ops", "measured_qubits"):
             try:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
@@ -487,8 +498,10 @@ def run_circuit(
         return final, {"": shots}
     if len(final._values) == 1:
         # Inverse-CDF sampling over the single probability 1.0 draws its
-        # index every time, so no generator is needed.
-        return final, {_outcome_keys(circuit, final._indices)[0].decode(): shots}
+        # index every time, so no generator is needed: its bits are the key.
+        index = final._indices.item(0)
+        outcome = sum(((index >> q) & 1) << c for q, c in circuit.measured_qubits)
+        return final, {format(outcome, f"0{circuit.num_clbits}b"): shots}
 
     # Inverse-CDF sampling never selects a zero probability, so drawing over
     # the index-ordered support gives the draws of the dense distribution.

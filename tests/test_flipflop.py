@@ -16,7 +16,15 @@ from qpnbuf.flipflop import (
     register_lane_qubits,
     simulate_qsr,
 )
-from qpnbuf.statevector import apply_all, basis_state, basis_state_from_index, run_circuit
+from qpnbuf.qasm import export_qasm, parse_qasm
+from qpnbuf.statevector import (
+    Circuit,
+    apply_all,
+    basis_state,
+    basis_state_from_index,
+    run_circuit,
+    x,
+)
 
 from qsr_oracle import (
     VERBATIM_EXPECTED,
@@ -245,7 +253,14 @@ def test_wide_register_runs_on_basis_indices():
             final, hist = run_circuit(
                 circuit, basis_state_from_index(62, index), shots=100, seed=5
             )
+            # The drive's listing round-trips as register-sim checks it: the
+            # built circuit behind one X gate per raised qubit.
+            raised = tuple(q for q in range(62) if (index >> q) & 1)
+            parsed = parse_qasm(export_qasm(circuit, raised))
             assert time.perf_counter() - start < 1.0
+            assert parsed == Circuit(
+                62, tuple(x(q) for q in raised) + circuit.ops, circuit.measured_qubits
+            )
             got = final.basis_index()
             key = ["0"] * 24
             for lane, q in enumerate(qs):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qpnbuf.errors import QasmError
@@ -55,6 +57,12 @@ def test_empty_circuit_export():
     text = export_qasm(Circuit(num_qubits=1))
     lines = significant_lines(text)
     assert lines == ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[1];"]
+
+
+def test_zero_qubit_circuit_round_trips():
+    text = export_qasm(Circuit(num_qubits=0))
+    assert significant_lines(text)[-1] == "qreg q[0];"
+    assert parse_qasm(text) == Circuit(num_qubits=0)
 
 
 def test_normalized_round_trip_identical_circuit():
@@ -122,6 +130,22 @@ def test_parse_requires_header():
     ("OPENQASM 2.0;\nqreg q[2];\ncx;\n", "line 3: unsupported statement 'cx'", 3),
     ("OPENQASM 2.0;\nqreg q[2];\ncx q[1], q[1];\n",
      "line 3: cx qubit indices must be distinct: (1, 1)", 3),
+    ("OPENQASM 2.0;\nqreg q[4];\nx q[0];\nccx q[0], q[1], q[2], q[3];\n",
+     "line 4: ccx expects 3 qubits, got 4", 4),
+    # Statements the grammar reads, or cannot read, that break a rule: the
+    # per-reference checks word each fault.
+    ("OPENQASM 2.0;\nqreg q[2];\nx q[0],;\n", "line 3: malformed register reference ''", 3),
+    ("OPENQASM 2.0;\nqreg q[2];\ncx q[0], r[1];\n",
+     "line 3: unknown register 'r' (expected 'q')", 3),
+    ("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[2];\n", "line 3: index 2 out of range for q[2]", 3),
+    ("OPENQASM 2.0;\nqreg q[2];\nmeasure q[0] -> c[0];\n",
+     "line 3: measure before creg declaration", 3),
+    ("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure r[0] -> c[0];\n",
+     "line 4: unknown register 'r' (expected 'q')", 4),
+    ("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] -> c[1];\n",
+     "line 4: index 1 out of range for c[1]", 4),
+    ("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] c[0];\n",
+     "line 4: unsupported statement 'measure q[0] c[0]'", 4),
 ])
 def test_parse_error_texts_and_lines(text, message, line):
     with pytest.raises(QasmError) as err:
@@ -133,3 +157,28 @@ def test_parse_error_texts_and_lines(text, message, line):
 def test_export_rejects_bad_init_qubit():
     with pytest.raises(QasmError):
         export_qasm(Circuit(num_qubits=2), initial_x_gates=(5,))
+
+
+def _tab_after_kind(text):
+    return re.sub(r"^(x|cx|ccx|swap|cswap|id) ", "\\1\t", text, flags=re.M)
+
+
+def _spaced_references(text):
+    return re.sub(r"\[(\d+)\]", r" [ \1 ] ", text).replace(", ", " ,  ")
+
+
+def _trailing_comments(text):
+    return re.sub(r";$", "; // note", text, flags=re.M)
+
+
+@pytest.mark.parametrize("respell", [
+    _tab_after_kind, _spaced_references, _trailing_comments,
+    lambda text: text.replace("\n", "\r\n"),
+], ids=["tab-after-kind", "spaced-references", "trailing-comment", "crlf"])
+def test_noncanonical_spellings_parse_to_the_canonical_circuit(respell):
+    circuit = build_register(2, CircuitVariant.VERBATIM)
+    text = export_qasm(circuit, initial_x_gates=(0, 5))
+    respelled = respell(text)
+    assert respelled != text
+    assert parse_qasm(respelled) == parse_qasm(text)
+    assert parse_qasm(respelled).ops == (x(0), x(5)) + circuit.ops

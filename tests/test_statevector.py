@@ -286,6 +286,7 @@ _MALFORMED_SHAPE_CASES = [
     (lambda: Circuit(2, ((0, 1),)), "circuit op must be a GateOp, got (0, 1)"),
     (lambda: Circuit(2, (x(0),), 5), "measured_qubits must be a sequence, got 5"),
     (lambda: Circuit(2, 5), "ops must be a sequence, got 5"),
+    (lambda: Circuit(num_qubits=-1), "num_qubits must be nonnegative, got -1"),
     (lambda: GateOp(["x"], (0,)), "gate kind must be a str, got ['x']"),
     (lambda: build_register(1.5), "u must be an int, got 1.5"),
     (lambda: build_register(True), "u must be an int, got True"),
