@@ -4,9 +4,6 @@ Handles exactly the statements this project emits: OPENQASM/include
 headers, one ``qreg``/``creg`` pair, the gates x/cx/ccx/swap/cswap/id, and
 ``measure``.  The emitter writes one statement per line in the same textual
 shape as the source listings, so a parse/emit round trip is token-exact.
-The parser reads the whole listing with one compiled grammar, which gives
-each gate and ``measure`` with all its register references in one match;
-headers, declarations and faulty statements are read one at a time.
 """
 
 from __future__ import annotations
@@ -23,31 +20,19 @@ _CREG_RE = re.compile(r"^creg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 _REF_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 _MEASURE_RE = re.compile(r"^measure\s+(.+?)\s*->\s*(.+)$")
 
-# Whitespace within one line of the "\n"-joined listing: exactly what
-# ``str.strip`` takes.  Runs are possessive: none is followed by what it takes.
-_S = r"[^\S\n]*+"
-_NAME = r"([A-Za-z_][A-Za-z0-9_]*+)"
-_INDEX = rf"{_S}\[{_S}(\d++){_S}\]"
-_END = rf"{_S};{_S}(?://.*)?"
-# One match per line: a gate as its kind, register (every reference names
-# it) and up to three indices; a measure; a blank line; or any other line.
-_LINE_RE = re.compile(
-    rf"^{_S}(?:({'|'.join(_ARITY)})[^\S\n]++{_NAME}{_INDEX}"
-    rf"(?:{_S},{_S}\2{_INDEX}(?:{_S},{_S}\2{_INDEX})?)?{_END}"
-    rf"|measure[^\S\n]++{_NAME}{_INDEX}{_S}->{_S}{_NAME}{_INDEX}{_END}|(?://.*)?|(.+))$",
-    re.M,
-)
 
 _GATE_LINE = {kind: f"{kind} {', '.join(['q[%d]'] * n)};" for kind, n in _ARITY.items()}
 
 
 def export_qasm(circuit: Circuit, initial_x_gates: tuple[int, ...] = ()) -> str:
     """Emit QASM 2.0 text: header, registers, initialization X gates, body, measures."""
-    lines = [HEADER, "", f"qreg q[{circuit.num_qubits}];"]
+    lines = [HEADER, ""]
+    lines.append(f"qreg q[{circuit.num_qubits}];")
     if circuit.num_clbits > 0:
         lines.append(f"creg c[{circuit.num_clbits}];")
     if initial_x_gates:
-        lines += ["", "// Initialization"]
+        lines.append("")
+        lines.append("// Initialization")
         for q in initial_x_gates:
             if not _is_index(q):
                 raise QasmError(f"initialization qubit must be an int, got {q!r}")
@@ -55,9 +40,13 @@ def export_qasm(circuit: Circuit, initial_x_gates: tuple[int, ...] = ()) -> str:
                 raise QasmError(f"initialization qubit {q} out of range")
             lines.append(f"x q[{q}];")
     if circuit.ops:
-        lines += ["", "//Logic Circuit", *[_GATE_LINE[op.kind] % op.qubits for op in circuit.ops]]
+        lines.append("")
+        lines.append("//Logic Circuit")
+        lines.extend(_GATE_LINE[op.kind] % op.qubits for op in circuit.ops)
     if circuit.measured_qubits:
-        lines += ["", *["measure q[%d] -> c[%d];" % pair for pair in circuit.measured_qubits]]
+        lines.append("")
+        for q, c in circuit.measured_qubits:
+            lines.append(f"measure q[{q}] -> c[{c}];")
     return "\n".join(lines) + "\n"
 
 
@@ -89,50 +78,41 @@ def parse_qasm(text: str) -> Circuit:
     Initialization X gates are ordinary leading ops in the result; QASM has
     no marker distinguishing them from the body.  Gates come from
     ``shared_gate``, so the result shares them with other circuits, and a
-    repeated gate line is read once per call.  Lines are numbered as
-    ``str.splitlines`` splits them.
+    gate statement's text is parsed once per call.
     """
-    lines = text.splitlines()
     saw_version = False
-    register = size = clreg = clsize = None  # the qreg's and creg's, once declared
+    qreg: tuple[str, int] | None = None
+    creg: tuple[str, int] | None = None
     ops: list[GateOp] = []
     measured: list[tuple[int, int]] = []
-    gates: dict[str, GateOp] = {}  # gate lines already read, by their text
+    # Gate statements already parsed, by text.  Filled only once the qreg,
+    # which cannot change afterwards, is declared; errors are not kept.
+    gates: dict[str, GateOp] = {}
 
-    for lineno, (raw, match) in enumerate(zip(lines, _LINE_RE.findall("\n".join(lines))), 1):
-        gate = gates.get(raw)
-        if gate is not None:
-            ops.append(gate)
-            continue
-        kind, reg, i, j, k, qname, q, cname, c, other = match
-        if reg == register:  # a gate on the declared qreg
-            qubits = (int(i),) if not j else (int(i), int(j)) if not k else (int(i), int(j), int(k))
-            if max(qubits) < size:
-                try:
-                    gate = gates[raw] = shared_gate(kind, qubits)
-                except GateError as exc:
-                    raise QasmError(str(exc), lineno) from exc
-                ops.append(gate)
-                continue
-        elif qname == register and cname == clreg and int(q) < size and int(c) < clsize:
-            measured.append((int(q), int(c)))  # a measure on the declared registers
-            continue
-        elif not (kind or qname or other):
-            continue  # blank or comment only
-
-        # Any other statement.  The grammar reads every valid gate and measure,
-        # so for one of those the checks below word its fault.
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//", 1)[0].strip()
+        if not line:
+            continue
         if not line.endswith(";"):
             raise QasmError(f"statement does not end with ';': {line!r}", lineno)
         stmt = line[:-1].strip()
+        gate = gates.get(stmt)
+        if gate is not None:
+            ops.append(gate)
+            continue
+
+        # A gate statement first: none of the patterns below can match one.
+        # A qreg is declared only after the header.
         parts = stmt.split(None, 1)
-        if len(parts) == 2 and parts[0] in _ARITY and register is not None:
-            qubits = tuple(_parse_ref(tok, register, size, lineno) for tok in parts[1].split(","))
+        if len(parts) == 2 and parts[0] in _ARITY and qreg is not None:
+            kind, args = parts
+            qubits = tuple(_parse_ref(tok, qreg[0], qreg[1], lineno) for tok in args.split(","))
             try:
-                shared_gate(parts[0], qubits)
+                gate = gates[stmt] = shared_gate(kind, qubits)
             except GateError as exc:
                 raise QasmError(str(exc), lineno) from exc
+            ops.append(gate)
+            continue
 
         if stmt.startswith("OPENQASM"):
             if stmt.split() != ["OPENQASM", "2.0"]:
@@ -146,32 +126,34 @@ def parse_qasm(text: str) -> Circuit:
 
         m = _QREG_RE.match(stmt)
         if m:
-            if register is not None:
+            if qreg is not None:
                 raise QasmError("multiple qreg declarations", lineno)
-            register, size = m.group(1), int(m.group(2))
+            qreg = (m.group(1), int(m.group(2)))
             continue
         m = _CREG_RE.match(stmt)
         if m:
-            if clreg is not None:
+            if creg is not None:
                 raise QasmError("multiple creg declarations", lineno)
-            clreg, clsize = m.group(1), int(m.group(2))
+            creg = (m.group(1), int(m.group(2)))
             continue
 
-        if register is None:
+        if qreg is None:
             raise QasmError("statement before qreg declaration", lineno)
 
         m = _MEASURE_RE.match(stmt)
         if m:
-            if clreg is None:
+            if creg is None:
                 raise QasmError("measure before creg declaration", lineno)
-            _parse_ref(m.group(1), register, size, lineno)
-            _parse_ref(m.group(2), clreg, clsize, lineno)
+            q = _parse_ref(m.group(1), qreg[0], qreg[1], lineno)
+            c = _parse_ref(m.group(2), creg[0], creg[1], lineno)
+            measured.append((q, c))
+            continue
 
         raise QasmError(f"unsupported statement {stmt!r}", lineno)
 
-    if register is None:
+    if qreg is None:
         raise QasmError("no qreg declaration found")
     try:
-        return Circuit(num_qubits=size, ops=tuple(ops), measured_qubits=tuple(measured))
+        return Circuit(num_qubits=qreg[1], ops=tuple(ops), measured_qubits=tuple(measured))
     except Exception as exc:
         raise QasmError(str(exc)) from exc

@@ -498,10 +498,8 @@ def run_circuit(
         return final, {"": shots}
     if len(final._values) == 1:
         # Inverse-CDF sampling over the single probability 1.0 draws its
-        # index every time, so no generator is needed: its bits are the key.
-        index = final._indices.item(0)
-        outcome = sum(((index >> q) & 1) << c for q, c in circuit.measured_qubits)
-        return final, {format(outcome, f"0{circuit.num_clbits}b"): shots}
+        # index every time, so no generator is needed.
+        return final, {_outcome_key(circuit, final._indices.item(0)): shots}
 
     # Inverse-CDF sampling never selects a zero probability, so drawing over
     # the index-ordered support gives the draws of the dense distribution.
@@ -517,22 +515,20 @@ def run_circuit(
     positions, hits = np.unique(draws, return_counts=True)
     if indices is not None:
         positions = indices[positions]
-    # Indices that differ only on unmeasured qubits share a key.
-    keys, merged = np.unique(_outcome_keys(circuit, positions), return_inverse=True)
-    totals = np.zeros(len(keys), dtype=np.int64)
+    # Indices that differ only on unmeasured qubits share a key, and indices
+    # that differ on a measured qubit do not.
+    measured = sum(1 << q for q in {q for q, _ in circuit.measured_qubits})
+    patterns, merged = np.unique(positions & measured, return_inverse=True)
+    totals = np.zeros(len(patterns), dtype=np.int64)
     np.add.at(totals, merged, hits)
-    return final, dict(zip(keys.astype(f"U{circuit.num_clbits}").tolist(), totals.tolist()))
+    keys = [_outcome_key(circuit, index) for index in patterns.tolist()]
+    return final, dict(sorted(zip(keys, totals.tolist())))
 
 
-def _outcome_keys(circuit: Circuit, basis: np.ndarray) -> np.ndarray:
-    """Each basis index's classical register, most significant bit first, as bytes.
-
-    One shift and mask per measured qubit fills a row of ``'0'``/``'1'``
-    bytes per index; the rows are read as fixed-width byte strings, so any
-    register width works.
-    """
-    width = circuit.num_clbits
-    bits = np.full((len(basis), width), ord("0"), dtype=np.uint8)
+def _outcome_key(circuit: Circuit, index: int) -> str:
+    """A basis index's classical register, most significant bit first."""
+    bits = ["0"] * circuit.num_clbits
     for q, c in circuit.measured_qubits:
-        bits[:, width - 1 - c] += ((basis >> q) & 1).astype(np.uint8)
-    return bits.view(f"S{width}").ravel()
+        if index >> q & 1:
+            bits[-1 - c] = "1"
+    return "".join(bits)

@@ -132,8 +132,7 @@ def test_parse_requires_header():
      "line 3: cx qubit indices must be distinct: (1, 1)", 3),
     ("OPENQASM 2.0;\nqreg q[4];\nx q[0];\nccx q[0], q[1], q[2], q[3];\n",
      "line 4: ccx expects 3 qubits, got 4", 4),
-    # Statements the grammar reads, or cannot read, that break a rule: the
-    # per-reference checks word each fault.
+    # Gates and measures with a faulty register reference, or no arrow.
     ("OPENQASM 2.0;\nqreg q[2];\nx q[0],;\n", "line 3: malformed register reference ''", 3),
     ("OPENQASM 2.0;\nqreg q[2];\ncx q[0], r[1];\n",
      "line 3: unknown register 'r' (expected 'q')", 3),

@@ -192,10 +192,15 @@ def _histogram_case(name):
         "basis": (Circuit(4, swaps, ((3, 0), (0, 1), (2, 2))), basis_state(4, "1010")),
         "wide": (Circuit(4, swaps, ((0, 70), (3, 2))), dense),
         "wide_basis": (Circuit(4, swaps, ((0, 70), (3, 64))), basis_state(4, "0111")),
+        # Qubit 2 is read into two classical bits.
+        "twice": (Circuit(4, swaps, ((2, 0), (1, 1), (2, 3))), dense),
+        "twice_basis": (Circuit(4, swaps, ((2, 0), (1, 1), (2, 3))), basis_state(4, "0100")),
     }[name]
 
 
-@pytest.mark.parametrize("name", ["gaps", "merged", "unmeasured", "basis", "wide", "wide_basis"])
+@pytest.mark.parametrize("name", [
+    "gaps", "merged", "unmeasured", "basis", "wide", "wide_basis", "twice", "twice_basis",
+])
 @pytest.mark.parametrize("shots", [0, 1, 300])
 def test_run_circuit_histogram_matches_dense_sampler(name, shots):
     circuit, start = _histogram_case(name)
