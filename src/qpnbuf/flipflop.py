@@ -233,32 +233,30 @@ def register_lane_qubits(lane: int) -> dict[int, int]:
     }
 
 
-@lru_cache(maxsize=64)
-def _lane_ops(variant: CircuitVariant, lane: int) -> tuple[GateOp, ...]:
-    """The flip-flop body of ``variant`` moved onto register lane ``lane``.
-
-    Registers of every width repeat the same lanes, so each is built once.
-    """
-    remap = register_lane_qubits(lane)
-    return tuple(shared_gate(op.kind, tuple(remap[q] for q in op.qubits)) for op in _BODIES[variant])
-
-
 def build_register(u: int, variant: CircuitVariant = CircuitVariant.NORMALIZED) -> Circuit:
     """Register of ``u`` flip-flops on disjoint 5-qubit lanes sharing S and R.
 
     Lane ``i`` measures its Q' into classical bit 2i and its Q into 2i+1;
     lane 0 holds the flip-flop's own qubits, so ``u=1`` is the flip-flop.
+    ``u`` and ``variant`` are checked on every call, but each register is
+    built and validated once: every call with one width and variant returns
+    the same frozen ``Circuit``, which also keeps its compiled gate runs.
     """
     if not _is_index(u):
         raise ConstructionError(f"u must be an int, got {u!r}")
     if u < 1:
         raise ConstructionError(f"register needs at least one flip-flop, got u={u}")
-    variant = CircuitVariant(variant)
+    return _register(int(u), CircuitVariant(variant))
+
+
+@lru_cache(maxsize=64)
+def _register(u: int, variant: CircuitVariant) -> Circuit:
     ops: list[GateOp] = []
     measured: list[tuple[int, int]] = []
     for lane in range(u):
         remap = register_lane_qubits(lane)
-        ops.extend(_lane_ops(variant, lane))
+        ops.extend(shared_gate(op.kind, tuple(remap[q] for q in op.qubits))
+                   for op in _BODIES[variant])
         measured.append((remap[QPRIME_QUBIT], 2 * lane))
         measured.append((remap[Q_QUBIT], 2 * lane + 1))
     return Circuit(num_qubits=2 + LANE_QUBITS * u, ops=tuple(ops), measured_qubits=tuple(measured))

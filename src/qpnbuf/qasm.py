@@ -18,6 +18,7 @@ HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";'
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 _CREG_RE = re.compile(r"^creg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 _REF_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_INCLUDE_RE = re.compile(r'^include\s+"[^"]+"$')
 _MEASURE_RE = re.compile(r"^measure\s+(.+?)\s*->\s*(.+)$")
 
 
@@ -77,38 +78,49 @@ def parse_qasm(text: str) -> Circuit:
 
     Initialization X gates are ordinary leading ops in the result; QASM has
     no marker distinguishing them from the body.  Gates come from
-    ``shared_gate``, so the result shares them with other circuits, and a
-    gate statement's text is parsed once per call.
+    ``shared_gate``, so the result shares them with other circuits (a
+    register's with ``build_register``'s).  Each distinct gate line and each
+    distinct register reference is read once per call: the ``qreg``, which
+    cannot change once declared, fixes what they read as for the rest of the
+    text.  Nothing outlives the call and no error is kept, so every error
+    names its own line.
     """
     saw_version = False
     qreg: tuple[str, int] | None = None
     creg: tuple[str, int] | None = None
     ops: list[GateOp] = []
     measured: list[tuple[int, int]] = []
-    # Gate statements already parsed, by text.  Filled only once the qreg,
-    # which cannot change afterwards, is declared; errors are not kept.
-    gates: dict[str, GateOp] = {}
+    # Filled only once the qreg is declared, and never with an error: gate
+    # lines by their raw text, and gate references by their stripped text.
+    gate_lines: dict[str, GateOp] = {}
+    refs: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        gate = gate_lines.get(raw)
+        if gate is not None:
+            ops.append(gate)
+            continue
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
         if not line.endswith(";"):
             raise QasmError(f"statement does not end with ';': {line!r}", lineno)
         stmt = line[:-1].strip()
-        gate = gates.get(stmt)
-        if gate is not None:
-            ops.append(gate)
-            continue
 
         # A gate statement first: none of the patterns below can match one.
         # A qreg is declared only after the header.
         parts = stmt.split(None, 1)
         if len(parts) == 2 and parts[0] in _ARITY and qreg is not None:
             kind, args = parts
-            qubits = tuple(_parse_ref(tok, qreg[0], qreg[1], lineno) for tok in args.split(","))
+            qubits = []
+            for token in args.split(","):
+                token = token.strip()
+                index = refs.get(token)
+                if index is None:
+                    index = refs[token] = _parse_ref(token, qreg[0], qreg[1], lineno)
+                qubits.append(index)
             try:
-                gate = gates[stmt] = shared_gate(kind, qubits)
+                gate = gate_lines[raw] = shared_gate(kind, tuple(qubits))
             except GateError as exc:
                 raise QasmError(str(exc), lineno) from exc
             ops.append(gate)
@@ -119,10 +131,10 @@ def parse_qasm(text: str) -> Circuit:
                 raise QasmError(f"unsupported version statement {stmt!r}", lineno)
             saw_version = True
             continue
-        if stmt.startswith("include"):
-            continue
         if not saw_version:
             raise QasmError("missing OPENQASM 2.0 header", lineno)
+        if _INCLUDE_RE.match(stmt):
+            continue
 
         m = _QREG_RE.match(stmt)
         if m:

@@ -22,7 +22,7 @@ bitstrings are written most-significant qubit first.  ``tensor(a, b)`` puts
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -360,7 +360,12 @@ def _compile(ops: tuple[GateOp, ...]):
 def apply_all(state: StateVector, ops) -> StateVector:
     """Return the state transformed by the gates ``ops``, in order."""
     ops = tuple(ops)
-    width, runs = _compile(ops)
+    return _apply_compiled(state, ops, _compile(ops))
+
+
+def _apply_compiled(state: StateVector, ops: tuple[GateOp, ...], compiled) -> StateVector:
+    """``apply_all(state, ops)``, given ``compiled``, which is ``_compile(ops)``."""
+    width, runs = compiled
     if width > state.num_qubits:
         op = next(op for op in ops if max(op.qubits) >= state.num_qubits)
         raise GateError(
@@ -427,6 +432,7 @@ class Circuit:
     def __post_init__(self):
         if not _is_index(self.num_qubits):
             raise ConstructionError(f"num_qubits must be an int, got {self.num_qubits!r}")
+        object.__setattr__(self, "num_qubits", int(self.num_qubits))
         if self.num_qubits < 0:
             raise ConstructionError(f"num_qubits must be nonnegative, got {self.num_qubits}")
         for name in ("ops", "measured_qubits"):
@@ -466,6 +472,11 @@ class Circuit:
     def num_clbits(self) -> int:
         return 1 + max((c for _, c in self.measured_qubits), default=-1)
 
+    @cached_property
+    def _compiled(self):
+        """``_compile(self.ops)``, kept: a circuit run again is neither hashed nor compiled."""
+        return _compile(self.ops)
+
 
 def _count_argument(name: str, value) -> int:
     """``value`` as an int if it is a nonnegative integer (bools excluded)."""
@@ -483,7 +494,9 @@ def run_circuit(
     default PCG64 generator seeded with ``seed``; identical inputs and seed
     give an identical histogram.  ``shots`` and ``seed`` are nonnegative
     ints.  Histogram keys read the classical register most-significant bit
-    first.
+    first.  The circuit keeps its compiled gate runs, so running one circuit
+    again, such as a register that ``build_register`` shares, compiles
+    nothing.
     """
     if initial.num_qubits != circuit.num_qubits:
         raise CircuitError(
@@ -491,7 +504,7 @@ def run_circuit(
         )
     shots = _count_argument("shots", shots)
     seed = _count_argument("seed", seed)
-    final = apply_all(initial, circuit.ops)
+    final = _apply_compiled(initial, circuit.ops, circuit._compiled)
     if not shots:
         return final, {}
     if not circuit.measured_qubits:

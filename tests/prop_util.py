@@ -1232,6 +1232,7 @@ def scenario_mutation_suite(directory, cases: int = 1000, seed: int = 416) -> tu
 _REFERENCE_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 _REFERENCE_CREG_RE = re.compile(r"^creg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 _REFERENCE_REF_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_REFERENCE_INCLUDE_RE = re.compile(r'^include\s+"[^"]+"$')
 _REFERENCE_MEASURE_RE = re.compile(r"^measure\s+(.+?)\s*->\s*(.+)$")
 
 
@@ -1264,10 +1265,10 @@ def reference_parse_qasm(text: str) -> Circuit:
                 raise QasmError(f"unsupported version statement {stmt!r}", lineno)
             saw_version = True
             continue
-        if stmt.startswith("include"):
-            continue
         if not saw_version:
             raise QasmError("missing OPENQASM 2.0 header", lineno)
+        if _REFERENCE_INCLUDE_RE.match(stmt):
+            continue
         m = _REFERENCE_QREG_RE.match(stmt)
         if m:
             if qreg is not None:

@@ -94,6 +94,14 @@ def test_parsed_register_shares_the_built_gates(variant):
     assert all(got is op for got, op in zip(parsed.ops, circuit.ops, strict=True))
 
 
+def test_respelled_gate_lines_share_one_gate():
+    text = ("OPENQASM 2.0;\nqreg q[3];\n"
+            "cx q[0], q[2];\ncx q[0], q[2]; // again\ncx q [ 0 ] ,q[2 ];\n")
+    ops = parse_qasm(text).ops
+    assert len(ops) == 3
+    assert ops[0] is ops[1] is ops[2] is cx(0, 2)
+
+
 def test_parse_error_reports_line_number():
     bad = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nfoo q[0];\n'
     with pytest.raises(QasmError) as err:
@@ -137,6 +145,11 @@ def test_parse_requires_header():
     ("OPENQASM 2.0;\nqreg q[2];\ncx q[0], r[1];\n",
      "line 3: unknown register 'r' (expected 'q')", 3),
     ("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[2];\n", "line 3: index 2 out of range for q[2]", 3),
+    # A fault on a new line after lines and references already read.
+    ("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\ncx q[1], q[2];\n",
+     "line 4: index 2 out of range for q[2]", 4),
+    ("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\ncx q[0], q[1];\ncx q[1], q[1];\n",
+     "line 5: cx qubit indices must be distinct: (1, 1)", 5),
     ("OPENQASM 2.0;\nqreg q[2];\nmeasure q[0] -> c[0];\n",
      "line 3: measure before creg declaration", 3),
     ("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure r[0] -> c[0];\n",
@@ -145,6 +158,10 @@ def test_parse_requires_header():
      "line 4: index 1 out of range for c[1]", 4),
     ("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] c[0];\n",
      "line 4: unsupported statement 'measure q[0] c[0]'", 4),
+    # Only ``include "<file>"``, and only after the version line.
+    ("OPENQASM 2.0;\nqreg q[1];\nincludeX q[0];\n",
+     "line 3: unsupported statement 'includeX q[0]'", 3),
+    ('include "a";\nOPENQASM 2.0;\nqreg q[1];\n', "line 1: missing OPENQASM 2.0 header", 1),
 ])
 def test_parse_error_texts_and_lines(text, message, line):
     with pytest.raises(QasmError) as err:

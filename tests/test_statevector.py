@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qpnbuf import statevector
 from qpnbuf.errors import CircuitError, ConstructionError, GateError, QasmError
 from qpnbuf.flipflop import LANE_QUBITS, CircuitVariant, build_register
 from qpnbuf.qasm import export_qasm
@@ -312,10 +313,29 @@ def test_numpy_integer_indices_are_accepted():
     gate = shared_gate("cx", (np.int64(1), np.uint8(0)))
     assert gate == cx(1, 0) and type(gate.qubits[0]) is int
     circuit = Circuit(np.int64(2), (gate,), ((np.int32(1), np.int16(0)),))
-    assert circuit.measured_qubits == ((1, 0),)
+    assert circuit.measured_qubits == ((1, 0),) and type(circuit.num_qubits) is int
     assert export_qasm(circuit, (np.int64(1),)) == export_qasm(circuit, (1,))
     assert StateVector(np.int64(2), _DENSE_2) == StateVector(2, _DENSE_2)
     assert basis_state_from_index(np.int64(3), np.int64(5)).basis_label() == "101"
+
+
+def test_register_is_shared_per_width_and_variant_whatever_their_spelling():
+    circuit = build_register(np.int64(2), "verbatim")
+    assert circuit is build_register(2, CircuitVariant.VERBATIM)
+    assert type(circuit.num_qubits) is int
+    assert build_register(2) is not circuit
+
+
+def test_a_circuit_run_again_is_not_compiled_again(monkeypatch):
+    compiled = []
+    real = statevector._compile
+    monkeypatch.setattr(statevector, "_compile",
+                        lambda ops: compiled.append(ops) or real(ops))
+    circuit = Circuit(3, (x(0), cx(0, 1), ccx(0, 1, 2)), ((2, 0),))
+    for _ in range(2):
+        final, hist = run_circuit(circuit, basis_state(3, "000"), shots=5, seed=1)
+        assert final.basis_label() == "111" and hist == {"1": 5}
+    assert compiled == [circuit.ops]
 
 
 def test_circuit_rejects_duplicate_clbits():
