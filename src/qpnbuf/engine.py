@@ -37,7 +37,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -368,6 +368,12 @@ def _push_head(queue: Queue, entry: Entry) -> Queue:
     return [slots, 0, len(slots), None]
 
 
+def _in_token_order(table) -> dict:
+    """A copy of ``table`` with its keys in sorted order; tables often come sorted already."""
+    keys = sorted(table)
+    return dict(table) if keys == list(table) else {key: table[key] for key in keys}
+
+
 class Marking:
     """Immutable snapshot: queue contents, payload table, addresses, time.
 
@@ -383,17 +389,19 @@ class Marking:
 
     def __init__(self, queues, payloads, addresses, time):
         held: list[Queue] = []
-        seen: set[str] = set()
+        tokens: list[str] = []
         for entries in queues.values():
             entries = tuple(entries)
-            for entry in entries:
-                for tok in entry:
-                    if tok in seen:
-                        raise ModelError(f"token {tok!r} appears in more than one place")
-                    seen.add(tok)
+            tokens.extend(chain.from_iterable(entries))
             held.append([list(entries), 0, len(entries), entries])
-        self._fill(tuple(queues), held, dict(sorted(payloads.items())),
-                   dict(sorted(addresses.items())), time, None)
+        if len(set(tokens)) != len(tokens):
+            seen: set[str] = set()
+            for tok in tokens:
+                if tok in seen:
+                    raise ModelError(f"token {tok!r} appears in more than one place")
+                seen.add(tok)
+        self._fill(tuple(queues), held, _in_token_order(payloads),
+                   _in_token_order(addresses), time, None)
 
     def _fill(self, place_ids, queues, payloads, addresses, time, net):
         self._place_ids, self._queues = place_ids, queues

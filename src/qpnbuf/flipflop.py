@@ -27,8 +27,8 @@ from .errors import ConstructionError
 from .statevector import (
     Circuit,
     GateOp,
+    _apply_compiled,
     _is_index,
-    apply_all,
     basis_state,
     ccx,
     cswap,
@@ -160,7 +160,7 @@ def simulate_qsr(variant: CircuitVariant, inputs: QsrInputs) -> QsrOutcome:
     bit-order ambiguity in concatenated strings.
     """
     circuit = build_qsr_circuit(variant)
-    final = apply_all(basis_state(7, initial_label(inputs)), circuit.ops)
+    final = _apply_compiled(basis_state(7, initial_label(inputs)), circuit.ops, circuit._compiled)
     index = final.basis_index()
     readout = {q: (index >> q) & 1 for q in range(7)}
     return QsrOutcome(

@@ -83,7 +83,9 @@ def parse_qasm(text: str) -> Circuit:
     distinct register reference is read once per call: the ``qreg``, which
     cannot change once declared, fixes what they read as for the rest of the
     text.  Nothing outlives the call and no error is kept, so every error
-    names its own line.
+    names its own line.  The result skips the ``Circuit`` constructor's
+    checks, which the reader has already made, except that of distinct
+    classical bits.
     """
     saw_version = False
     qreg: tuple[str, int] | None = None
@@ -165,7 +167,9 @@ def parse_qasm(text: str) -> Circuit:
 
     if qreg is None:
         raise QasmError("no qreg declaration found")
-    try:
-        return Circuit(num_qubits=qreg[1], ops=tuple(ops), measured_qubits=tuple(measured))
-    except Exception as exc:
-        raise QasmError(str(exc)) from exc
+    # Every gate and reference was checked as it was read; only distinct
+    # classical bits are left for the ``Circuit`` constructor's checks.
+    clbits = [c for _, c in measured]
+    if len(set(clbits)) != len(clbits):
+        raise QasmError(f"classical bit indices must be distinct: {clbits}")
+    return Circuit._from_checked(qreg[1], tuple(ops), tuple(measured))

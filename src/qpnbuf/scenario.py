@@ -20,8 +20,11 @@ fixed layout), so identical runs serialize to identical bytes: the bytes
 ``json.dumps(..., sort_keys=True, indent=1)`` gives.  ``emit_scenario``
 calls it; ``emit_trace`` and ``emit_signatures`` write that layout straight
 from their records.  Amplitudes serialize as [real, imaginary] pairs, never
-decimal strings.  What each buffer kind takes is read from
-``buffers.KIND_TABLE``.
+decimal strings, and a writer refuses a payload wider than
+``MAX_DOCUMENT_QUBITS`` rather than build its dense view.  Readers take
+each payload as a basis label or a pair list; a pair list that spells a
+canonical basis vector reads as the shared basis state, without numpy.
+What each buffer kind takes is read from ``buffers.KIND_TABLE``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import json
 import marshal
 from collections import deque
 from dataclasses import dataclass, fields
+from itertools import chain
 
 from .buffers import KIND_TABLE, KINDS, BufferSpec, address_fault
 from .engine import (
@@ -41,6 +45,7 @@ from .engine import (
     SkippedSelection,
     TokenMove,
     Trace,
+    _new,
     addresses_to_script,
     shared_basis_state,
 )
@@ -100,34 +105,60 @@ def _int_list(value, name) -> tuple[int, ...]:
     return tuple(_int_field(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
-def _payload_value(value, name) -> StateVector:
-    if isinstance(value, str):
+# A payload's amplitude list is decoded with one exact-type test per number:
+# a JSON number parses to an int or a float, and true/false (bools) are neither.
+_NUMBER_TYPES = (float, int)
+_ZERO_PAIR, _ONE_PAIR = [0.0, 0.0], [1.0, 0.0]
+
+
+def _payload_value(value, name, data: bytes | str | None = None) -> StateVector:
+    """The state a basis label or a [real, imaginary] pair list describes.
+
+    A pair list whose ``marshal`` bytes are those of a canonical basis
+    vector (+0.0 everywhere but one [1.0, 0.0]) is that basis state, shared
+    and made without numpy.  Any other list is checked pair by pair and
+    normalized by the ``StateVector`` constructor.  ``data``, if given, is
+    the key a trace reader files ``value`` under: for a list, its bytes.
+    An invalid payload is reported at field ``name``.
+    """
+    if type(value) is str:
         if not value or set(value) - {"0", "1"}:
             raise ScenarioError(f"basis label must be nonempty 0/1, got {value!r}", field=name)
         try:
             return shared_basis_state(len(value), int(value, 2))
         except QpnError as exc:
             raise ScenarioError(str(exc), field=name) from exc
-    if isinstance(value, list):
-        if len(value) < 2 or len(value) & (len(value) - 1):
+    if type(value) is list:
+        count = len(value)
+        if count < 2 or count & (count - 1):
             raise ScenarioError(
-                f"amplitude list length must be a power of two >= 2, got {len(value)}",
-                field=name,
+                f"amplitude list length must be a power of two >= 2, got {count}", field=name
             )
-        amps = []
-        for i, pair in enumerate(value):
-            if not isinstance(pair, list) or len(pair) != 2 or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
-            ):
-                raise ScenarioError(
-                    f"amplitude {i} must be a [real, imaginary] pair", field=name
-                )
-            try:
-                amps.append(complex(pair[0], pair[1]))
-            except OverflowError:
-                raise ScenarioError(f"amplitude {i} is out of range", field=name) from None
+        width = count.bit_length() - 1
+        if _ONE_PAIR in value:
+            index = value.index(_ONE_PAIR)
+            canonical = [_ZERO_PAIR] * count
+            canonical[index] = _ONE_PAIR
+            if marshal.dumps(canonical, 2) == (data or marshal.dumps(value, 2)):
+                return shared_basis_state(width, index)
+        amps: list[complex] = []
+        append = amps.append
         try:
-            return StateVector(len(value).bit_length() - 1, amps)
+            for pair in value:
+                if type(pair) is not list or len(pair) != 2:
+                    break
+                real, imag = pair
+                if type(real) not in _NUMBER_TYPES or type(imag) not in _NUMBER_TYPES:
+                    break
+                append(complex(real, imag))  # an int too large for a float overflows
+        except OverflowError:
+            raise ScenarioError(f"amplitude {len(amps)} is out of range", field=name) from None
+        if len(amps) < count:
+            raise ScenarioError(
+                f"amplitude {len(amps)} must be a [real, imaginary] pair", field=name
+            )
+        try:
+            return StateVector(width, amps)
         except QpnError as exc:
             raise ScenarioError(str(exc), field=name) from exc
     raise ScenarioError(
@@ -235,20 +266,32 @@ _encode_str = json.encoder.encode_basestring_ascii
 _float_text = float.__repr__  # a StateVector's amplitudes are finite
 _int_text = int.__repr__
 
-
-def _payload_text(payload: StateVector, level: int) -> str:
-    """A payload's [real, imaginary] pair list as it sits at nesting ``level``."""
-    pair = "\n" + " " * (level + 1)
-    num = "\n" + " " * (level + 2)
-    pairs = [
-        f"[{num}{_float_text(a.real)},{num}{_float_text(a.imag)}{pair}]"
-        for a in payload.amplitudes.tolist()
-    ]
-    return f"[{pair}{f',{pair}'.join(pairs)}\n{' ' * level}]"
+# The widest payload a document holds.  A document writes each of a
+# payload's 2**n amplitudes as a [real, imaginary] pair, some 50-100 bytes
+# of text at the nesting of a move, so a 20-qubit payload is already
+# 50-100 MB of text and a 16 MB dense vector to write it from; each qubit
+# more doubles both.  Writers refuse a wider payload before building its
+# dense view.
+MAX_DOCUMENT_QUBITS = 20
 
 
-def _address_text(address: int | None) -> str:
-    return "null" if address is None else _int_text(address)
+def _refuse_wide(token: str, state: StateVector) -> None:
+    """Refuse ``token``'s payload if it is too wide for a document."""
+    if state.num_qubits > MAX_DOCUMENT_QUBITS:
+        raise ScenarioError(
+            f"payload of token {token!r} has {state.num_qubits} qubits; a document holds "
+            f"at most {MAX_DOCUMENT_QUBITS}"
+        )
+
+
+_PAIR_SEP, _NUMBER_SEP = "\n ],\n [\n  ", ",\n  "  # between pairs, and within one
+
+
+def _payload_text(payload: StateVector) -> str:
+    """A payload's [real, imaginary] pair list as it sits at nesting level 0."""
+    amps = payload.amplitudes
+    pairs = zip(map(_float_text, amps.real.tolist()), map(_float_text, amps.imag.tolist()))
+    return f"[\n [\n  {_PAIR_SEP.join(map(_NUMBER_SEP.join, pairs))}\n ]\n]"
 
 
 def _list_text(texts, level: int, brackets: str = "[]") -> str:
@@ -260,6 +303,8 @@ def _list_text(texts, level: int, brackets: str = "[]") -> str:
 
 def emit_scenario(doc: ScenarioDoc) -> str:
     """Serialize a scenario document canonically; parse(emit(doc)) == doc."""
+    for tok, p in doc.payloads.items():
+        _refuse_wide(tok, p)
     kind = KIND_TABLE[doc.kind]
     out: dict = {"schema": SCENARIO_SCHEMA, "kind": doc.kind, "scheduler": doc.scheduler,
                  "seed": doc.seed, "enumerate": doc.enumerate_outcomes}
@@ -289,92 +334,90 @@ def emit_trace(trace: Trace) -> str:
     the trace built as dicts and lists, written straight from the records:
     the qpn-trace/1 layout is fixed, so each marking, firing, move and table
     row is written from its keys, in sorted order, at its known nesting
-    level.  Each name's text is made once per document, and so is each
-    distinct payload's: keyed on its amplitude bytes, made at level 0 and
-    re-indented for the levels payloads sit at (3 in markings, 5 in moves).
-    The pieces go into one list, joined once.
+    level.  A marking's addresses, payloads and queues are each one
+    comprehension over its tokens or sorted places (a marking holds its
+    tables in token-id order, the order ``sort_keys`` gives), and a
+    one-token queue entry is one f-string.  Each name's text is made once
+    per document, and so is each distinct payload's: keyed on its amplitude
+    bytes, made at level 0 and re-indented for the levels payloads sit at
+    (3 in markings, 5 in moves).  Each state object's pair of texts is then
+    found by its ``id``: the trace holds every state it names, so no id is
+    reused while it is written.  A payload wider than
+    ``MAX_DOCUMENT_QUBITS`` is refused, naming its token, before its
+    amplitudes are read.  The pieces go into one list, joined once.
     """
     parts: list[str] = []
     write = parts.append
     names = _StringTexts({None: "null"})
-    payloads: dict[bytes, str] = {}
-    indented: dict[int, dict[bytes, str]] = {3: {}, 5: {}}
+    by_bytes: dict[bytes, tuple[str, str]] = {}
+    texts: dict[int, tuple[str, str]] = {}  # id of a state -> its texts at levels 3 and 5
     sizes: dict[tuple[int, ...], str] = {}
 
-    def payload(state: StateVector, level: int) -> str:
+    def payload(state: StateVector, token: str) -> tuple[str, str]:
+        """The texts of a state object not met before in this document."""
+        _refuse_wide(token, state)
         key = state.amplitude_bytes()
-        text = indented[level].get(key)
-        if text is None:
-            base = payloads.get(key)
-            if base is None:
-                base = payloads[key] = _payload_text(state, 0)
-            text = indented[level][key] = base.replace("\n", "\n" + " " * level)
-        return text
-
-    def block(members, level: int, brackets: str):
-        """Write a list or object opening at ``level``, piece by piece, from its members' texts."""
-        inner = "\n" + " " * (level + 1)
-        sep, empty = brackets[0] + inner, True
-        for member in members:
-            write(sep)
-            write(member)
-            sep, empty = "," + inner, False
-        write(brackets if empty else f"\n{' ' * level}{brackets[1]}")
-
-    def members(pairs):
-        return (f"{names[key]}: {text}" for key, text in pairs)
+        pair = by_bytes.get(key)
+        if pair is None:
+            base = _payload_text(state)
+            pair = by_bytes[key] = (base.replace("\n", "\n   "), base.replace("\n", "\n     "))
+        texts[id(state)] = pair
+        return pair
 
     def marking(m: Marking):  # at level 1
         write('{\n  "addresses": ')
-        block(members((tok, _address_text(a)) for tok, a in sorted(m.addresses.items())),
-              2, "{}")
+        write(_list_text([f"{names[tok]}: {'null' if a is None else _int_text(a)}"
+                          for tok, a in m.addresses.items()], 2, "{}"))
         write(',\n  "payloads": ')
-        block(members((tok, payload(p, 3)) for tok, p in sorted(m.payloads.items())), 2, "{}")
+        write(_list_text([f"{names[tok]}: {(texts.get(id(p)) or payload(p, tok))[0]}"
+                          for tok, p in m.payloads.items()], 2, "{}"))
         write(',\n  "queues": ')
-        block(members((pid, _list_text((_list_text(map(names.__getitem__, entry), 4)
-                                        for entry in entries), 3))
-                      for pid, entries in sorted(m.queues.items())), 2, "{}")
+        write(_list_text([f"{names[pid]}: " + _list_text(
+            [f"[\n     {names[entry[0]]}\n    ]" if len(entry) == 1
+             else _list_text(map(names.__getitem__, entry), 4) for entry in entries], 3)
+            for pid, entries in sorted(m.queues.items())], 2, "{}"))
         write(f',\n  "time": {_int_text(m.time)}\n }}')
 
     def moves(side: tuple[TokenMove, ...]) -> str:  # at level 3
-        return _list_text((
-            f'{{\n     "address": {_address_text(m.address)},'
-            f'\n     "payload": {payload(m.payload, 5)},\n     "place": {names[m.place]},'
-            f'\n     "token": {names[m.token]}\n    }}'
-            for m in side
-        ), 3)
+        return _list_text([
+            f'{{\n     "address": {"null" if address is None else _int_text(address)},'
+            f'\n     "payload": {(texts.get(id(state)) or payload(state, token))[1]},'
+            f'\n     "place": {names[place]},\n     "token": {names[token]}\n    }}'
+            for token, place, state, address in side
+        ], 3)
 
     def entry_sizes(value: tuple[int, ...]) -> str:
-        text = sizes.get(value)
-        if text is None:
-            text = sizes[value] = _list_text(map(_int_text, value), 3)
+        """The text of an entry-size tuple not met before in this document."""
+        text = sizes[value] = _list_text(map(_int_text, value), 3)
         return text
 
-    def events():
-        for event in trace.events:
-            time, transition = _int_text(event.time), names[event.transition]
-            if isinstance(event, SkippedSelection):
-                yield (f'{{\n   "reason": {names[event.reason]},\n   "time": {time},'
-                       f'\n   "transition": {transition},\n   "type": "skipped"\n  }}')
-            else:
-                yield (f'{{\n   "consumed": {moves(event.consumed)},'
-                       f'\n   "consumed_entry_sizes": {entry_sizes(event.consumed_entry_sizes)},'
-                       f'\n   "produced": {moves(event.produced)},'
-                       f'\n   "produced_entry_sizes": {entry_sizes(event.produced_entry_sizes)},'
-                       f'\n   "time": {time},\n   "transition": {transition},'
-                       '\n   "type": "firing"\n  }')
-
-    write('{\n "events": ')
-    block(events(), 1, "[]")
-    write(',\n "final": ')
+    write('{\n "events": [')
+    sep = "\n  "
+    for event in trace.events:
+        if isinstance(event, SkippedSelection):
+            write(f'{sep}{{\n   "reason": {names[event.reason]},'
+                  f'\n   "time": {_int_text(event.time)},'
+                  f'\n   "transition": {names[event.transition]},\n   "type": "skipped"\n  }}')
+        else:
+            time, transition, consumed, produced, consumed_sizes, produced_sizes = event
+            write(f'{sep}{{\n   "consumed": ')
+            write(moves(consumed))
+            write(',\n   "consumed_entry_sizes": '
+                  f'{sizes.get(consumed_sizes) or entry_sizes(consumed_sizes)},\n   "produced": ')
+            write(moves(produced))
+            write(',\n   "produced_entry_sizes": '
+                  f'{sizes.get(produced_sizes) or entry_sizes(produced_sizes)},'
+                  f'\n   "time": {_int_text(time)},\n   "transition": {names[transition]},'
+                  '\n   "type": "firing"\n  }')
+        sep = ",\n  "
+    write('\n ],\n "final": ' if trace.events else '],\n "final": ')
     marking(trace.final)
     write(',\n "initial": ')
     marking(trace.initial)
+    table = [f'{{\n   "counts": {_list_text(map(_int_text, counts), 3)},'
+             f'\n   "time": {_int_text(time)}\n  }}' for time, counts in trace.table]
     write(f',\n "places": {_list_text(map(names.__getitem__, trace.places), 1)},'
-          f'\n "schema": {names[TRACE_SCHEMA]},\n "table": ')
-    block((f'{{\n   "counts": {_list_text(map(_int_text, counts), 3)},'
-           f'\n   "time": {_int_text(time)}\n  }}' for time, counts in trace.table), 1, "[]")
-    write("\n}\n")
+          f'\n "schema": {names[TRACE_SCHEMA]},\n "table": {_list_text(table, 1)}\n}}\n')
     return "".join(parts)
 
 
@@ -398,32 +441,16 @@ def emit_signatures(signatures: dict, places) -> str:
     return _list_text((outcome(*item) for item in sorted(signatures.items())), 0) + "\n"
 
 
-def _payload_from_doc(value, seen: dict, where: str, tok: str | None = None) -> StateVector:
-    """``_payload_value`` that reuses the states a trace already validated.
-
-    An invalid payload is reported at field ``where``, or ``where.tok``.
-
-    ``seen`` is keyed on a label as it is and on anything else by its
-    ``marshal`` bytes, which hold each number's type and binary value and
-    so keep apart what equality would merge (``-0.0`` and ``0.0``, ``true``
-    and ``1``).  Only valid payloads enter, so a bad one raises wherever it
-    occurs first.
-    """
-    key = value if type(value) is str else marshal.dumps(value, 2)
-    state = seen.get(key)
-    if state is None:
-        state = seen[key] = _payload_value(value, where if tok is None else f"{where}.{tok}")
-    return state
-
-
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _type_fault(value, kind: type, name: str) -> ScenarioError:
+    return ScenarioError(f"expected {_TYPE_NAMES[kind]}, got {type(value).__name__}", field=name)
 
 
 def _expect(value, kind: type, name: str):
     if not isinstance(value, kind):
-        raise ScenarioError(
-            f"expected {_TYPE_NAMES[kind]}, got {type(value).__name__}", field=name
-        )
+        raise _type_fault(value, kind, name)
     return value
 
 
@@ -445,8 +472,22 @@ def _is_address(value) -> bool:
     return value is None or type(value) is int and value >= 0
 
 
+# The reader tests JSON values by exact type (``json.loads`` makes no
+# subclasses, and ``type(v) is int`` keeps bools out).  Its loops test a value
+# inline and call the checker that names the fault (``_int_field``, ``_ints``,
+# ``_strings``) only once it has failed: a field name is built only to raise.
+_dumps = marshal.dumps
+
+
 def _marking_from_json(raw, name: str, places: tuple[str, ...], seen: dict) -> Marking:
-    """A trace marking, its queues in the document's ``places`` order."""
+    """A trace marking, its queues in the document's ``places`` order.
+
+    ``seen`` maps each payload met in the document to its state: a label as
+    it is, and anything else by its ``marshal`` bytes, which hold each
+    number's type and binary value and so keep apart what equality would
+    merge (``-0.0`` and ``0.0``, ``true`` and ``1``).  Only valid payloads
+    enter, so a bad one raises wherever it occurs first.
+    """
     raw = _expect(raw, dict, name)
     try:
         where = f"{name}.queues"
@@ -455,21 +496,25 @@ def _marking_from_json(raw, name: str, places: tuple[str, ...], seen: dict) -> M
             raise ScenarioError("queue places differ from the trace's places", field=where)
         queues = {}
         for pid in places:
-            field = f"{where}.{pid}"
-            queues[pid] = tuple(
-                _strings(entry, field) for entry in _expect(raw_queues[pid], list, field)
-            )
-        where = f"{name}.payloads"
-        payloads = {
-            tok: _payload_from_doc(v, seen, where, tok)
-            for tok, v in _expect(raw["payloads"], dict, where).items()
-        }
+            entries = raw_queues[pid]
+            if (type(entries) is not list or not set(map(type, entries)) <= {list}
+                    or not set(map(type, chain.from_iterable(entries))) <= {str}):
+                for entry in _expect(entries, list, f"{where}.{pid}"):
+                    _strings(entry, f"{where}.{pid}")
+            queues[pid] = tuple(map(tuple, entries))
+        payloads = {}
+        for tok, value in _expect(raw["payloads"], dict, f"{name}.payloads").items():
+            key = value if type(value) is str else _dumps(value, 2)
+            state = seen.get(key)
+            if state is None:
+                state = seen[key] = _payload_value(value, f"{name}.payloads.{tok}", key)
+            payloads[tok] = state
         addresses = _expect(raw["addresses"], dict, f"{name}.addresses")
         if not all(map(_is_address, addresses.values())):
             raise ScenarioError(
                 "addresses must be integers >= 0 or null", field=f"{name}.addresses"
             )
-        tokens = {tok for entries in queues.values() for entry in entries for tok in entry}
+        tokens = set(chain.from_iterable(chain.from_iterable(queues.values())))
         if payloads.keys() != tokens or addresses.keys() != tokens:
             raise ScenarioError("payloads and addresses must cover the queued tokens", field=name)
         return Marking(queues, payloads, addresses, _int_field(raw["time"], f"{name}.time"))
@@ -479,50 +524,45 @@ def _marking_from_json(raw, name: str, places: tuple[str, ...], seen: dict) -> M
         raise ScenarioError(str(exc), field=name) from exc
 
 
-def _moves(raw, where: str, seen: dict) -> tuple[TokenMove, ...]:
-    """One side of a firing, read move by move (a missing key raises KeyError)."""
-    moves = []
-    for m in _expect(raw, list, where):
-        m = _expect(m, dict, where)
-        token, place, address = m["token"], m["place"], m["address"]
-        if type(token) is not str or type(place) is not str or not _is_address(address):
-            raise ScenarioError(
-                "a move needs a token id, a place id and an address", field=where
-            )
-        payload = _payload_from_doc(m["payload"], seen, where)
-        moves.append(TokenMove(token, place, payload, address))
-    return tuple(moves)
+def _replay_firing(sides: list, tokens: list, queues: dict, i: int):
+    """Move event ``i``'s entries through the replayed queues.
 
-
-def _replay_firing(event: FiringEvent, name: str, queues: dict):
-    """Move a firing's entries through the replayed queues.
-
-    The firing must produce the tokens it consumes, take each consumed entry
-    from the head of its queue and put each produced one at the tail of a
-    queue of the trace's places, the tokens of an entry sharing a place.
-    Returns the first contradiction as a ``ScenarioError``, else None.
+    ``sides`` are the firing's consumed and produced moves and their entry
+    sizes, as ``FiringEvent`` holds them, and ``tokens`` the two sides'
+    token ids.  The firing must produce the tokens it consumes, take each
+    consumed entry from the head of its queue and put each produced one at
+    the tail of a queue of the trace's places, the tokens of an entry
+    sharing a place.  Moves are read by position: (token, place, payload,
+    address).  Returns the first contradiction as a ``ScenarioError``, else
+    None.
     """
-    sides = (("consumed", event.consumed, event.consumed_entry_sizes),
-             ("produced", event.produced, event.produced_entry_sizes))
-    for side, moves, sizes in sides:
+    consumed, produced, consumed_sizes, produced_sizes = sides
+    taken, given = tokens
+    for side, moves, sizes in (("consumed", consumed, consumed_sizes),
+                               ("produced", produced, produced_sizes)):
         if sum(sizes) != len(moves):
             return ScenarioError(
                 f"entry sizes add up to {sum(sizes)}, not {len(moves)} moves",
-                field=f"{name}.{side}_entry_sizes",
+                field=f"events[{i}].{side}_entry_sizes",
             )
-    consumed = [m.token for m in event.consumed]
-    produced = [m.token for m in event.produced]
-    if consumed != produced and sorted(consumed) != sorted(produced):
-        return ScenarioError("a firing must produce the tokens it consumes", field=name)
-    for (side, moves, sizes), tokens in zip(sides, (consumed, produced)):
+    if taken != given and sorted(taken) != sorted(given):
+        return ScenarioError("a firing must produce the tokens it consumes", field=f"events[{i}]")
+    for side, moves, sizes, ids in (("consumed", consumed, consumed_sizes, taken),
+                                    ("produced", produced, produced_sizes, given)):
         start = 0
         for size in sizes:
-            place, entry = moves[start].place, tuple(tokens[start:start + size])
-            queue = queues.get(place)
-            if queue is None or size > 1 and any(
-                    m.place != place for m in moves[start + 1:start + size]):
+            place = moves[start][1]
+            if size == 1:
+                entry = (ids[start],)
+                queue = queues.get(place)
+            else:
+                entry = tuple(ids[start:start + size])
+                split = any(m[1] != place for m in moves[start + 1:start + size])
+                queue = None if split else queues.get(place)
+            if queue is None:
                 return ScenarioError(
-                    f"entry {entry} is not in one of the trace's places", field=f"{name}.{side}"
+                    f"entry {entry} is not in one of the trace's places",
+                    field=f"events[{i}].{side}",
                 )
             start += size
             if side == "produced":
@@ -531,7 +571,7 @@ def _replay_firing(event: FiringEvent, name: str, queues: dict):
                 queue.popleft()
             else:
                 return ScenarioError(
-                    f"entry {entry} is not at the head of {place}", field=f"{name}.consumed"
+                    f"entry {entry} is not at the head of {place}", field=f"events[{i}].consumed"
                 )
     return None
 
@@ -545,7 +585,10 @@ def parse_trace(text: str) -> Trace:
     the parsed trace's ``Trace.table``.  Each event is read and replayed on
     the initial queues as it comes.  Faults are reported in a fixed order:
     a bad field of ``initial``, the events or ``final``; then the replay's
-    first contradiction; then ``final``'s queues; then the table.
+    first contradiction; then ``final``'s queues; then the table.  Only the
+    document's content is read, not its layout: any key order, spacing and
+    number spelling that parse to the same JSON values read alike.  Each
+    distinct payload is decoded once (see ``_marking_from_json``).
     """
     raw = _load_json(text)
     if not isinstance(raw, dict) or raw.get("schema") != TRACE_SCHEMA:
@@ -560,32 +603,68 @@ def parse_trace(text: str) -> Trace:
     queues = {pid: deque(initial.entries(pid)) for pid in places}
     broken = None  # the replay's first contradiction
     events: list[FiringEvent | SkippedSelection] = []
+    append = events.append
     for i, ev in enumerate(_expect(raw.get("events", []), list, "events")):
-        name = f"events[{i}]"
-        ev = _expect(ev, dict, name)
+        if type(ev) is not dict:
+            raise _type_fault(ev, dict, f"events[{i}]")
         try:
-            time = _int_field(ev["time"], f"{name}.time")
-            if ev.get("type") == "skipped":
+            time = ev["time"]
+            if type(time) is not int or time < 0:
+                _int_field(time, f"events[{i}].time")
+            kind = ev.get("type")
+            if kind == "skipped":
                 tid = ev["transition"]
-                events.append(SkippedSelection(
-                    time, None if tid is None else _expect(tid, str, f"{name}.transition"),
-                    _expect(ev["reason"], str, f"{name}.reason"),
-                ))
+                if tid is not None and type(tid) is not str:
+                    raise _type_fault(tid, str, f"events[{i}].transition")
+                reason = ev["reason"]
+                if type(reason) is not str:
+                    raise _type_fault(reason, str, f"events[{i}].reason")
+                append(SkippedSelection(time, tid, reason))
                 continue
-            if ev.get("type") != "firing":
-                raise ScenarioError(f"unknown event type {ev.get('type')!r}", field=name)
-            moves = (_moves(ev["consumed"], f"{name}.consumed", seen),
-                     _moves(ev["produced"], f"{name}.produced", seen))
-            sizes = [_ints(ev[key], f"{name}.{key}", 1)
-                     for key in ("consumed_entry_sizes", "produced_entry_sizes")]
-            event = FiringEvent(
-                time, _expect(ev["transition"], str, f"{name}.transition"), *moves, *sizes
-            )
+            if kind != "firing":
+                raise ScenarioError(f"unknown event type {kind!r}", field=f"events[{i}]")
+            sides, tokens = [], []
+            for key in ("consumed", "produced"):
+                side = ev[key]
+                if type(side) is not list:
+                    raise _type_fault(side, list, f"events[{i}].{key}")
+                moves, ids = [], []
+                for m in side:
+                    if type(m) is not dict:
+                        raise _type_fault(m, dict, f"events[{i}].{key}")
+                    token, place, address = m["token"], m["place"], m["address"]
+                    if (type(token) is not str or type(place) is not str or address is not None
+                            and (type(address) is not int or address < 0)):
+                        raise ScenarioError(
+                            "a move needs a token id, a place id and an address",
+                            field=f"events[{i}].{key}",
+                        )
+                    value = m["payload"]
+                    payload_key = value if type(value) is str else _dumps(value, 2)
+                    state = seen.get(payload_key)
+                    if state is None:
+                        state = seen[payload_key] = _payload_value(
+                            value, f"events[{i}].{key}", payload_key)
+                    moves.append(_new(TokenMove, (token, place, state, address)))
+                    ids.append(token)
+                sides.append(tuple(moves))
+                tokens.append(ids)
+            for key in ("consumed_entry_sizes", "produced_entry_sizes"):
+                sizes = ev[key]
+                if type(sizes) is not list:
+                    _ints(sizes, f"events[{i}].{key}", 1)
+                for size in sizes:
+                    if type(size) is not int or size < 1:
+                        _ints(sizes, f"events[{i}].{key}", 1)
+                sides.append(tuple(sizes))
+            tid = ev["transition"]
+            if type(tid) is not str:
+                raise _type_fault(tid, str, f"events[{i}].transition")
         except KeyError as exc:
-            raise ScenarioError(f"event misses key {exc.args[0]!r}", field=name) from exc
-        events.append(event)
+            raise ScenarioError(f"event misses key {exc.args[0]!r}", field=f"events[{i}]") from exc
+        append(_new(FiringEvent, (time, tid, *sides)))
         if broken is None:
-            broken = _replay_firing(event, name, queues)
+            broken = _replay_firing(sides, tokens, queues, i)
 
     final = _marking_from_json(raw["final"], "final", places, seen)
     if broken is not None:
@@ -594,11 +673,19 @@ def parse_trace(text: str) -> Trace:
         raise ScenarioError("final queues are not the ones the events leave", field="final")
     rows = []
     for i, row in enumerate(_expect(raw["table"], list, "table")):
-        row = _expect(row, dict, f"table[{i}]")
+        if type(row) is not dict:
+            raise _type_fault(row, dict, f"table[{i}]")
         if "time" not in row or "counts" not in row:
             raise ScenarioError("table row needs time and counts", field=f"table[{i}]")
-        rows.append((_int_field(row["time"], f"table[{i}].time"),
-                     _ints(row["counts"], f"table[{i}].counts")))
+        time, counts = row["time"], row["counts"]
+        if type(time) is not int or time < 0:
+            _int_field(time, f"table[{i}].time")
+        if type(counts) is not list:
+            _ints(counts, f"table[{i}].counts")
+        for count in counts:
+            if type(count) is not int or count < 0:
+                _ints(counts, f"table[{i}].counts")
+        rows.append((time, tuple(counts)))
     trace = Trace(initial, tuple(events), final)
     if tuple(rows) != trace.table:
         raise ScenarioError("table disagrees with the places and events", field="table")

@@ -135,13 +135,15 @@ class StateVector:
         num_qubits = int(num_qubits)
         if num_qubits < 1:
             raise ConstructionError("a state needs at least one qubit")
-        amps = np.asarray(amplitudes, dtype=np.complex128).copy()
+        amps = np.array(amplitudes, dtype=np.complex128)  # always a copy
         if amps.shape != (1 << num_qubits,):
             raise ConstructionError(
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
                 f"got shape {amps.shape}"
             )
-        norm = float(np.sum(np.abs(amps) ** 2))
+        # np.sum(np.abs(amps) ** 2) without np.sum's Python wrapper: the same
+        # reduction, so the same norm bit for bit.
+        norm = float(np.add.reduce(np.square(np.abs(amps))))
         if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails too
             raise ConstructionError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.flags.writeable = False
@@ -467,6 +469,16 @@ class Circuit:
                 raise ConstructionError(f"measured qubit {q} out of range")
             if c < 0:
                 raise ConstructionError(f"classical bit {c} out of range")
+
+    @classmethod
+    def _from_checked(cls, num_qubits: int, ops: tuple[GateOp, ...],
+                      measured_qubits: tuple[tuple[int, int], ...]):
+        """Wrap parts already checked as the constructor checks them: no copy and no check."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "num_qubits", num_qubits)
+        object.__setattr__(circuit, "ops", ops)
+        object.__setattr__(circuit, "measured_qubits", measured_qubits)
+        return circuit
 
     @property
     def num_clbits(self) -> int:

@@ -16,6 +16,7 @@ from qpnbuf.flipflop import (
     register_lane_qubits,
     simulate_qsr,
 )
+from qpnbuf import statevector
 from qpnbuf.qasm import export_qasm, parse_qasm
 from qpnbuf.statevector import (
     Circuit,
@@ -151,6 +152,17 @@ def test_normalized_examples():
     assert simulate_qsr(CircuitVariant.NORMALIZED, QsrInputs(0, 0, 1)).readout[4] == 1
     out = simulate_qsr(CircuitVariant.NORMALIZED, QsrInputs(0, 1, 1))
     assert out.readout[4] == 0 and out.readout[3] == 1
+
+
+def test_simulation_reads_the_shared_circuit_s_compiled_runs(monkeypatch):
+    for variant in CircuitVariant:
+        simulate_qsr(variant, QsrInputs(0, 0, 0))
+    compiled = []
+    real = statevector._compile
+    monkeypatch.setattr(statevector, "_compile", lambda ops: compiled.append(ops) or real(ops))
+    outcomes = [simulate_qsr(variant, inputs)
+                for variant in CircuitVariant for inputs in DEFINED_INPUT_ROWS]
+    assert len(outcomes) == 2 * len(DEFINED_INPUT_ROWS) and compiled == []
 
 
 def test_basis_inputs_yield_single_basis_outcome():

@@ -94,6 +94,18 @@ def test_parsed_register_shares_the_built_gates(variant):
     assert all(got is op for got, op in zip(parsed.ops, circuit.ops, strict=True))
 
 
+def test_parsed_circuit_is_not_checked_again(monkeypatch):
+    circuit = build_register(2, CircuitVariant.VERBATIM)
+    text = export_qasm(circuit)
+    checked = []
+    real = Circuit.__post_init__
+    monkeypatch.setattr(Circuit, "__post_init__", lambda self: checked.append(self) or real(self))
+    parsed = parse_qasm(text)
+    assert checked == []
+    assert parsed == circuit and type(parsed.ops) is tuple
+    assert type(parsed.measured_qubits) is tuple and type(parsed.num_qubits) is int
+
+
 def test_respelled_gate_lines_share_one_gate():
     text = ("OPENQASM 2.0;\nqreg q[3];\n"
             "cx q[0], q[2];\ncx q[0], q[2]; // again\ncx q [ 0 ] ,q[2 ];\n")
@@ -162,6 +174,9 @@ def test_parse_requires_header():
     ("OPENQASM 2.0;\nqreg q[1];\nincludeX q[0];\n",
      "line 3: unsupported statement 'includeX q[0]'", 3),
     ('include "a";\nOPENQASM 2.0;\nqreg q[1];\n', "line 1: missing OPENQASM 2.0 header", 1),
+    # Two measures into one classical bit: checked once the text is read.
+    ("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[0];\n",
+     "classical bit indices must be distinct: [0, 0]", None),
 ])
 def test_parse_error_texts_and_lines(text, message, line):
     with pytest.raises(QasmError) as err:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -6,9 +7,17 @@ import prop_util
 
 from qpnbuf.buffers import build_cnot_example, build_siso, run_scenario
 from qpnbuf.cli import _DEMO_SCENARIOS
-from qpnbuf.engine import AddressDriven, Scripted, run, unfire
+from qpnbuf.engine import (
+    AddressDriven,
+    Scripted,
+    SkippedSelection,
+    run,
+    shared_basis_state,
+    unfire,
+)
 from qpnbuf.errors import ScenarioError
 from qpnbuf.scenario import (
+    MAX_DOCUMENT_QUBITS,
     ScenarioDoc,
     emit_marking_table,
     emit_scenario,
@@ -360,6 +369,169 @@ def test_parse_trace_rejects_bool_amplitude_equal_to_a_valid_one():
         parse_trace(json.dumps(doc))
     assert err.value.field == "events[0].produced"
     assert "amplitude 0 must be a [real, imaginary] pair" in str(err.value)
+
+
+# A run with a superposed payload, a pair entry (events[0] deposits d3 and
+# z1 into P_DA together) and two skipped selections (events[1] and [2]).
+_MISO_SKIPS = ('{"kind": "miso", "r": [2, 1], "m": 3, "addresses": [1, 1, 0],'
+               ' "payloads": {"d1": [[0.6, 0.0], [0.0, 0.8]], "d2": "1"}}')
+
+
+def _respelled(value):
+    """``value`` with objects' keys reversed and integral floats (not -0.0) as ints."""
+    if isinstance(value, dict):
+        return {key: _respelled(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [_respelled(item) for item in value]
+    if type(value) is float and value.is_integer() and math.copysign(1.0, value) > 0:
+        return int(value)
+    return value
+
+
+def test_parse_trace_reads_content_not_layout():
+    trace = run_scenario(parse_scenario(_MISO_SKIPS))
+    assert any(isinstance(e, SkippedSelection) for e in trace.events)
+    assert (2,) in [e.produced_entry_sizes for e in trace.firings()]
+    canonical = emit_trace(trace)
+    text = json.dumps(_respelled(json.loads(canonical)))
+    assert "\n" not in text and text.index('"table"') < text.index('"events"')
+    assert "[[1, 0], [0, 0]]" in text and "1.0" not in text
+    parsed = parse_trace(text)
+    assert parsed == parse_trace(canonical) == trace
+    assert parsed.table == trace.table
+    assert emit_trace(parsed) == canonical
+    assert prop_util._reading(parse_trace, text) == prop_util._reading(
+        prop_util.reference_parse_trace, text)
+
+
+def _miso_damage(damage):
+    doc = json.loads(emit_trace(run_scenario(parse_scenario(_MISO_SKIPS))))
+    damage(doc)
+    return json.dumps(doc)
+
+
+def _set(path, value):
+    """A damage that sets the item at ``path`` (keys and indices from the top) to ``value``."""
+    def damage(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+    return damage
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_set(["events", 0], "T2"), "expected an object, got str (field: events[0])"),
+    (_set(["events", 0, "time"], True),
+     "expected an integer >= 0, got True (field: events[0].time)"),
+    (_set(["events", 1, "transition"], 3),
+     "expected a string, got int (field: events[1].transition)"),
+    (_set(["events", 1, "reason"], None),
+     "expected a string, got NoneType (field: events[1].reason)"),
+    (_set(["events", 0, "type"], "fired"), "unknown event type 'fired' (field: events[0])"),
+    (_set(["events", 0, "produced"], {}), "expected a list, got dict (field: events[0].produced)"),
+    (_set(["events", 0, "consumed", 1], "z1"),
+     "expected an object, got str (field: events[0].consumed)"),
+    (_set(["events", 0, "consumed", 1, "address"], -1),
+     "a move needs a token id, a place id and an address (field: events[0].consumed)"),
+    (_set(["events", 0, "produced", 0, "payload"], "2"),
+     "basis label must be nonempty 0/1, got '2' (field: events[0].produced)"),
+    (_set(["events", 0, "consumed", 0, "token"], None),
+     "a move needs a token id, a place id and an address (field: events[0].consumed)"),
+    (lambda d: d["events"][0]["produced"][1].pop("token"),
+     "event misses key 'token' (field: events[0])"),
+    (_set(["events", 0, "consumed_entry_sizes"], 2),
+     "expected a list of integers >= 1 (field: events[0].consumed_entry_sizes)"),
+    (_set(["events", 0, "consumed_entry_sizes", 0], True),
+     "expected a list of integers >= 1 (field: events[0].consumed_entry_sizes)"),
+    (_set(["events", 0, "produced_entry_sizes", 0], 2.0),
+     "expected a list of integers >= 1 (field: events[0].produced_entry_sizes)"),
+    (_set(["events", 0, "transition"], None),
+     "expected a string, got NoneType (field: events[0].transition)"),
+    (_set(["table", 0], []), "expected an object, got list (field: table[0])"),
+    (lambda d: d["table"][0].pop("counts"), "table row needs time and counts (field: table[0])"),
+    (_set(["table", 0, "time"], 0.0), "expected an integer >= 0, got 0.0 (field: table[0].time)"),
+    (_set(["table", 0, "counts"], "2"),
+     "expected a list of integers >= 0 (field: table[0].counts)"),
+    (_set(["table", 0, "counts", 1], True),
+     "expected a list of integers >= 0 (field: table[0].counts)"),
+    (_set(["table", 0, "counts", 1], 1.0),
+     "expected a list of integers >= 0 (field: table[0].counts)"),
+    (_set(["initial", "queues", "P_I2"], "d3"),
+     "expected a list, got str (field: initial.queues.P_I2)"),
+    (_set(["initial", "queues", "P_A", 2], "z3"),
+     "expected a list of strings (field: initial.queues.P_A)"),
+    (_set(["final", "queues", "P_O", 0], ["d1", 2]),
+     "expected a list of strings (field: final.queues.P_O)"),
+    (_set(["initial", "payloads", "d1"], [[0.6, 0.0], [0.0, 0.0]]),
+     "state norm 0.36 deviates from 1 beyond 1e-12 (field: initial.payloads.d1)"),
+], ids=[
+    "event-list", "event-time-bool", "skipped-transition-int", "skipped-reason-null",
+    "event-type", "side-object", "move-string", "move-address", "move-payload-label",
+    "move-token-null", "move-without-token", "sizes-int", "size-bool", "size-float",
+    "transition-null", "row-list", "row-without-counts", "row-time-float", "counts-string",
+    "count-bool", "count-float", "queue-string", "entry-string", "entry-int-token",
+    "payload-norm",
+])
+def test_parse_trace_names_each_fault(damage, message):
+    text = _miso_damage(damage)
+    with pytest.raises(ScenarioError) as err:
+        parse_trace(text)
+    assert type(err.value) is ScenarioError and str(err.value) == message
+    assert prop_util._reading(parse_trace, text) == prop_util._reading(
+        prop_util.reference_parse_trace, text)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("", "basis label must be nonempty 0/1, got ''"),
+    ([[1.0, 0.0]], "amplitude list length must be a power of two >= 2, got 1"),
+    ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+     "amplitude list length must be a power of two >= 2, got 3"),
+    ([[1.0, 0.0], 0], "amplitude 1 must be a [real, imaginary] pair"),
+    ([[0.0, 0.0], [1.0, 0.0, 0.0]], "amplitude 1 must be a [real, imaginary] pair"),
+    ([[True, 0.0], [0.0, 0.0]], "amplitude 0 must be a [real, imaginary] pair"),
+    ([[0.0, 0.0], [1.0, "0"]], "amplitude 1 must be a [real, imaginary] pair"),
+    ([[0.0, 0.0], [10**400, 0]], "amplitude 1 is out of range"),
+    ([[1.0, 0.0], [1.0, 0.0]], "state norm 2.0 deviates from 1 beyond 1e-12"),
+    ({"d": 1}, "payload must be a basis label or amplitude pair list, got dict"),
+])
+def test_payload_faults_are_named(value, message):
+    text = json.dumps({"kind": "siso", "n": 1, "m": 1, "payloads": {"d1": value}})
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert type(err.value) is ScenarioError
+    assert str(err.value) == f"{message} (field: payloads.d1)"
+
+
+def test_canonical_basis_lists_decode_to_the_shared_basis_state():
+    doc = parse_scenario(json.dumps({"kind": "siso", "n": 4, "m": 1, "payloads": {
+        "d1": [[0.0, 0.0], [1.0, 0.0]], "d2": [[0.0, 0.0]] * 5 + [[1.0, 0.0]] + [[0.0, 0.0]] * 2,
+        "d3": [[0, 0], [1, 0]], "d4": [[-0.0, 0.0], [1.0, 0.0]]}}))
+    one, six = doc.payloads["d1"], doc.payloads["d2"]
+    assert one is shared_basis_state(1, 1) and six is shared_basis_state(3, 5)
+    # Equal states spelled otherwise keep their own bytes or go through numpy.
+    assert doc.payloads["d3"] == one and doc.payloads["d3"] is not one
+    assert doc.payloads["d4"] == one
+    assert doc.payloads["d4"].amplitude_bytes() != one.amplitude_bytes()
+
+
+@pytest.mark.parametrize("width", [MAX_DOCUMENT_QUBITS + 1, 61])
+def test_writers_refuse_a_payload_too_wide_for_a_document(width, tmp_path, capsys):
+    from qpnbuf.cli import main
+
+    message = (f"payload of token 'd2' has {width} qubits; a document holds at most "
+               f"{MAX_DOCUMENT_QUBITS}")
+    scenario = {"kind": "siso", "n": 2, "m": 2, "payloads": {"d1": "1", "d2": "0" * width}}
+    doc = parse_scenario(json.dumps(scenario))
+    for write, value in ((emit_scenario, doc), (emit_trace, run_scenario(doc))):
+        with pytest.raises(ScenarioError) as err:
+            write(value)
+        assert type(err.value) is ScenarioError and str(err.value) == message
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["buffer", "run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["buffer", "run", "--scenario", str(path), "--format", "table"]) == 0
 
 
 @pytest.mark.parametrize("pair", [[1, "a"], [None, 0], [True, 0], [1e308 * 10, 0]])
