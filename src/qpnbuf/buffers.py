@@ -16,17 +16,23 @@ an explicit address program to reproduce a concrete run; without one the
 selectors are left free, which makes enumeration explore every routing
 choice.
 
-A builder declares each part of its net once.  A transition is a list of
-routes, each taking the head of one place to another place (or, split by a
+A builder declares each part of its net once, in a ``_<kind>_parts``
+function of its shape integers alone (simo's ``k``, the number of miso and
+mimo inputs, mimo's ``outputs``).  A transition is a list of routes, each
+taking the head of one place to another place (or, split by a
 ``PairRoute``, to two); ``_transition`` makes the arcs and routing the
-engine reads.  Tokens are declared as queues, one list per place: data
-tokens d1, d2, ... in place order, then the ancillary supplies, and
-``_instance`` builds the net and its initial marking from those queues.
+engine reads.  ``_shape`` compiles the parts once per shape and keeps the
+result in a bounded cache, so nets of one shape share their places,
+transitions and firing plans, never their tokens.  Tokens are declared as
+queues, one list per place: data tokens d1, d2, ... in place order, then
+the ancillary supplies, and ``_instance`` puts them on a net of the shape
+and builds its initial marking from those queues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
@@ -44,6 +50,7 @@ from .engine import (
     Trace,
     Transition,
     _destinations,
+    _Shape,
     run,
     shared_basis_state,
 )
@@ -152,9 +159,22 @@ def _ancillas(prefix, count, choices=1, addresses=None) -> list[QToken]:
             for i, a in enumerate(program)]
 
 
-def _instance(places, transitions, queues: dict[str, list[QToken]]) -> tuple[QPNet, Marking]:
+@lru_cache(maxsize=64, typed=True)
+def _shape(parts, *sizes) -> _Shape:
+    """The compiled shape of the net ``parts(*sizes)`` declares, one per builder and sizes.
+
+    The key holds a builder's shape integers alone, never token counts or
+    payloads, so nets of one shape share places, transitions and plans.
+    Typed, so that a size of another type equal to an int (``3.0``) fails
+    as it would uncached, never reading that int's entry.
+    """
+    places, transitions = parts(*sizes)
+    return _Shape(places, transitions)
+
+
+def _instance(shape: _Shape, queues: dict[str, list[QToken]]) -> tuple[QPNet, Marking]:
     """The net and its initial marking: each place holds its queue's tokens, in order."""
-    net = QPNet(places, transitions, [tok for toks in queues.values() for tok in toks])
+    net = QPNet._of(shape, [tok for toks in queues.values() for tok in toks])
     return net, net.initial_marking({p: [tok.id for tok in toks] for p, toks in queues.items()})
 
 
@@ -169,6 +189,16 @@ def _check_inputs(kind, r, m) -> int:
     return len(r)
 
 
+def _siso_parts():
+    places = [
+        Place("P_I", PlaceKind.INPUT),
+        Place("P_A", PlaceKind.ANCILLARY),
+        Place("P_A1", PlaceKind.ANCILLARY),
+        Place("P_O", PlaceKind.OUTPUT),
+    ]
+    return places, [_transition("T1", [("P_I", "P_O"), ("P_A", "P_A1")])]
+
+
 def build_siso(
     n: int, m: int, payloads: dict[str, StateVector] | None = None
 ) -> tuple[QPNet, Marking]:
@@ -178,16 +208,22 @@ def build_siso(
     """
     if not 0 <= m <= n:
         raise SpecError(f"siso requires 0 <= m <= n, got n={n}, m={m}")
+    queues = _data_queues({"P_I": n}, payloads)
+    queues["P_A"] = _ancillas("z", m)
+    return _instance(_shape(_siso_parts), queues)
+
+
+def _simo_parts(k):
     places = [
         Place("P_I", PlaceKind.INPUT),
         Place("P_A", PlaceKind.ANCILLARY),
         Place("P_A1", PlaceKind.ANCILLARY),
-        Place("P_O", PlaceKind.OUTPUT),
+    ] + [Place(f"P_O{j + 1}", PlaceKind.OUTPUT) for j in range(k)]
+    transitions = [
+        _transition(f"T{j + 1}", [("P_I", f"P_O{j + 1}"), ("P_A", "P_A1")], guard=j)
+        for j in range(k)
     ]
-    t1 = _transition("T1", [("P_I", "P_O"), ("P_A", "P_A1")])
-    queues = _data_queues({"P_I": n}, payloads)
-    queues["P_A"] = _ancillas("z", m)
-    return _instance(places, [t1], queues)
+    return places, transitions
 
 
 def build_simo(
@@ -205,18 +241,27 @@ def build_simo(
         raise SpecError(f"simo requires 0 <= m <= n, got n={n}, m={m}")
     if k < 2:
         raise SpecError(f"simo requires k >= 2 outputs, got k={k}")
-    places = [
-        Place("P_I", PlaceKind.INPUT),
-        Place("P_A", PlaceKind.ANCILLARY),
-        Place("P_A1", PlaceKind.ANCILLARY),
-    ] + [Place(f"P_O{j + 1}", PlaceKind.OUTPUT) for j in range(k)]
-    transitions = [
-        _transition(f"T{j + 1}", [("P_I", f"P_O{j + 1}"), ("P_A", "P_A1")], guard=j)
-        for j in range(k)
-    ]
+    shape = _shape(_simo_parts, k)
     queues = _data_queues({"P_I": n}, payloads)
     queues["P_A"] = _ancillas("z", m, k, addresses)
-    return _instance(places, transitions, queues)
+    return _instance(shape, queues)
+
+
+def _miso_parts(k):
+    places = [Place(f"P_I{j + 1}", PlaceKind.INPUT) for j in range(k)] + [
+        Place("P_DA", PlaceKind.DATA_ANCILLARY),
+        Place("P_A", PlaceKind.ANCILLARY),
+        Place("P_A1", PlaceKind.ANCILLARY),
+        Place("P_O", PlaceKind.OUTPUT),
+    ]
+    transitions = [
+        _transition(f"T{j + 1}", [(f"P_I{j + 1}", "P_DA"), ("P_A", "P_DA")], guard=j)
+        for j in range(k)
+    ]
+    transitions.append(
+        _transition(f"T{k + 1}", [("P_DA", PairRoute(data_to="P_O", ancillary_to="P_A1"))])
+    )
+    return places, transitions
 
 
 def build_miso(
@@ -232,41 +277,12 @@ def build_miso(
     forwards the pair's data token to P_O and parks the selector in P_A1.
     """
     k = _check_inputs("miso", r, m)
-    places = [Place(f"P_I{j + 1}", PlaceKind.INPUT) for j in range(k)] + [
-        Place("P_DA", PlaceKind.DATA_ANCILLARY),
-        Place("P_A", PlaceKind.ANCILLARY),
-        Place("P_A1", PlaceKind.ANCILLARY),
-        Place("P_O", PlaceKind.OUTPUT),
-    ]
-    transitions = [
-        _transition(f"T{j + 1}", [(f"P_I{j + 1}", "P_DA"), ("P_A", "P_DA")], guard=j)
-        for j in range(k)
-    ]
-    transitions.append(
-        _transition(f"T{k + 1}", [("P_DA", PairRoute(data_to="P_O", ancillary_to="P_A1"))])
-    )
     queues = _data_queues({f"P_I{j + 1}": count for j, count in enumerate(r)}, payloads)
     queues["P_A"] = _ancillas("z", m, k, addresses)
-    return _instance(places, transitions, queues)
+    return _instance(_shape(_miso_parts, k), queues)
 
 
-def build_mimo(
-    r: tuple[int, ...],
-    outputs: int,
-    m: int,
-    payloads: dict[str, StateVector] | None = None,
-    input_addresses=None,
-    output_addresses=None,
-) -> tuple[QPNet, Marking]:
-    """k input places and several output places, with two selector supplies.
-
-    Input selectors (w, in P_A1) choose which input place feeds the staging
-    place; output selectors (z, in P_A2) choose which output place receives
-    the staged data token.  Both spent selectors collect in P_A3.
-    """
-    k = _check_inputs("mimo", r, m)
-    if outputs < 2:
-        raise SpecError(f"mimo requires at least 2 output places, got {outputs}")
+def _mimo_parts(k, outputs):
     places = (
         [Place(f"P_I{j + 1}", PlaceKind.INPUT) for j in range(k)]
         + [
@@ -289,10 +305,52 @@ def build_mimo(
         )
         for j in range(outputs)
     ]
+    return places, transitions
+
+
+def build_mimo(
+    r: tuple[int, ...],
+    outputs: int,
+    m: int,
+    payloads: dict[str, StateVector] | None = None,
+    input_addresses=None,
+    output_addresses=None,
+) -> tuple[QPNet, Marking]:
+    """k input places and several output places, with two selector supplies.
+
+    Input selectors (w, in P_A1) choose which input place feeds the staging
+    place; output selectors (z, in P_A2) choose which output place receives
+    the staged data token.  Both spent selectors collect in P_A3.
+    """
+    k = _check_inputs("mimo", r, m)
+    if outputs < 2:
+        raise SpecError(f"mimo requires at least 2 output places, got {outputs}")
+    shape = _shape(_mimo_parts, k, outputs)
     queues = _data_queues({f"P_I{j + 1}": count for j, count in enumerate(r)}, payloads)
     queues["P_A1"] = _ancillas("w", m, k, input_addresses)
     queues["P_A2"] = _ancillas("z", m, outputs, output_addresses)
-    return _instance(places, transitions, queues)
+    return _instance(shape, queues)
+
+
+def _priority_parts():
+    places = [
+        Place("P_I1", PlaceKind.INPUT),
+        Place("P_I2", PlaceKind.INPUT),
+        Place("P_DA1", PlaceKind.DATA_ANCILLARY),
+        Place("P_A", PlaceKind.ANCILLARY),
+        Place("P_DA2", PlaceKind.DATA_ANCILLARY),
+        Place("P_A1", PlaceKind.ANCILLARY),
+        Place("P_A2", PlaceKind.ANCILLARY),
+        Place("P_O", PlaceKind.OUTPUT),
+    ]
+    deliver = PairRoute(data_to="P_O", ancillary_to="P_A2")
+    transitions = [
+        _transition("T1", [("P_I1", "P_DA1"), ("P_A", "P_DA1")]),
+        _transition("T2", [("P_I2", "P_DA2"), ("P_A1", "P_DA2")]),
+        _transition("T3", [("P_DA1", deliver)], inhibitors=["P_DA2"]),
+        _transition("T4", [("P_DA2", deliver)]),
+    ]
+    return places, transitions
 
 
 def build_priority(
@@ -312,27 +370,19 @@ def build_priority(
     for name, value in zip(KIND_TABLE["priority"].params, (r_low, r_high, m_low, m_high)):
         if value < 0:
             raise SpecError(f"{name} must be nonnegative, got {value}")
-    places = [
-        Place("P_I1", PlaceKind.INPUT),
-        Place("P_I2", PlaceKind.INPUT),
-        Place("P_DA1", PlaceKind.DATA_ANCILLARY),
-        Place("P_A", PlaceKind.ANCILLARY),
-        Place("P_DA2", PlaceKind.DATA_ANCILLARY),
-        Place("P_A1", PlaceKind.ANCILLARY),
-        Place("P_A2", PlaceKind.ANCILLARY),
-        Place("P_O", PlaceKind.OUTPUT),
-    ]
-    deliver = PairRoute(data_to="P_O", ancillary_to="P_A2")
-    transitions = [
-        _transition("T1", [("P_I1", "P_DA1"), ("P_A", "P_DA1")]),
-        _transition("T2", [("P_I2", "P_DA2"), ("P_A1", "P_DA2")]),
-        _transition("T3", [("P_DA1", deliver)], inhibitors=["P_DA2"]),
-        _transition("T4", [("P_DA2", deliver)]),
-    ]
     queues = _data_queues({"P_I1": r_low, "P_I2": r_high}, payloads)
     queues["P_A"] = _ancillas("w", m_low)
     queues["P_A1"] = _ancillas("z", m_high)
-    return _instance(places, transitions, queues)
+    return _instance(_shape(_priority_parts), queues)
+
+
+def _cnot_parts():
+    places = [
+        Place("P1", PlaceKind.INPUT),
+        Place("P2", PlaceKind.INPUT),
+        Place("P3", PlaceKind.OUTPUT),
+    ]
+    return places, [_transition("T1", [("P1", "P3"), ("P2", "P3")], gate=[cx(1, 0)])]
 
 
 def build_cnot_example() -> tuple[QPNet, Marking]:
@@ -343,12 +393,6 @@ def build_cnot_example() -> tuple[QPNet, Marking]:
     first is set (control on the high-order qubit), and deposits both in P3.
     """
     plus = StateVector(1, [2**-0.5, 2**-0.5])
-    places = [
-        Place("P1", PlaceKind.INPUT),
-        Place("P2", PlaceKind.INPUT),
-        Place("P3", PlaceKind.OUTPUT),
-    ]
-    t1 = _transition("T1", [("P1", "P3"), ("P2", "P3")], gate=[cx(1, 0)])
     queues = {
         "P1": [
             QToken("a", TokenKind.DATA, basis_state(1, "1")),
@@ -360,7 +404,7 @@ def build_cnot_example() -> tuple[QPNet, Marking]:
             QToken("e", TokenKind.DATA, basis_state(1, "1")),
         ],
     }
-    return _instance(places, [t1], queues)
+    return _instance(_shape(_cnot_parts), queues)
 
 
 @dataclass(frozen=True)
@@ -391,11 +435,11 @@ class BufferSpec:
         kind = KIND_TABLE.get(self.kind)
         if kind is None:
             raise SpecError(f"unknown buffer kind {self.kind!r}")
-        names = kind.arguments
-        for f in fields(BufferSpec)[1:]:  # after kind
-            if f.name not in names and getattr(self, f.name) is not None:
-                raise SpecError(f"a {self.kind} spec takes no {f.name}")
-        args = [getattr(self, name) for name in names]
+        taken, refused = _KIND_FIELDS[self.kind]
+        for name in refused:
+            if getattr(self, name) is not None:
+                raise SpecError(f"a {self.kind} spec takes no {name}")
+        args = [getattr(self, name) for name in taken]
         for name, value in zip(kind.params, args):
             if value is None:
                 raise SpecError(f"{self.kind} spec needs {name}")
@@ -404,6 +448,15 @@ class BufferSpec:
     def build_scheduler(self, net: QPNet) -> Scheduler:
         """The scheduler a run of ``net`` takes: its selector addresses, or plain draining."""
         return AddressDriven(program=self.addresses)
+
+
+# The spec's field names in order; per kind, the fields its builder takes,
+# in its order, and the fields after ``kind`` that it does not take.
+_SPEC_FIELDS = tuple(f.name for f in fields(BufferSpec))
+_KIND_FIELDS = {
+    name: (kind.arguments, tuple(f for f in _SPEC_FIELDS[1:] if f not in kind.arguments))
+    for name, kind in KIND_TABLE.items()
+}
 
 
 def run_scenario(spec: BufferSpec, scheduler: Scheduler | None = None) -> Trace:

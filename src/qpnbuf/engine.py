@@ -10,16 +10,19 @@ the concatenated data payloads through a gate sequence, and append the
 tokens at their routed destinations.  Every supported gate permutes basis
 states, so firing and unfiring are bit-exact on amplitudes.
 
-A net compiles each transition once into a firing plan whose places are
-indices into ``QPNet.place_ids``; firing, unfiring, enabledness and
-enumeration's key stepping all read it.  Firing and key stepping apply
-the guard and the gate through one ``_transform`` and deposit tokens
+A net is a shape and its tokens.  The shape (``_Shape``) holds the places
+and each transition compiled once into a firing plan whose places are
+indices into ``QPNet.place_ids``, and nothing of the tokens, so nets of
+one structure can share it; firing, unfiring, enabledness and
+enumeration's key stepping all read the plans.  Firing and key stepping
+apply the guard and the gate through one ``_transform`` and deposit tokens
 through the plan's one memoized ``_layout``; unfiring checks itself by
 firing forward.  A marking's queues are a list in the order of
 its place ids, which must be the net's: a marking of another net is a
-``ModelError``.  Queues are persistent FIFOs with O(1) head pop and tail
-append (and their inverses), shared between markings; firing records are
-named tuples.
+``ModelError``.  ``initial_marking`` checks its assignment in bulk and
+returns a marking already validated against its net.  Queues are
+persistent FIFOs with O(1) head pop and tail append (and their inverses),
+shared between markings; firing records are named tuples.
 
 Ancillary tokens may carry an *address*: the basis value of their payload,
 used by guarded transitions as a selector.  An address of ``None`` is a
@@ -77,7 +80,7 @@ class PlaceKind(enum.Enum):
 
 @dataclass(frozen=True)
 class QToken:
-    """A named token and its initial quantum payload.
+    """A named token: its kind, a ``TokenKind``, and its initial quantum payload.
 
     ``address`` pins an ancillary token to a basis selector value; it must
     match the payload's basis index.  Payload evolution lives in markings.
@@ -89,6 +92,11 @@ class QToken:
     address: int | None = None
 
     def __post_init__(self):
+        if type(self.kind) is not TokenKind:
+            raise ModelError(f"token {self.id}: kind {self.kind!r} is not a TokenKind")
+        if type(self.payload) is not StateVector:
+            raise ModelError(f"token {self.id}: payload of type {type(self.payload).__name__} "
+                             "is not a StateVector")
         if self.address is not None:
             if type(self.address) is not int:
                 raise ModelError(f"token {self.id}: address {self.address!r} is not an int")
@@ -173,9 +181,8 @@ class _Plan(NamedTuple):
     the (data place, ancillary place) that split a pair entry; ``staging``
     are the destinations where a pair arriving together fuses.  A ``blind``
     plan has only plain routes and no staging destination, so its deposits
-    do not depend on token kinds.  ``layouts`` memoizes ``_layout``, and
-    ``steps`` memoizes, per tuple of consumed entries as class ids (see
-    ``_class``), the classes ``_step`` deposits.
+    do not depend on token kinds.  ``layouts`` memoizes ``_layout``, which
+    reads nothing of a net's tokens, so nets of one shape share it.
     """
 
     tid: str
@@ -187,7 +194,6 @@ class _Plan(NamedTuple):
     blind: bool
     gate: tuple[GateOp, ...]
     layouts: dict
-    steps: dict
 
 
 def _guard_relevant(plans: list[_Plan]) -> frozenset[int]:
@@ -209,37 +215,34 @@ def _guard_relevant(plans: list[_Plan]) -> frozenset[int]:
     return frozenset(relevant)
 
 
-class QPNet:
-    """Static net structure: places, transitions, tokens, arcs."""
+class _Shape:
+    """A net's structure, checked and compiled: places, transitions, firing plans.
 
-    def __init__(self, places, transitions, tokens):
+    It holds nothing of a net's tokens, so nets of one structure can share
+    one shape (the buffer builders keep one per shape); ``QPNet`` compiles
+    its own from its places and transitions.
+    """
+
+    def __init__(self, places, transitions):
         self.places: tuple[Place, ...] = tuple(places)
         self.transitions: tuple[Transition, ...] = tuple(transitions)
-        self.tokens: dict[str, QToken] = {}
-        for tok in tokens:
-            if tok.id in self.tokens:
-                raise ModelError(f"duplicate token id {tok.id!r}")
-            self.tokens[tok.id] = tok
         # Markings hold their queues in this order; plans index into it.
         self.place_ids: tuple[str, ...] = tuple(p.id for p in self.places)
-        self._index = {pid: i for i, pid in enumerate(self.place_ids)}
-        if len(self._index) != len(self.places):
+        self.index = {pid: i for i, pid in enumerate(self.place_ids)}
+        if len(self.index) != len(self.places):
             raise ModelError("duplicate place ids")
         if len({t.id for t in self.transitions}) != len(self.transitions):
             raise ModelError("duplicate transition ids")
         plans = [self._compile(t) for t in self.transitions]
-        self._relevant = _guard_relevant(plans)
-        self._plans = {plan.tid: plan for plan in plans}
-        self._gated = any(plan.gate for plan in plans)
-        # Enumeration's token classes: records by id, ids by tag (see ``_class``).
-        self._classes: list[tuple[bool, int | None, StateVector]] = []
-        self._class_ids: dict = {}
+        self.relevant = _guard_relevant(plans)
+        self.plans = {plan.tid: plan for plan in plans}
+        self.gated = any(plan.gate for plan in plans)
         # enabled_transitions and run's drains scan plans in this order.
-        self._ordered = tuple(self._plans[tid] for tid in sorted(self._plans, key=_tid_key))
+        self.ordered = tuple(self.plans[tid] for tid in sorted(self.plans, key=_tid_key))
 
     def _compile(self, t: Transition) -> _Plan:
         """Check a transition's wiring and compile it into its plan."""
-        index = self._index
+        index = self.index
         for arc in t.input_arcs + t.output_arcs + t.inhibitor_arcs:
             if arc.place not in index:
                 raise ModelError(f"transition {t.id}: unknown place {arc.place!r}")
@@ -272,7 +275,63 @@ class QPNet:
         return _Plan(t.id, inputs, tuple(index[arc.place] for arc in t.inhibitor_arcs),
                      None if t.address_guard is None
                      else (inputs[position], t.address_guard, position),
-                     tuple(routes), frozenset(staging), blind, t.gate, {}, {})
+                     tuple(routes), frozenset(staging), blind, t.gate, {})
+
+    @cached_property
+    def guard_map(self) -> dict[int, str]:
+        out: dict[int, str] = {}
+        for t in self.transitions:
+            if t.address_guard is None:
+                continue
+            if t.address_guard in out:
+                raise ModelError(
+                    f"guard value {t.address_guard} is used by both "
+                    f"{out[t.address_guard]} and {t.id}"
+                )
+            out[t.address_guard] = t.id
+        return out
+
+
+def _token_table(tokens) -> dict[str, QToken]:
+    """Token id to token, in the given order; a repeated id is a ``ModelError``."""
+    tokens = list(tokens)
+    table = {tok.id: tok for tok in tokens}
+    if len(table) != len(tokens):
+        seen: set[str] = set()
+        for tok in tokens:
+            if tok.id in seen:
+                raise ModelError(f"duplicate token id {tok.id!r}")
+            seen.add(tok.id)
+    return table
+
+
+class QPNet:
+    """A net: its shape (places, transitions and their plans) and its tokens."""
+
+    def __init__(self, places, transitions, tokens):
+        tokens = _token_table(tokens)  # a token fault is reported before a wiring fault
+        self._adopt(_Shape(places, transitions), tokens)
+
+    @classmethod
+    def _of(cls, shape: _Shape, tokens) -> "QPNet":
+        """A net of an already compiled ``shape``, its tokens checked as ``QPNet`` checks them."""
+        net = object.__new__(cls)
+        net._adopt(shape, _token_table(tokens))
+        return net
+
+    def _adopt(self, shape: _Shape, tokens: dict[str, QToken]):
+        self._shape = shape
+        self.places, self.transitions = shape.places, shape.transitions
+        self.place_ids, self._index = shape.place_ids, shape.index
+        self._plans, self._ordered = shape.plans, shape.ordered
+        self._relevant, self._gated = shape.relevant, shape.gated
+        self.tokens = tokens
+        # Enumeration's token classes: records by id, ids by tag (see
+        # ``_class``); and per transition, ``_step``'s memo of the classes
+        # it deposits, keyed on consumed entries as class ids.
+        self._classes: list[tuple[bool, int | None, StateVector]] = []
+        self._class_ids: dict = {}
+        self._steps: dict[str, dict] = {tid: {} for tid in shape.plans}
 
     def place(self, pid: str) -> Place:
         try:
@@ -295,42 +354,45 @@ class QPNet:
         """Token id to whether it is a data token (read without hashing kinds)."""
         return {tok.id: tok.kind is TokenKind.DATA for tok in self.tokens.values()}
 
-    @cached_property
+    @property
     def guard_map(self) -> dict[int, str]:
         """Guard value to transition id; requires guard values to be unique.
 
-        Shared by every caller, which must not mutate it.
+        Shared by every caller and every net of the shape, which must not
+        mutate it.
         """
-        out: dict[int, str] = {}
-        for t in self.transitions:
-            if t.address_guard is None:
-                continue
-            if t.address_guard in out:
-                raise ModelError(
-                    f"guard value {t.address_guard} is used by both "
-                    f"{out[t.address_guard]} and {t.id}"
-                )
-            out[t.address_guard] = t.id
-        return out
+        return self._shape.guard_map
 
     def initial_marking(self, assignment: dict[str, list[str]]) -> "Marking":
-        """Marking at t=0 with each listed token queued singly, in order."""
-        queues: dict[str, tuple[Entry, ...]] = dict.fromkeys(self.place_ids, ())
-        seen: set[str] = set()
+        """Marking at t=0 with each listed token queued singly, in order.
+
+        The marking comes validated against this net, its tables in
+        token-id order.  The assignment is checked in bulk; only a faulty
+        one is walked token by token, to name its first fault.
+        """
+        tokens = self.tokens
+        placed = [tok for toks in assignment.values() for tok in toks]
+        if not (len(placed) == len(tokens) and tokens.keys() == set(placed)
+                and self._index.keys() >= assignment.keys()):
+            seen: set[str] = set()
+            for pid, toks in assignment.items():
+                self.place(pid)
+                for tok in toks:
+                    if tok not in tokens:
+                        raise ModelError(f"unknown token {tok!r}")
+                    if tok in seen:
+                        raise ModelError(f"token {tok!r} assigned to more than one place")
+                    seen.add(tok)
+            raise ModelError(f"tokens never placed: {sorted(tokens.keys() - seen)}")
+        queues = dict.fromkeys(self.place_ids, ())
         for pid, toks in assignment.items():
-            self.place(pid)
-            for tok in toks:
-                if tok not in self.tokens:
-                    raise ModelError(f"unknown token {tok!r}")
-                if tok in seen:
-                    raise ModelError(f"token {tok!r} assigned to more than one place")
-                seen.add(tok)
-            queues[pid] = tuple((tok,) for tok in toks)
-        if seen != set(self.tokens):
-            raise ModelError(f"tokens never placed: {sorted(set(self.tokens) - seen)}")
-        payloads = {tok.id: tok.payload for tok in self.tokens.values()}
-        addresses = {tok.id: tok.address for tok in self.tokens.values()}
-        return Marking(queues, payloads, addresses, time=0)
+            queues[pid] = tuple([(tok,) for tok in toks])
+        held = [[list(entries), 0, len(entries), entries] for entries in queues.values()]
+        order = [tokens[tok] for tok in sorted(tokens)]
+        marking = object.__new__(Marking)
+        marking._fill(self.place_ids, held, {tok.id: tok.payload for tok in order},
+                      {tok.id: tok.address for tok in order}, 0, self)
+        return marking
 
 
 # A queue is ``[slots, start, end, entries]``: the window [start, end) of a
@@ -1050,9 +1112,10 @@ def _step(net: QPNet, key: tuple, plan: _Plan) -> tuple | None:
         key[i] = ((cls, count - 1),) + runs[1:] if count > 1 else runs[1:]
         entries.append(cls)
     entries = tuple(entries)
-    deposits = plan.steps.get(entries)
+    memo = net._steps[plan.tid]
+    deposits = memo.get(entries)
     if deposits is None:
-        deposits = plan.steps[entries] = _deposited_classes(net, plan, entries)
+        deposits = memo[entries] = _deposited_classes(net, plan, entries)
     if type(deposits) is int:
         return None
     for i, entry in deposits:

@@ -32,10 +32,10 @@ from __future__ import annotations
 import json
 import marshal
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 
-from .buffers import KIND_TABLE, KINDS, BufferSpec, address_fault
+from .buffers import _SPEC_FIELDS, KIND_TABLE, KINDS, BufferSpec, address_fault
 from .engine import (
     EagerOutputThenScript,
     FiringEvent,
@@ -70,7 +70,7 @@ class ScenarioDoc(BufferSpec):
     enumerate_outcomes: bool = False
 
     def to_buffer_spec(self) -> BufferSpec:
-        return BufferSpec(**{f.name: getattr(self, f.name) for f in fields(BufferSpec)})
+        return BufferSpec(*[getattr(self, name) for name in _SPEC_FIELDS])
 
     def build_scheduler(self, net) -> Scheduler:
         known = {t.id for t in net.transitions}

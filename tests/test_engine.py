@@ -336,6 +336,70 @@ def test_enumeration_reuses_the_nets_classes_and_step_memo(make):
     assert enumerate_final_markings(net, again) == reference_enumerate(net, again)
 
 
+def _fresh(net, marking):
+    """``net`` compiled anew by ``QPNet``, and ``marking``'s tokens placed on it."""
+    fresh = QPNet(net.places, net.transitions, net.tokens.values())
+    return fresh, fresh.initial_marking({pid: list(marking.tokens_in(pid))
+                                         for pid in marking.place_ids})
+
+
+_STATIC = [f for f in engine._Plan._fields if f != "layouts"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_siso(3, 2),
+    lambda: build_simo(4, 3, 2),
+    lambda: build_simo(2, 2, 5, addresses=(4,)),
+    lambda: build_miso((1, 2), 2),
+    lambda: build_miso((2, 0, 1), 3, addresses=(2, 0)),
+    lambda: build_mimo((1, 2), 2, 2),
+    lambda: build_mimo((2, 1, 1), 3, 2),
+    lambda: build_priority(2, 1, 2, 1),
+    build_cnot_example,
+], ids=["siso", "simo-2", "simo-5", "miso-2", "miso-3", "mimo-2x2", "mimo-3x3", "priority",
+        "cnot"])
+def test_builders_share_plans_equal_to_fresh_ones(make):
+    # A builder hands nets of one shape one compiled structure; its plans
+    # equal, in every static field, those ``QPNet`` compiles on its own.
+    net, m0 = make()
+    fresh, _ = _fresh(net, m0)
+    assert fresh._shape is not net._shape
+    assert list(fresh._plans) == list(net._plans)
+    for tid, plan in net._plans.items():
+        for name in _STATIC:
+            assert getattr(plan, name) == getattr(fresh._plans[tid], name), (tid, name)
+    assert [p.tid for p in net._ordered] == [p.tid for p in fresh._ordered]
+    assert (net.place_ids, net._relevant, net._gated) == (
+        fresh.place_ids, fresh._relevant, fresh._gated)
+    again, _ = make()
+    assert again._shape is net._shape and again._plans is net._plans
+    assert again.tokens is not net.tokens
+    assert again._classes is not net._classes and again._steps is not net._steps
+
+
+def test_nets_of_one_shape_share_structure_not_state():
+    # Nets of one shape, with other payload widths and addresses, enumerate
+    # and run interleaved; each agrees with the reference enumeration and
+    # with a net compiled on its own, byte for byte.
+    wide = {f"d{i + 1}": basis_state(2, "10") for i in range(6)}
+    narrow = {"d1": basis_state(1, "1")}
+    pairs = [
+        (lambda: build_simo(6, 6, 3), lambda: build_simo(6, 6, 3, wide, (2, 0, 1, 1))),
+        (lambda: build_mimo((1, 2), 2, 2, narrow),
+         lambda: build_mimo((1, 2), 2, 2, {"d1": basis_state(2, "11"),
+                                           "d3": basis_state(2, "01")}, (1, 0), (0, 1))),
+    ]
+    for make_a, make_b in pairs:
+        (a, a0), (b, b0) = make_a(), make_b()
+        assert a._shape is b._shape
+        for net, m0 in [(a, a0), (b, b0)] * 2:
+            assert enumerate_final_markings(net, m0) == reference_enumerate(net, m0)
+            fresh, fresh0 = _fresh(net, m0)
+            assert enumerate_final_markings(fresh, fresh0) == enumerate_final_markings(net, m0)
+            assert (emit_trace(run(net, m0, AddressDriven()))
+                    == emit_trace(run(fresh, fresh0, AddressDriven())))
+
+
 def _counting_fire(monkeypatch):
     """Route the engine's ``fire`` through a wrapper; the list collects fired ids."""
     calls = []
@@ -725,10 +789,31 @@ def _shared_guard():
      "token z1: address 1.0 is not an int"),
     (lambda: QToken("z1", TokenKind.ANCILLARY, basis_state(1, "1"), address=True), ModelError,
      "token z1: address True is not an int"),
+    (lambda: QToken("d2", TokenKind.DATA, "0"), ModelError,
+     "token d2: payload of type str is not a StateVector"),
+    (lambda: QToken("d1", "data", basis_state(1, "0")), ModelError,
+     "token d1: kind 'data' is not a TokenKind"),
     (lambda: _wiring_net().initial_marking({"P_X": []}), ModelError, "unknown place 'P_X'"),
     (lambda: _wiring_net().initial_marking({"P_I": ["d9"]}), ModelError, "unknown token 'd9'"),
     (lambda: _wiring_net().initial_marking({"P_I": ["d1"], "P_A": ["d1"]}), ModelError,
      "token 'd1' assigned to more than one place"),
+    (lambda: _wiring_net(tokens=("d1", "d2", "d3", "d2", "d1")), ModelError,
+     "duplicate token id 'd2'"),
+    (lambda: _wiring_net(tokens=("d1", "d2")).initial_marking(
+        {"P_I": ["d1"], "P_A": ["d9", "d1"]}), ModelError, "unknown token 'd9'"),
+    (lambda: _wiring_net(tokens=("d1", "d2")).initial_marking(
+        {"P_I": ["d1"], "P_A": ["d1", "d9"]}), ModelError,
+     "token 'd1' assigned to more than one place"),
+    (lambda: _wiring_net(tokens=("d3", "d1", "d2", "d10")).initial_marking({"P_I": ["d2"]}),
+     ModelError, "tokens never placed: ['d1', 'd10', 'd3']"),
+    (lambda: _wiring_net().initial_marking({"P_X": [], "P_I": ["d9"]}), ModelError,
+     "unknown place 'P_X'"),
+    (lambda: _wiring_net().initial_marking({"P_I": ["d9"], "P_X": ["d1"]}), ModelError,
+     "unknown token 'd9'"),
+    (lambda: _wiring_net().initial_marking({"P_I": ["d1"], "P_X": ["d1"]}), ModelError,
+     "unknown place 'P_X'"),
+    (lambda: _wiring_net().initial_marking({"P_I": ["d1"], "P_X": []}), ModelError,
+     "unknown place 'P_X'"),
     (lambda: build_siso(1, 1)[1].entries("P_X"), ModelError, "unknown place 'P_X'"),
     (_marking_missing_a_token, ModelError, "marking tokens disagree with the net"),
     (_shared_guard, ModelError, "guard value 0 is used by both T1 and T2"),
@@ -737,7 +822,11 @@ def _shared_guard():
 ], ids=["token-ids", "place-ids", "transition-ids", "unknown-place", "input-labels",
         "routing-cover", "routing-target", "guard-selector", "data-address",
         "superposed-address", "address-payload", "float-address", "bool-address",
-        "marking-place", "unknown-token", "token-twice", "marking-entries", "marking-tokens",
+        "payload-type", "kind-type",
+        "marking-place", "unknown-token", "token-twice", "first-duplicate-token",
+        "unknown-before-twice", "twice-before-unknown", "never-placed-sorted",
+        "place-before-token", "token-before-place", "place-before-twice", "only-place",
+        "marking-entries", "marking-tokens",
         "shared-guard", "unknown-address"])
 def test_wiring_and_token_checks(make, error, message):
     with pytest.raises(error) as info:
