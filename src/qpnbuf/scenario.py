@@ -168,13 +168,19 @@ def _payload_value(value, name, data: bytes | str | None = None) -> StateVector:
 
 
 def _load_json(text: str):
-    """The JSON value in ``text``; malformed or too deeply nested text is a ``ScenarioError``."""
+    """The JSON value in ``text``; malformed or too deeply nested text is a ``ScenarioError``.
+
+    So is an integer of more digits than ``int`` converts, which the
+    scanner raises as a plain ``ValueError``.
+    """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except RecursionError:
         raise ScenarioError("invalid JSON: nested too deeply") from None
+    except ValueError:
+        raise ScenarioError("invalid JSON: integer has too many digits") from None
 
 
 def parse_scenario(text: str) -> ScenarioDoc:

@@ -480,7 +480,7 @@ class Circuit:
         object.__setattr__(circuit, "measured_qubits", measured_qubits)
         return circuit
 
-    @property
+    @cached_property
     def num_clbits(self) -> int:
         return 1 + max((c for _, c in self.measured_qubits), default=-1)
 
@@ -488,6 +488,13 @@ class Circuit:
     def _compiled(self):
         """``_compile(self.ops)``, kept: a circuit run again is neither hashed nor compiled."""
         return _compile(self.ops)
+
+    @cached_property
+    def _qasm_body(self) -> str:
+        """``qasm._body_text(self)``, kept: a circuit exported again formats no gate line."""
+        from .qasm import _body_text  # qasm imports this module
+
+        return _body_text(self)
 
 
 def _count_argument(name: str, value) -> int:

@@ -1229,9 +1229,9 @@ def scenario_mutation_suite(directory, cases: int = 1000, seed: int = 416) -> tu
 # QASM reading: the reader before it took gate statements first, and
 # one-fault mutations of exported register and flip-flop listings.
 
-_REFERENCE_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
-_REFERENCE_CREG_RE = re.compile(r"^creg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
-_REFERENCE_REF_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_REFERENCE_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]$")
+_REFERENCE_CREG_RE = re.compile(r"^creg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]$")
+_REFERENCE_REF_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]$")
 _REFERENCE_INCLUDE_RE = re.compile(r'^include\s+"[^"]+"$')
 _REFERENCE_MEASURE_RE = re.compile(r"^measure\s+(.+?)\s*->\s*(.+)$")
 
@@ -1438,6 +1438,64 @@ def qasm_mutation_suite(cases: int = 1000, seed: int = 413) -> Counter:
             outcomes[check] += 1
         else:
             outcomes["other error"] += 1
+    return outcomes
+
+
+# Whitespace that a statement may carry around its tokens, and the places it
+# may go: after the statement's first word and around ``[``, ``]``, ``,``,
+# ``->`` and ``;``.
+_QASM_BLANKS = (" ", "\t", "  ", " \t ")
+_QASM_PUNCTUATION = re.compile(r"(\[|\]|,|->|;)")
+QASM_RESPELLINGS = ("after_word", "around_punctuation", "leading", "comment", "crlf")
+
+
+def _respell_statement(rng: random.Random, line: str, used: Counter) -> str:
+    """``line`` spelled another legal way, with at least one change."""
+    ways = rng.sample(QASM_RESPELLINGS[:-1], rng.randint(1, 4))
+    if "after_word" in ways:
+        word, rest = line.split(" ", 1)
+        line = f"{word}{rng.choice(_QASM_BLANKS)}{rest}"
+    if "around_punctuation" in ways:
+        pieces = _QASM_PUNCTUATION.split(line)
+        line = pieces[0]
+        for piece in pieces[1:]:
+            line += rng.choice(("",) + _QASM_BLANKS) + piece
+    if "leading" in ways:
+        line = rng.choice(_QASM_BLANKS) + line
+    if "comment" in ways:
+        line += rng.choice(("// note", " // x q[0];", "\t//"))
+    used.update(ways)
+    return line
+
+
+def qasm_respelling_suite(cases: int = 1000, seed: int = 907) -> Counter:
+    """``parse_qasm`` reads respelled listings as ``reference_parse_qasm`` does.
+
+    Each case exports a flip-flop or register listing, as
+    ``qasm_mutation_suite`` does, and spells one to five of its statements
+    another legal way: blanks after the first word, around brackets,
+    commas, ``->`` and ``;`` and before the statement, and a trailing
+    comment; some cases end their lines with CRLF.  It requires the same
+    ``Circuit`` (its export included) or the same error as the reference.
+    Returns how many cases were read as the exported circuit
+    (``"accepted"``) and how often each of ``QASM_RESPELLINGS`` was used.
+    """
+    rng = random.Random(seed)
+    outcomes: Counter = Counter()
+    for case in range(cases):
+        text = _qasm_source(rng)
+        lines = text.split("\n")
+        statements = [i for i, line in enumerate(lines) if line and not line.startswith("//")]
+        for at in rng.sample(statements, rng.randint(1, min(5, len(statements)))):
+            lines[at] = _respell_statement(rng, lines[at], outcomes)
+        respelled = "\n".join(lines)
+        if rng.random() < 0.2:
+            respelled = respelled.replace("\n", "\r\n")
+            outcomes["crlf"] += 1
+        want = _qasm_reading(reference_parse_qasm, respelled)
+        assert _qasm_reading(parse_qasm, respelled) == want, (case, respelled, want)
+        if isinstance(want[0], Circuit) and want == _qasm_reading(parse_qasm, text):
+            outcomes["accepted"] += 1
     return outcomes
 
 

@@ -148,6 +148,14 @@ def test_buffer_run_parse_failure_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+def test_buffer_run_integer_past_the_digit_limit_exit_2(capsys, tmp_path):
+    scenario = tmp_path / "long.json"
+    scenario.write_text('{"kind": "siso", "n": ' + "1" * 5000 + ', "m": 1}')
+    code, out, err = run_cli(capsys, "buffer", "run", "--scenario", str(scenario))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: integer has too many digits\n"
+
+
 def test_buffer_run_unfirable_script_exit_1(capsys, tmp_path):
     scenario = tmp_path / "scn.json"
     scenario.write_text(

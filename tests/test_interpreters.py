@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from qpnbuf import qasm
+
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qpnbuf").glob("*.py"))
 
 _RE_FUNCTIONS = {"compile", "match", "fullmatch", "search", "sub", "subn", "split", "findall",
@@ -70,7 +72,9 @@ def _other_interpreters() -> list[str]:
 
 def test_patterns_are_found():
     patterns = [p for path in SOURCES for p in _patterns(path)]
-    assert r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$" in patterns
+    assert r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]$" in patterns
+    assert qasm._EMITTED_GATE_RE.pattern in patterns
+    assert qasm._EMITTED_MEASURE_RE.pattern in patterns
 
 
 def test_sources_compile_under_other_interpreters():

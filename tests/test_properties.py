@@ -75,6 +75,13 @@ def test_qasm_mutation_suite():
         assert outcomes[check] >= 5, (check, outcomes)
 
 
+def test_qasm_respelling_suite():
+    outcomes = prop_util.qasm_respelling_suite(1000)
+    assert outcomes["accepted"] == 1000, outcomes
+    for way in prop_util.QASM_RESPELLINGS:
+        assert outcomes[way] >= 100, (way, outcomes)
+
+
 def test_quotient_enumeration_suite():
     assert prop_util.quotient_enumeration_suite(1000) == 1000
 

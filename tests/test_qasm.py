@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from qpnbuf import qasm
 from qpnbuf.errors import QasmError
 from qpnbuf.flipflop import CircuitVariant, build_qsr_circuit, build_register
 from qpnbuf.qasm import export_qasm, parse_qasm, significant_lines
@@ -142,6 +143,9 @@ def test_parse_requires_header():
         parse_qasm("qreg q[1];\nx q[0];\n")
 
 
+_LONG = "1" * 5000  # more digits than ``int`` converts by default
+
+
 @pytest.mark.parametrize("text, message, line", [
     ('OPENQASM 2.0;\ninclude "qelib1.inc";\n', "no qreg declaration found", None),
     ("OPENQASM 2.0;\nqreg q[2];\n;\n", "line 3: unsupported statement ''", 3),
@@ -174,6 +178,28 @@ def test_parse_requires_header():
     ("OPENQASM 2.0;\nqreg q[1];\nincludeX q[0];\n",
      "line 3: unsupported statement 'includeX q[0]'", 3),
     ('include "a";\nOPENQASM 2.0;\nqreg q[1];\n', "line 1: missing OPENQASM 2.0 header", 1),
+    # The emitter's spelling with a register that is not the declared one.
+    ("OPENQASM 2.0;\nqreg q[2];\nx r[0];\n", "line 3: unknown register 'r' (expected 'q')", 3),
+    ("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] -> d[0];\n",
+     "line 4: unknown register 'd' (expected 'c')", 4),
+    # Integers are ASCII digits: ARABIC-INDIC DIGIT ONE and TWO are no index
+    # and no size.
+    ("OPENQASM 2.0;\nqreg q[2];\nx q[\u0661];\n",
+     "line 3: malformed register reference 'q[\u0661]'", 3),
+    ("OPENQASM 2.0;\nqreg q[\u0662];\nx q[0];\n", "line 2: statement before qreg declaration", 2),
+    # Integers of more digits than ``int`` converts.
+    *[pytest.param(text, f"line {line}: integer of 5000 digits is too long", line,
+                   id=f"digit-limit-{name}")
+      for name, text, line in [
+          ("qreg", f"OPENQASM 2.0;\nqreg q[{_LONG}];\n", 2),
+          ("creg", f"OPENQASM 2.0;\nqreg q[2];\ncreg c[{_LONG}];\n", 3),
+          ("gate", f"OPENQASM 2.0;\nqreg q[2];\nx q[{_LONG}];\n", 3),
+          ("second-reference", f"OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[{_LONG}];\n", 3),
+          ("measured-qubit",
+           f"OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[{_LONG}] -> c[0];\n", 4),
+          ("classical-bit",
+           f"OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] -> c[{_LONG}];\n", 4),
+      ]],
     # Two measures into one classical bit: checked once the text is read.
     ("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[0];\n",
      "classical bit indices must be distinct: [0, 0]", None),
@@ -183,6 +209,39 @@ def test_parse_error_texts_and_lines(text, message, line):
         parse_qasm(text)
     assert str(err.value) == message
     assert err.value.line == line
+
+
+def _emitted_circuits():
+    """Every flip-flop and register circuit up to u=4, with and without its measures."""
+    built = [build_qsr_circuit(v) for v in CircuitVariant] + [
+        build_register(u, v) for u in range(1, 5) for v in CircuitVariant]
+    for circuit in built:
+        yield circuit
+        yield Circuit(circuit.num_qubits, circuit.ops)
+
+
+@pytest.mark.parametrize("raised", [(), (0, 3)], ids=["no-init", "init"])
+def test_export_writes_only_the_spelling_the_patterns_read(raised):
+    # A line the patterns miss is still read, by the statement code, only
+    # slower: this keeps the writer and the patterns in step.
+    for circuit in _emitted_circuits():
+        text = export_qasm(circuit, raised)
+        statements = [line for line in text.splitlines() if line and not line.startswith(
+            ("//", "OPENQASM ", "include ", "qreg ", "creg "))]
+        assert len(statements) == len(raised) + len(circuit.ops) + len(circuit.measured_qubits)
+        for line in statements:
+            assert (qasm._EMITTED_GATE_RE.fullmatch(line)
+                    or qasm._EMITTED_MEASURE_RE.fullmatch(line)), line
+        init = tuple(x(q) for q in raised)
+        assert parse_qasm(text) == Circuit(circuit.num_qubits, init + circuit.ops,
+                                           circuit.measured_qubits)
+
+
+def test_a_circuit_keeps_its_body_text():
+    circuit = build_register(2, CircuitVariant.NORMALIZED)
+    body = circuit._qasm_body
+    assert export_qasm(circuit, (1,)).endswith(body) and export_qasm(circuit).endswith(body)
+    assert circuit._qasm_body is body
 
 
 def test_export_rejects_bad_init_qubit():

@@ -597,6 +597,14 @@ def test_deeply_nested_scenario_exits_2(tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("parse", [parse_scenario, parse_trace])
+def test_integer_past_the_digit_limit_is_scenario_error(parse):
+    text = '{"kind": "siso", "n": ' + "1" * 5000 + ', "m": 1}'
+    with pytest.raises(ScenarioError) as err:
+        parse(text)
+    assert str(err.value) == "invalid JSON: integer has too many digits"
+
+
 def _demo_trace(name):
     if name == "fig2-example":
         net, marking = build_cnot_example()
