@@ -40,7 +40,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -589,14 +589,6 @@ class FiringEvent(NamedTuple):
     produced: tuple[TokenMove, ...]
     consumed_entry_sizes: tuple[int, ...]
     produced_entry_sizes: tuple[int, ...]
-
-    def consumed_entries(self) -> list[tuple[TokenMove, ...]]:
-        moves = iter(self.consumed)
-        return [tuple(islice(moves, size)) for size in self.consumed_entry_sizes]
-
-    def produced_entries(self) -> list[tuple[TokenMove, ...]]:
-        moves = iter(self.produced)
-        return [tuple(islice(moves, size)) for size in self.produced_entry_sizes]
 
 
 @dataclass(frozen=True, slots=True)

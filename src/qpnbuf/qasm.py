@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .errors import GateError, QasmError
-from .statevector import _ARITY, Circuit, GateOp, _is_index, shared_gate
+from .statevector import _ARITY, Circuit, GateOp, _cached_gate, _is_index
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";'
 
@@ -71,16 +71,6 @@ def _body_text(circuit: Circuit) -> str:
     return text + "\n"
 
 
-def significant_lines(text: str) -> list[str]:
-    """Statement lines with comments and blank lines stripped."""
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("//", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
-
-
 def _integer(digits: str, lineno: int) -> int:
     """``int(digits)``; more digits than the interpreter converts is a ``QasmError``."""
     try:
@@ -105,9 +95,10 @@ def parse_qasm(text: str) -> Circuit:
     """Parse QASM 2.0 text (gate subset) into a Circuit.
 
     Initialization X gates are ordinary leading ops in the result; QASM has
-    no marker distinguishing them from the body.  Gates come from
-    ``shared_gate``, so the result shares them with other circuits (a
-    register's with ``build_register``'s).  Each distinct gate line is read
+    no marker distinguishing them from the body.  Gates come from the
+    cache behind ``shared_gate`` (every index read is an ``int``, so its
+    type check is skipped), so the result shares them with other circuits
+    (a register's with ``build_register``'s).  Each distinct gate line is read
     once per call.  A line in the exact spelling ``export_qasm`` writes, a
     gate or a measure, is read by one pattern if its registers are the
     declared ones and its indices in range.  The statement code reads every
@@ -157,7 +148,7 @@ def parse_qasm(text: str) -> Circuit:
                 else:
                     if name == qreg[0] and max(qubits) < qreg[1]:
                         try:
-                            gate = gate_lines[raw] = shared_gate(kind, qubits)
+                            gate = gate_lines[raw] = _cached_gate(kind, qubits)
                         except GateError as exc:
                             raise QasmError(str(exc), lineno) from exc
                         ops.append(gate)
@@ -196,7 +187,7 @@ def parse_qasm(text: str) -> Circuit:
                     index = refs[token] = _parse_ref(token, qreg[0], qreg[1], lineno)
                 qubits.append(index)
             try:
-                gate = gate_lines[raw] = shared_gate(kind, tuple(qubits))
+                gate = gate_lines[raw] = _cached_gate(kind, tuple(qubits))
             except GateError as exc:
                 raise QasmError(str(exc), lineno) from exc
             ops.append(gate)
@@ -224,6 +215,8 @@ def parse_qasm(text: str) -> Circuit:
                 raise QasmError("multiple creg declarations", lineno)
             creg = (m.group(1), _integer(m.group(2), lineno))
             continue
+        if parts and parts[0] in ("qreg", "creg"):
+            raise QasmError(f"malformed {parts[0]} declaration {stmt!r}", lineno)
 
         if qreg is None:
             raise QasmError("statement before qreg declaration", lineno)

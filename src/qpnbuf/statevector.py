@@ -120,7 +120,8 @@ def identity(q: int) -> GateOp:
 class StateVector:
     """Normalized amplitude vector over ``num_qubits`` qubits, held as its support.
 
-    ``_indices`` are distinct basis indices (int64, in any order) and
+    ``_indices`` are distinct basis indices (int64, in any order, possibly
+    a read-only array that other states share) and
     ``_values`` their amplitudes (read-only complex128); every amplitude off
     the support is +0.0.  ``_indices`` is None for a full support held in
     index order, whose ``_values`` is the dense vector; the public
@@ -141,9 +142,10 @@ class StateVector:
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
                 f"got shape {amps.shape}"
             )
-        # np.sum(np.abs(amps) ** 2) without np.sum's Python wrapper: the same
-        # reduction, so the same norm bit for bit.
-        norm = float(np.add.reduce(np.square(np.abs(amps))))
+        # np.sum(np.abs(amps) ** 2) without np.sum's Python wrapper or a
+        # second temporary: the same reduction, so the same norm bit for bit.
+        probs = np.abs(amps)
+        norm = float(np.add.reduce(np.square(probs, out=probs)))
         if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails too
             raise ConstructionError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.flags.writeable = False
@@ -331,7 +333,7 @@ def _fuse(ops: list[GateOp], qubits: set[int]):
 
 @lru_cache(maxsize=64)
 def _compile(ops: tuple[GateOp, ...]):
-    """``(1 + the highest qubit, runs)`` of a gate list.
+    """``(1 + the highest qubit, runs, images)`` of a gate list.
 
     The gates, identities dropped, are cut into maximal consecutive runs
     whose qubits number at most ``_RUN_QUBITS``.  A run is ``(chunks,
@@ -340,7 +342,12 @@ def _compile(ops: tuple[GateOp, ...]):
     index's run bits into a local index.  ``table[local]`` is the XOR the
     run makes to an index with those run bits, in global bit positions.
     Gate lists repeat (one per circuit, one per gated transition), so each
-    distinct one is compiled once.
+    distinct one is compiled once.  ``images`` maps a state width to the
+    read-only image of ``arange(2**width)`` under the gates, which
+    ``_apply_compiled`` fills the first time a full support of that width,
+    held in index order, runs.  It costs 8 bytes per amplitude of each width
+    the list has run densely, half the dense state it serves, and is
+    released with this entry.
     """
     width = 1 + max((max(op.qubits) for op in ops), default=-1)
     runs = []
@@ -356,7 +363,7 @@ def _compile(ops: tuple[GateOp, ...]):
             qubits.update(op.qubits)
         if group:
             runs.append(_fuse(group, qubits))
-    return width, tuple(runs)
+    return width, tuple(runs), {}
 
 
 def apply_all(state: StateVector, ops) -> StateVector:
@@ -367,7 +374,7 @@ def apply_all(state: StateVector, ops) -> StateVector:
 
 def _apply_compiled(state: StateVector, ops: tuple[GateOp, ...], compiled) -> StateVector:
     """``apply_all(state, ops)``, given ``compiled``, which is ``_compile(ops)``."""
-    width, runs = compiled
+    width, runs, images = compiled
     if width > state.num_qubits:
         op = next(op for op in ops if max(op.qubits) >= state.num_qubits)
         raise GateError(
@@ -383,6 +390,9 @@ def _apply_compiled(state: StateVector, ops: tuple[GateOp, ...], compiled) -> St
                 local |= (index >> shift) & mask
             index ^= table.item(local)
         indices = np.array([index], dtype=np.int64)
+    elif state._indices is None and state.num_qubits in images:
+        # A full support in index order always maps to the same indices.
+        indices = images[state.num_qubits]
     else:
         indices = np.arange(len(state._values)) if state._indices is None else state._indices.copy()
         local, part = np.empty_like(indices), np.empty_like(indices)
@@ -395,6 +405,9 @@ def _apply_compiled(state: StateVector, ops: tuple[GateOp, ...], compiled) -> St
                     np.bitwise_or(local, part, out=local)
             np.take(table, local, out=part, mode="clip")  # local < len(table) by its masks
             np.bitwise_xor(indices, part, out=indices)
+        if state._indices is None:
+            indices.flags.writeable = False
+            images[state.num_qubits] = indices
     # The gates move each amplitude to its index's image and change none,
     # so the values array is shared as it is and the norm is unchanged.
     return StateVector._from_support(state.num_qubits, indices, state._values)
@@ -513,9 +526,9 @@ def run_circuit(
     default PCG64 generator seeded with ``seed``; identical inputs and seed
     give an identical histogram.  ``shots`` and ``seed`` are nonnegative
     ints.  Histogram keys read the classical register most-significant bit
-    first.  The circuit keeps its compiled gate runs, so running one circuit
-    again, such as a register that ``build_register`` shares, compiles
-    nothing.
+    first.  The circuit keeps its compiled gate runs, and the index image of
+    each width it has run a dense input on, so running one circuit again,
+    such as a register that ``build_register`` shares, compiles nothing.
     """
     if initial.num_qubits != circuit.num_qubits:
         raise CircuitError(

@@ -16,6 +16,7 @@ import random
 import re
 from collections import Counter, deque
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,18 @@ from qpnbuf.statevector import (
     probabilities,
     run_circuit,
 )
+
+
+def consumed_entries(event: FiringEvent) -> list[tuple[TokenMove, ...]]:
+    """The event's consumed moves, grouped into queue entries."""
+    moves = iter(event.consumed)
+    return [tuple(islice(moves, size)) for size in event.consumed_entry_sizes]
+
+
+def produced_entries(event: FiringEvent) -> list[tuple[TokenMove, ...]]:
+    """The event's produced moves, grouped into queue entries."""
+    moves = iter(event.produced)
+    return [tuple(islice(moves, size)) for size in event.produced_entry_sizes]
 
 
 def random_payload(rng: random.Random, max_qubits: int = 2) -> StateVector:
@@ -579,6 +592,105 @@ def sampler_suite(cases: int = 1000, seed: int = 414) -> int:
     return cases
 
 
+def _dense_images(ops, n: int) -> np.ndarray:
+    """The image of every n-qubit basis index under the gate list."""
+    if n >= 3:
+        return _reference_images(ops, n)
+    return np.array([_reference_image(ops, i) for i in range(1 << n)], dtype=np.int64)
+
+
+def dense_image_suite(cases: int = 300, seed: int = 418) -> Counter:
+    """A gate list maps dense states of one width through one shared, read-only image.
+
+    Each case draws 1-12 gates over x/cx/ccx/swap/cswap/id and a dense
+    state of 1-14 qubits holding signed zeros, then runs the list on fresh
+    copies of the state three times, ``apply_all`` and ``run_circuit`` in
+    turn: the first run is cold when the list has not met that width
+    before, the later ones are warm.  Every final must hold the list's
+    image of ``arange(2**n)`` as its indices (one read-only object for
+    every run), give the bytes of the amplitudes moved to
+    ``_reference_images`` and sample the dense sampler's histogram.  The
+    image stays the same after a final is mapped again and after every
+    final builds its dense view.  About one case in two runs the list on a
+    second width too, which must keep an image of its own.
+    """
+    rng = random.Random(seed)
+    gen = np.random.default_rng(seed)
+    outcomes = Counter()
+
+    def dense_state(width: int) -> np.ndarray:
+        size = 1 << width
+        amps = gen.standard_normal(size) + 1j * gen.standard_normal(size)
+        zeros = gen.permutation(size)[: rng.randint(0, size - 1)]
+        amps.real[zeros] = np.copysign(0.0, gen.standard_normal(len(zeros)))
+        amps.imag[zeros] = np.copysign(0.0, gen.standard_normal(len(zeros)))
+        return amps / np.sqrt(np.sum(np.abs(amps) ** 2))
+
+    def moved(amps: np.ndarray, images: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(amps), dtype=np.complex128)
+        out[images] = amps
+        return out
+
+    for case in range(cases):
+        n = rng.randint(1, 14)
+        span = rng.randint(1, n)
+        names = [k for k, a in _GATE_ARITY.items() if a <= span]
+        ops = []
+        for _ in range(rng.randint(1, 12)):
+            name = rng.choice(names)
+            ops.append(GateOp(name, tuple(rng.sample(range(span), _GATE_ARITY[name]))))
+        ops = tuple(ops)
+        qubits = rng.sample(range(n), rng.randint(0, n))
+        circuit = Circuit(n, ops, tuple(zip(qubits, rng.sample(range(n), len(qubits)))))
+        shots, shot_seed = rng.randint(1, 100), rng.randrange(1 << 32)
+        amps = dense_state(n)
+        reference = _dense_images(ops, n)
+        expected = moved(StateVector(n, amps).amplitudes, reference)
+        histogram = _dense_sampler(expected, circuit.measured_qubits, circuit.num_clbits,
+                                   shots, shot_seed)
+
+        kept = _compile(ops)[2]
+        cold = n not in kept
+        finals = []
+        for run in range(3):
+            start = StateVector(n, amps)
+            if (case + run) % 2:
+                final, hist = run_circuit(circuit, start, shots, shot_seed)
+                assert hist == histogram, case
+            else:
+                final = apply_all(start, ops)
+            assert final._values is start._values, case
+            finals.append(final)
+        image = kept[n]
+        assert not image.flags.writeable, case
+        assert all(final._indices is image for final in finals), case
+        assert np.array_equal(image, reference), case
+        outcomes["cold " + ("run_circuit" if case % 2 else "apply_all")] += cold
+        outcomes["warm"] += 2
+
+        again = apply_all(finals[0], ops)  # a support out of index order
+        assert again._indices is not image, case
+        assert again.amplitude_bytes() == moved(expected, reference).tobytes(), case
+        for final in finals:
+            assert final.amplitude_bytes() == expected.tobytes(), case
+            assert final._indices is None, case
+        assert kept[n] is image and not image.flags.writeable, case
+        assert np.array_equal(image, reference), case
+
+        others = [m for m in range(span, 15) if m != n]
+        if others and rng.random() < 0.5:
+            m = rng.choice(others)
+            other = StateVector(m, dense_state(m))
+            final = apply_all(other, ops)
+            assert set(kept) >= {n, m} and kept[n] is image, case
+            assert final._indices is kept[m] and len(kept[m]) == 1 << m, case
+            assert final.amplitude_bytes() == moved(
+                other.amplitudes, _dense_images(ops, m)).tobytes(), case
+            outcomes["two widths"] += 1
+        outcomes["cases"] += 1
+    return outcomes
+
+
 def _reversal_payload(rng: random.Random, width: int) -> StateVector:
     """A basis, uniform (X-invariant, so a CX target stays a product) or random state."""
     kind = rng.choice(("basis", "uniform", "random", "random"))
@@ -967,8 +1079,8 @@ def _reference_replay(trace: Trace):
                 )
         if sorted(m.token for m in event.consumed) != sorted(m.token for m in event.produced):
             raise ScenarioError("a firing must produce the tokens it consumes", field=name)
-        for side, groups in (("consumed", event.consumed_entries()),
-                             ("produced", event.produced_entries())):
+        for side, groups in (("consumed", consumed_entries(event)),
+                             ("produced", produced_entries(event))):
             for group in groups:
                 place, entry = group[0].place, tuple([m.token for m in group])
                 queue = queues.get(place)
@@ -1281,6 +1393,9 @@ def reference_parse_qasm(text: str) -> Circuit:
                 raise QasmError("multiple creg declarations", lineno)
             creg = (m.group(1), int(m.group(2)))
             continue
+        head = (stmt.split(None, 1) or [""])[0]
+        if head in ("qreg", "creg"):
+            raise QasmError(f"malformed {head} declaration {stmt!r}", lineno)
         if qreg is None:
             raise QasmError("statement before qreg declaration", lineno)
         m = _REFERENCE_MEASURE_RE.match(stmt)
@@ -1757,7 +1872,7 @@ def _producing(marking: Marking, event, entries):
     moves' states.
     """
     queues = {pid: list(marking.entries(pid)) for pid in marking.place_ids}
-    for entry in reversed(event.produced_entries()):
+    for entry in reversed(produced_entries(event)):
         queues[entry[0].place].pop()
     payloads, addresses = dict(marking.payloads), dict(marking.addresses)
     for entry in entries:
@@ -1782,7 +1897,7 @@ def _regrouped(rng: random.Random, net, marking, event):
 
 def _reordered(rng: random.Random, net, marking, event):
     """Produced entries in a random order."""
-    entries = [list(entry) for entry in event.produced_entries()]
+    entries = [list(entry) for entry in produced_entries(event)]
     rng.shuffle(entries)
     return _producing(marking, event, entries)
 
@@ -1820,7 +1935,7 @@ def _relabelled(rng: random.Random, net, marking, event):
             if [a.place for a in t.input_arcs] == [a.place for a in fired.input_arcs]]
     other = rng.choice(same or others)
     dest = {}
-    for arc, entry in zip(other.input_arcs, event.consumed_entries()):
+    for arc, entry in zip(other.input_arcs, consumed_entries(event)):
         route = other.routing[arc.label]
         for m in entry:
             if isinstance(route, PairRoute):
@@ -1829,7 +1944,7 @@ def _relabelled(rng: random.Random, net, marking, event):
             else:
                 dest[m.token] = route
     entries = [[m._replace(place=dest.get(m.token, m.place)) for m in entry]
-               for entry in event.produced_entries()]
+               for entry in produced_entries(event)]
     forged, forged_event = _producing(marking, event, entries)
     return forged, forged_event._replace(transition=other.id)
 

@@ -40,6 +40,16 @@ measure q[4] -> c[1];
 """
 
 
+def significant_lines(text: str) -> list[str]:
+    """Statement lines with comments and blank lines stripped."""
+    out = []
+    for raw in text.splitlines():
+        line = raw.split("//", 1)[0].strip()
+        if line:
+            out.append(line)
+    return out
+
+
 def listing_gate_lines(include_init: bool = False) -> list[str]:
     """The gate statements of the listing, optionally with the init X gates."""
     lines = []

@@ -15,6 +15,7 @@ from qsr_oracle import (
     VERBATIM_EXPECTED,
     oracle_reference,
     oracle_verbatim_outcome,
+    significant_lines,
 )
 
 from qpnbuf.buffers import (
@@ -41,7 +42,7 @@ from qpnbuf.flipflop import (
     initial_label,
     reference_next_state,
 )
-from qpnbuf.qasm import export_qasm, parse_qasm, significant_lines
+from qpnbuf.qasm import export_qasm, parse_qasm
 from qpnbuf.statevector import apply_all, basis_state, probabilities
 
 

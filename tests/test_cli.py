@@ -4,9 +4,8 @@ import pytest
 
 from qpnbuf import cli
 from qpnbuf.cli import main
-from qpnbuf.qasm import significant_lines
 
-from qsr_oracle import LISTING_QASM
+from qsr_oracle import LISTING_QASM, significant_lines
 
 SIMO_4C = {
     "kind": "simo",

@@ -67,6 +67,13 @@ def test_scenario_mutation_suite(tmp_path):
     assert digest == SCENARIO_MUTATION_SHA
 
 
+def test_dense_image_suite():
+    outcomes = prop_util.dense_image_suite(300)
+    assert outcomes["cases"] == 300 and outcomes["warm"] == 600, outcomes
+    for key in ("cold apply_all", "cold run_circuit", "two widths"):
+        assert outcomes[key] >= 100, (key, outcomes)
+
+
 def test_qasm_mutation_suite():
     outcomes = prop_util.qasm_mutation_suite(1000)
     assert sum(outcomes.values()) == 1000

@@ -5,10 +5,10 @@ import pytest
 from qpnbuf import qasm
 from qpnbuf.errors import QasmError
 from qpnbuf.flipflop import CircuitVariant, build_qsr_circuit, build_register
-from qpnbuf.qasm import export_qasm, parse_qasm, significant_lines
+from qpnbuf.qasm import export_qasm, parse_qasm
 from qpnbuf.statevector import Circuit, ccx, cswap, cx, x
 
-from qsr_oracle import LISTING_QASM
+from qsr_oracle import LISTING_QASM, significant_lines
 
 
 def test_verbatim_export_matches_listing_lines():
@@ -186,7 +186,13 @@ _LONG = "1" * 5000  # more digits than ``int`` converts by default
     # and no size.
     ("OPENQASM 2.0;\nqreg q[2];\nx q[\u0661];\n",
      "line 3: malformed register reference 'q[\u0661]'", 3),
-    ("OPENQASM 2.0;\nqreg q[\u0662];\nx q[0];\n", "line 2: statement before qreg declaration", 2),
+    ("OPENQASM 2.0;\nqreg q[\u0662];\nx q[0];\n",
+     "line 2: malformed qreg declaration 'qreg q[\u0662]'", 2),
+    # A declaration that does not read is worded as one, at its own line.
+    ("OPENQASM 2.0;\nqreg q[-1];\n", "line 2: malformed qreg declaration 'qreg q[-1]'", 2),
+    ("OPENQASM 2.0;\nqreg q;\n", "line 2: malformed qreg declaration 'qreg q'", 2),
+    ("OPENQASM 2.0;\nqreg q[2];\ncreg c;\n", "line 3: malformed creg declaration 'creg c'", 3),
+    ("OPENQASM 2.0;\ncreg c;\nqreg q[2];\n", "line 2: malformed creg declaration 'creg c'", 2),
     # Integers of more digits than ``int`` converts.
     *[pytest.param(text, f"line {line}: integer of 5000 digits is too long", line,
                    id=f"digit-limit-{name}")

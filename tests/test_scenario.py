@@ -331,7 +331,7 @@ def test_parse_trace_pair_entry_must_share_one_place():
     net, marking = doc.build()
     trace = json.loads(emit_trace(run(net, marking, Scripted(("T1",)))))
     assert trace["events"][0]["produced_entry_sizes"] == [2]
-    assert parse_trace(json.dumps(trace)).events[0].produced_entries()[0][1].place == "P_DA"
+    assert prop_util.produced_entries(parse_trace(json.dumps(trace)).events[0])[0][1].place == "P_DA"
     trace["events"][0]["produced"][1]["place"] = "P_I1"
     with pytest.raises(ScenarioError) as err:
         parse_trace(json.dumps(trace))
